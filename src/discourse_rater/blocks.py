@@ -36,14 +36,23 @@ def ones_param(*shape: int) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=True)
 
 
+def dropout_keep(rng: np.random.Generator | None, shape: tuple[int, ...],
+                 rate: float) -> np.ndarray:
+    """Inverted-dropout scales in the current float width: 0 where a unit
+    drops, ``1 / (1 - rate)`` where it stays.
+
+    The uniforms are drawn as float64, so a mask does not depend on the width.
+    """
+    if rng is None:
+        raise UsageError("dropout in training mode needs an rng")
+    return np.asarray((rng.random(shape) >= rate) / (1.0 - rate), dtype=T.current_dtype())
+
+
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout; identity when not training or rate is zero."""
     if not training or rate <= 0.0:
         return x
-    if rng is None:
-        raise UsageError("dropout in training mode needs an rng")
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(keep)
+    return x * Tensor(dropout_keep(rng, x.shape, rate))
 
 
 # -- attention ---------------------------------------------------------------
@@ -100,45 +109,67 @@ def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, kv_mask: np.ndarray | No
                          params: AttentionParams, return_weights: bool = False):
     """Scaled dot-product attention with the query stream kept at model width.
 
-    ``kv_mask`` marks valid context rows; invalid rows receive exactly zero
-    attention weight.  Returns ``[Lq, model_dim]`` (and the per-head weight
-    array when ``return_weights``).
+    Takes one sequence pair (``[Lq, model_dim]`` queries, ``[Lk, context_dim]``
+    context) or a batch of them (``[B, Lq, model_dim]``, ``[B, Lk,
+    context_dim]``); a batch runs as one ``bmm`` over ``B * num_heads``.
+    ``kv_mask`` (``[Lk]``, or ``[B, Lk]`` for a batch) marks valid context
+    rows; invalid rows receive exactly zero attention weight, example by
+    example.  Returns ``[..., Lq, model_dim]`` (and the per-head weight array
+    ``[..., num_heads, Lq, Lk]`` when ``return_weights``).
     """
-    if q_seq.shape[1] != params.model_dim:
-        raise ShapeError(f"query width {q_seq.shape[1]} != model_dim {params.model_dim}")
-    if kv_seq.shape[1] != params.context_dim:
-        raise ShapeError(f"context width {kv_seq.shape[1]} != context_dim {params.context_dim}")
-    n_kv = kv_seq.shape[0]
+    if q_seq.ndim not in (2, 3) or kv_seq.ndim != q_seq.ndim:
+        raise ShapeError(f"attention needs [L, d] or [B, L, d] operands of one rank, "
+                         f"got {q_seq.shape} and {kv_seq.shape}")
+    if q_seq.shape[-1] != params.model_dim:
+        raise ShapeError(f"query width {q_seq.shape[-1]} != model_dim {params.model_dim}")
+    if kv_seq.shape[-1] != params.context_dim:
+        raise ShapeError(f"context width {kv_seq.shape[-1]} != context_dim {params.context_dim}")
+    if q_seq.shape[:-2] != kv_seq.shape[:-2]:
+        raise ShapeError(f"query batch {q_seq.shape[:-2]} != context batch {kv_seq.shape[:-2]}")
+    mask_shape = kv_seq.shape[:-1]
     if kv_mask is None:
-        kv_mask = np.ones(n_kv, dtype=bool)
+        kv_mask = np.ones(mask_shape, dtype=bool)
     else:
         kv_mask = np.asarray(kv_mask, dtype=bool)
-        if kv_mask.shape != (n_kv,):
-            raise ShapeError(f"kv_mask shape {kv_mask.shape} != ({n_kv},)")
-    if not kv_mask.any():
+        if kv_mask.shape != mask_shape:
+            raise ShapeError(f"kv_mask shape {kv_mask.shape} != {mask_shape}")
+    if not kv_mask.any(axis=-1).all():
         raise UsageError("attention needs at least one valid context position")
 
+    single = q_seq.ndim == 2
+    if single:
+        q_seq = q_seq.reshape((1,) + q_seq.shape)
+        kv_seq = kv_seq.reshape((1,) + kv_seq.shape)
+        kv_mask = kv_mask[None, :]
+    batch, n_q, _ = q_seq.shape
+    n_kv = kv_seq.shape[1]
     n_heads = params.num_heads
     head_dim = params.model_dim // n_heads
     scale = 1.0 / math.sqrt(head_dim)
-    n_q = q_seq.shape[0]
 
-    def split_heads(x: Tensor) -> Tensor:
-        rows = x.shape[0]
-        return T.permute(x.reshape((rows, n_heads, head_dim)), (1, 0, 2))
+    def split_heads(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+        # [B, L, H * dh] -> [B * H, ...] with the per-head axes in ``axes`` order.
+        rows = x.shape[1]
+        heads = T.permute(x.reshape((batch, rows, n_heads, head_dim)), (0, 2) + axes)
+        return heads.reshape((batch * n_heads,) + heads.shape[2:])
 
-    q = split_heads(T.matmul(q_seq, params.wq) + params.bq)   # [H, Lq, dh]
-    k = split_heads(T.matmul(kv_seq, params.wk) + params.bk)  # [H, Lk, dh]
-    v = split_heads(T.matmul(kv_seq, params.wv) + params.bv)
+    q = split_heads(T.matmul(q_seq, params.wq) + params.bq, (1, 3))   # [BH, Lq, dh]
+    k_t = split_heads(T.matmul(kv_seq, params.wk) + params.bk, (3, 1))  # [BH, dh, Lk]
+    v = split_heads(T.matmul(kv_seq, params.wv) + params.bv, (1, 3))   # [BH, Lk, dh]
 
-    scores = T.bmm(q, T.permute(k, (0, 2, 1))) * scale        # [H, Lq, Lk]
+    scores = T.bmm(q, k_t) * scale                                    # [BH, Lq, Lk]
     if not kv_mask.all():
-        scores = T.masked_fill(scores, ~kv_mask[None, None, :], NEG_FILL)
+        scores = T.masked_fill(scores, np.repeat(~kv_mask, n_heads, axis=0)[:, None, :],
+                               NEG_FILL)
     attn = T.softmax(scores, axis=-1)
-    merged = T.permute(T.bmm(attn, v), (1, 0, 2)).reshape((n_q, params.model_dim))
+    per_head = T.bmm(attn, v).reshape((batch, n_heads, n_q, head_dim))
+    merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch, n_q, params.model_dim))
     out = T.matmul(merged, params.wo) + params.bo
+    if single:
+        out = out.reshape((n_q, params.model_dim))
     if return_weights:
-        return out, attn.data.copy()
+        weights = attn.data.reshape((batch, n_heads, n_q, n_kv))
+        return out, (weights[0] if single else weights).copy()
     return out
 
 
@@ -195,23 +226,47 @@ def encoder_block(x_seq: Tensor, params: EncoderBlockParams, *,
                   x_mask: np.ndarray | None = None,
                   context_mask: np.ndarray | None = None,
                   training: bool = False,
-                  rng: np.random.Generator | None = None) -> Tensor:
+                  rng: np.random.Generator | None = None,
+                  keep: tuple[np.ndarray, np.ndarray] | None = None,
+                  cls_only: bool = False) -> Tensor:
     """Pre-norm residual block: x + Attn(LN(x), ctx), then y + FFN(LN(y)).
 
     Self-attention over ``x_seq`` when ``context`` is None, cross-attention
-    with text as the query otherwise.
+    with text as the query otherwise.  ``x_seq`` is one sequence ``[L, d]``
+    or a padded batch ``[B, L, d]`` (masks and context batched to match).
+
+    In training, ``keep`` holds the dropout scales of the attention and the
+    FFN output, each shaped like ``x_seq``; without it the block draws both
+    from ``rng``, attention site first.  With ``cls_only`` the block returns
+    row 0 alone (``[..., 1, d]``): every row still enters LN1 and the K/V
+    projections, but only the CLS row goes through the query, the residuals,
+    LN2 and the FFN, because no other row of a last block reaches an output.
     """
+    rate = params.dropout_rate
+    if not training or rate <= 0.0:
+        keep = None
+    elif keep is None:
+        keep = (dropout_keep(rng, x_seq.shape, rate), dropout_keep(rng, x_seq.shape, rate))
     normed = T.layer_norm(x_seq, params.ln1_gain, params.ln1_bias)
     if context is None:
         kv, kv_mask = normed, x_mask
     else:
         kv, kv_mask = context, context_mask
-    attn = multi_head_attention(normed, kv, kv_mask, params.attention)
-    y = x_seq + dropout(attn, params.dropout_rate, training, rng)
+    query, residual = normed, x_seq
+    if cls_only:
+        query, residual = normed[..., :1, :], x_seq[..., :1, :]
+        if keep is not None:
+            keep = tuple(site[..., :1, :] for site in keep)
+
+    def drop(x: Tensor, site: int) -> Tensor:
+        return x if keep is None else x * Tensor(keep[site])
+
+    attn = multi_head_attention(query, kv, kv_mask, params.attention)
+    y = residual + drop(attn, 0)
     normed2 = T.layer_norm(y, params.ln2_gain, params.ln2_bias)
     hidden = T.relu(T.matmul(normed2, params.w1) + params.b1)
     ffn = T.matmul(hidden, params.w2) + params.b2
-    return y + dropout(ffn, params.dropout_rate, training, rng)
+    return y + drop(ffn, 1)
 
 
 # -- rating head ---------------------------------------------------------------
@@ -243,20 +298,24 @@ class HeadParams:
 
 
 def mlp_head(x: Tensor, params: HeadParams, mode: str = "classify") -> Tensor:
-    """Map a pooled vector to 7 class probabilities or one unbounded score."""
-    if x.ndim != 1:
-        raise ShapeError(f"head input must be a vector, got shape {x.shape}")
-    if x.shape[0] != params.w1.shape[0]:
-        raise ShapeError(f"head input width {x.shape[0]} != {params.w1.shape[0]}")
+    """Map pooled vectors to 7 class probabilities or one unbounded score each.
+
+    ``x`` is a batch ``[B, d]`` (returns ``[B, k]``) or one vector ``[d]``
+    (returns ``[k]``).
+    """
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"head input must be [d] or [B, d], got shape {x.shape}")
+    if x.shape[-1] != params.w1.shape[0]:
+        raise ShapeError(f"head input width {x.shape[-1]} != {params.w1.shape[0]}")
     if mode not in ("classify", "regress"):
         raise UsageError(f"unknown head mode {mode!r}")
-    row = x.reshape((1, x.shape[0]))
-    h = T.relu(T.matmul(row, params.w1) + params.b1)
+    rows = x if x.ndim == 2 else x.reshape((1, x.shape[0]))
+    h = T.relu(T.matmul(rows, params.w1) + params.b1)
     h = T.relu(T.matmul(h, params.w2) + params.b2)
-    logits = T.matmul(h, params.w3) + params.b3
+    out = T.matmul(h, params.w3) + params.b3
     if mode == "classify":
-        return T.softmax(logits, axis=-1).reshape((logits.shape[1],))
-    return logits.reshape((logits.shape[1],))
+        out = T.softmax(out, axis=-1)
+    return out if x.ndim == 2 else out.reshape((out.shape[1],))
 
 
 # -- bidirectional LSTM baseline ----------------------------------------------
@@ -341,12 +400,17 @@ def bilstm_encode(seq: Tensor, params: BiLstmParams) -> Tensor:
 
 
 def prepend_cls(seq: Tensor, cls: Tensor) -> Tensor:
-    """Row 0 becomes the CLS embedding; original rows follow unchanged."""
+    """Row 0 of each sequence (``[L, d]`` or ``[B, L, d]``) becomes the CLS
+    embedding; original rows follow unchanged."""
     if cls.ndim != 1:
         raise ShapeError(f"cls must be a vector, got shape {cls.shape}")
-    if seq.ndim != 2 or seq.shape[1] != cls.shape[0]:
+    if seq.ndim not in (2, 3) or seq.shape[-1] != cls.shape[0]:
         raise ShapeError(f"width mismatch: seq {seq.shape} vs cls {cls.shape}")
-    return T.concat([cls.reshape((1, cls.shape[0])), seq], axis=0)
+    row = cls.reshape((1,) * (seq.ndim - 1) + cls.shape)
+    if seq.ndim == 3:
+        # One CLS row per example; the gradient sums back over the batch.
+        row = row + Tensor(np.zeros((seq.shape[0], 1, cls.shape[0])))
+    return T.concat([row, seq], axis=seq.ndim - 2)
 
 
 def sinusoid_table(length: int, dim: int, base: float = 10000.0) -> np.ndarray:
@@ -361,6 +425,7 @@ def sinusoid_table(length: int, dim: int, base: float = 10000.0) -> np.ndarray:
 
 
 def add_positional(seq: Tensor, enabled: bool = True) -> Tensor:
+    """Add the sinusoid table to ``[L, d]``, or to every sequence of ``[B, L, d]``."""
     if not enabled:
         return seq
-    return seq + Tensor(sinusoid_table(seq.shape[0], seq.shape[1]))
+    return seq + Tensor(sinusoid_table(seq.shape[-2], seq.shape[-1]))

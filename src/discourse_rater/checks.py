@@ -1,12 +1,14 @@
 """Gradient-integrity catalog: every primitive and composite block.
 
-The catalog holds 34 entries.  Each of the 23 node-building primitives of
+The catalog holds 36 entries.  Each of the 23 node-building primitives of
 ``tensor`` appears once (``take`` as ``slice``, ``tsum`` as ``sum``, ``tmean``
-as ``mean``), plus two variants that reach a separate backward path:
-``add_broadcast`` (the ``_unbroadcast`` reduction) and ``scale`` (``mul``
-with a Python-scalar operand).  Then each composite: attention, the self and
-cross encoder blocks, the classify and regress head modes, the BiLSTM, and
-the OLL, CE and L1 losses.
+as ``mean``), plus three variants that reach a separate backward path or
+shape: ``add_broadcast`` (the ``_unbroadcast`` reduction), ``scale`` (``mul``
+with a Python-scalar operand) and ``matmul_batched`` (a rank-3 left operand,
+flattened to one GEMM).  Then each composite: attention on one sequence and
+on a padded batch whose key masks differ per example, the self and cross
+encoder blocks, the classify and regress head modes, the BiLSTM, and the
+OLL, CE and L1 losses.
 
 Runs in float64 mode and compares reverse-mode gradients against central
 finite differences.  The catalog backs the ``gradcheck`` CLI command; any
@@ -56,6 +58,7 @@ def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
         ("absolute", T.absolute, [_off_kink(rng, 3, 4)]),
         ("clamp_min", lambda a: T.clamp_min(a, 0.0), [_off_kink(rng, 3, 4)]),
         ("matmul", T.matmul, [_t(rng, 3, 5), _t(rng, 5, 2)]),
+        ("matmul_batched", T.matmul, [_t(rng, 2, 3, 5), _t(rng, 5, 2)]),
         ("bmm", T.bmm, [_t(rng, 2, 3, 4), _t(rng, 2, 4, 2)]),
         ("transpose", T.transpose, [_t(rng, 3, 4)]),
         ("permute", lambda a: T.permute(a, (2, 0, 1)), [_t(rng, 2, 3, 4)]),
@@ -81,6 +84,12 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
     checks.append(("attention",
                    lambda q, kv, *_: multi_head_attention(q, kv, kv_mask, attn),
                    [q, kv] + list(attn.parameters().values())))
+
+    qb, kvb = _t(rng, 2, 3, 8), _t(rng, 2, 4, 6)
+    batch_mask = np.asarray([[True, True, False, True], [False, True, False, False]])
+    checks.append(("attention_batched",
+                   lambda q, kv, *_: multi_head_attention(q, kv, batch_mask, attn),
+                   [qb, kvb] + list(attn.parameters().values())))
 
     self_block = EncoderBlockParams.create(rng, model_dim=8, num_heads=2, ffn_dim=12)
     x = _t(rng, 3, 8)

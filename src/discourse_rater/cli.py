@@ -285,10 +285,8 @@ def cmd_train(args) -> int:
 
     from .harness import split_for_validation
 
-    counts = {t: len(s) for t, s in dataset.manifest.segments_by_teacher().items()}
     teachers = dataset.manifest.teacher_ids()
-    fit, sched = split_for_validation(teachers, counts, train_cfg.val_fraction,
-                                      train_cfg.seed)
+    fit, sched = split_for_validation(teachers, train_cfg.val_fraction, train_cfg.seed)
     model = build_model(model_config)
     history = train(model, dataset.examples_for_teachers(fit),
                     dataset.examples_for_teachers(sched), train_cfg)

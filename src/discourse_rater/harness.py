@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import Dataset, DatasetManifest, Example
-from .errors import TrainingError, UsageError
+from .errors import DiscourseRaterError, TrainingError, UsageError
 from .metrics import EvaluationReport, confusion_matrix, qwk, summarize_folds
 from .model import ModelConfig, build_model
 from .objective import COMPONENTS, rating_to_index
@@ -123,8 +123,8 @@ def _job_seed(master: int, *parts: int) -> int:
     return int(np.random.SeedSequence((master, *parts)).generate_state(1)[0])
 
 
-def split_for_validation(teachers: Sequence[str], counts: Mapping[str, int],
-                         val_fraction: float, seed: int) -> tuple[list[str], list[str]]:
+def split_for_validation(teachers: Sequence[str], val_fraction: float,
+                         seed: int) -> tuple[list[str], list[str]]:
     """Teacher-grouped scheduling split: nearest fraction, at least one each."""
     if len(teachers) < 2:
         raise UsageError("need at least 2 teachers to split off a validation set")
@@ -166,9 +166,8 @@ def _mean_qwk(truth: Mapping[str, list[float]], preds: Mapping[str, list[float]]
 
 def _train_and_predict(dataset: Dataset, job: _TrainEvalJob):
     """Train with a teacher-grouped scheduling split, then predict eval teachers."""
-    counts = {t: len(segs) for t, segs in dataset.manifest.segments_by_teacher().items()}
     fit_teachers, sched_teachers = split_for_validation(
-        job.train_teachers, counts, job.train_config.val_fraction, job.seed)
+        job.train_teachers, job.train_config.val_fraction, job.seed)
     model = build_model(job.model_config, seed=_job_seed(job.seed, 3))
     train_conf = dataclasses.replace(job.train_config, seed=_job_seed(job.seed, 4))
     train(model, dataset.examples_for_teachers(fit_teachers),
@@ -180,12 +179,13 @@ def _train_and_predict(dataset: Dataset, job: _TrainEvalJob):
 
 
 def _run_job(job: _TrainEvalJob):
+    """One job's result, or its failure recorded with the cause."""
     dataset = _WORKER_DATASET
     try:
         predictions, truth = _train_and_predict(dataset, job)
         return job.key, predictions, truth, None
-    except (TrainingError, UsageError) as exc:
-        return job.key, None, None, str(exc)
+    except DiscourseRaterError as exc:
+        return job.key, None, None, f"{type(exc).__name__}: {exc}"
 
 
 def _map_jobs(dataset: Dataset, jobs_list: list[_TrainEvalJob], jobs: int):
@@ -435,7 +435,6 @@ def run_ablation(dataset: Dataset, axes: Sequence[str], base_config: ModelConfig
         else:
             result.rows[name] = cv.report
     if single_rows:
-        merged = EvaluationReport()
         per_fold = {c: single_rows[c].report.components[c].per_fold
                     for c in single_rows}
         merged = summarize_folds(per_fold)

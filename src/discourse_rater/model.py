@@ -21,11 +21,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import blocks, tensor as T
-from .blocks import (AttentionParams, BiLstmParams, EncoderBlockParams,
-                     HeadParams, add_positional, bilstm_encode, encoder_block,
-                     mlp_head, prepend_cls, xavier_uniform, zeros_param)
+from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams,
+                     add_positional, bilstm_encode, dropout_keep,
+                     encoder_block, mlp_head, prepend_cls, xavier_uniform,
+                     zeros_param)
 from .data import AUDIO_DIM, TEXT_DIM, VIDEO_DIM, SegmentFeatures
-from .errors import ConfigError, DataError, FormatError, NumericsError
+from .errors import (ConfigError, DataError, FormatError, NumericsError,
+                     ShapeError)
 from .objective import COMPONENTS
 from .tensor import Tensor
 
@@ -212,14 +214,8 @@ def build_model(config: ModelConfig, seed: int | None = None) -> FusionModel:
     return model
 
 
-def _required_modalities(config: ModelConfig) -> tuple[str, ...]:
-    if config.encoder == "lstm":
-        return ("text", "audio")
-    return config.modalities
-
-
 def _check_inputs(config: ModelConfig, seg: SegmentFeatures) -> None:
-    for modality in _required_modalities(config):
+    for modality in config.modalities:
         arr = seg.modality(modality)
         if arr.shape[0] < 1:
             raise DataError(
@@ -227,93 +223,129 @@ def _check_inputs(config: ModelConfig, seg: SegmentFeatures) -> None:
                 f"required by this configuration")
 
 
-def _mask_with_cls(mask: np.ndarray | None, length: int) -> np.ndarray:
-    if mask is None:
-        return np.ones(length + 1, dtype=bool)
-    mask = np.asarray(mask, dtype=bool)
-    return np.concatenate([[True], mask])
+def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeatures],
+            training: bool = False, rng: np.random.Generator | None = None,
+            masks: Sequence[Mapping[str, np.ndarray] | None] | Mapping[str, np.ndarray] | None = None,
+            ) -> dict[str, Tensor]:
+    """Map a padded batch of segments to per-component outputs.
 
+    ``segments`` share one length per modality, as ``train.collate_batch``
+    pads them, and ``masks`` holds one dict per segment marking its valid
+    rows (None, or a None entry, when a segment has no padding).
+    Classification heads return ``[B, 7]`` probabilities; the regression
+    variant returns ``[B, 1]`` unbounded scores.  One ``SegmentFeatures``
+    with one mask dict is a batch of one whose outputs come back as vectors.
 
-def _prepared_stream(model: FusionModel, seg: SegmentFeatures, modality: str,
-                     masks: Mapping[str, np.ndarray] | None) -> tuple[Tensor, np.ndarray]:
-    """Positional encodings, then CLS; returns the stream and its validity mask."""
-    config = model.config
-    raw = Tensor(seg.modality(modality))
-    if modality == "audio" and model.audio_in_w is not None:
-        raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
-    stream = add_positional(raw, enabled=config.positional)
-    stream = prepend_cls(stream, model.cls[modality])
-    mask = None if masks is None else masks.get(modality)
-    return stream, _mask_with_cls(mask, raw.shape[0])
-
-
-def forward(model: FusionModel, seg: SegmentFeatures, training: bool = False,
-            rng: np.random.Generator | None = None,
-            masks: Mapping[str, np.ndarray] | None = None) -> dict[str, Tensor]:
-    """Map one segment to per-component outputs.
-
-    Classification heads return 7-way probability vectors; the regression
-    variant returns one unbounded score per component.  ``masks`` marks valid
-    rows of each (possibly padded) modality sequence.
+    Attention configurations run the batch at once through the fusion stack;
+    the LSTM baseline encodes segment by segment and batches only the heads.
     """
-    _check_inputs(model.config, seg)
+    single = isinstance(segments, SegmentFeatures)
+    if single:
+        segments, masks = [segments], [masks]
+    elif masks is None:
+        masks = [None] * len(segments)
+    for seg in segments:
+        _check_inputs(model.config, seg)
     if model.config.encoder == "lstm":
-        pooled = _lstm_pooled(model, seg, masks)
+        pooled = T.concat([_lstm_pooled(model, seg, seg_masks)
+                           for seg, seg_masks in zip(segments, masks)], axis=0)
     else:
-        pooled = _attention_pooled(model, seg, training, rng, masks)
+        pooled = _attention_pooled(model, segments, masks, training, rng)
     outputs = {
         component: mlp_head(pooled, head, mode=model.config.head_mode)
         for component, head in model.heads.items()
     }
     for component, out in outputs.items():
-        if not np.isfinite(out.data).all():
+        bad = [seg.segment_id for seg, row in zip(segments, out.data)
+               if not np.isfinite(row).all()]
+        if bad:
             raise NumericsError(
-                f"segment {seg.segment_id!r}: non-finite {component} output")
+                f"segment {', '.join(map(repr, bad))}: non-finite {component} output")
+    if single:
+        outputs = {c: out.reshape((out.shape[1],)) for c, out in outputs.items()}
     return outputs
 
 
-def _attention_pooled(model: FusionModel, seg: SegmentFeatures, training: bool,
-                      rng: np.random.Generator | None,
-                      masks: Mapping[str, np.ndarray] | None) -> Tensor:
+def _stacked(segments: Sequence[SegmentFeatures], masks, modality: str) -> tuple[np.ndarray, np.ndarray]:
+    """``[B, L, width]`` features and ``[B, L + 1]`` validity, CLS column first."""
+    arrays = [seg.modality(modality) for seg in segments]
+    lengths = sorted({arr.shape[0] for arr in arrays})
+    if len(lengths) != 1:
+        raise ShapeError(f"{modality} sequences of one batch differ in length {lengths}; "
+                         f"pad them to one length (train.collate_batch)")
+    valid = np.ones((len(arrays), lengths[0] + 1), dtype=bool)
+    for row, seg_masks in zip(valid, masks):
+        if seg_masks is not None and seg_masks.get(modality) is not None:
+            row[1:] = seg_masks[modality]
+    return np.stack(arrays), valid
+
+
+def _prepared_stream(model: FusionModel, segments: Sequence[SegmentFeatures], masks,
+                     modality: str) -> tuple[Tensor, np.ndarray]:
+    """Positional encodings, then CLS; returns the batch and its validity mask."""
+    features, valid = _stacked(segments, masks, modality)
+    raw = Tensor(features)
+    if modality == "audio" and model.audio_in_w is not None:
+        raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
+    stream = add_positional(raw, enabled=model.config.positional)
+    return prepend_cls(stream, model.cls[modality]), valid
+
+
+def _dropout_keeps(stack: Sequence[EncoderBlockParams], shape: tuple[int, int, int],
+                   rng: np.random.Generator | None) -> list[tuple[np.ndarray, np.ndarray] | None]:
+    """Dropout scales for every block of the stack, each ``shape`` = [B, L, d].
+
+    They are drawn example-major: for each example, each block in stack
+    order, the attention site and then the FFN site, full rows each.  That is
+    the order in which running the examples one at a time draws them, so a
+    batch trains as its examples did alone.
+    """
+    keeps = [None if block.dropout_rate <= 0.0 else
+             (np.empty(shape, dtype=T.current_dtype()), np.empty(shape, dtype=T.current_dtype()))
+             for block in stack]
+    for example in range(shape[0]):
+        for block, keep in zip(stack, keeps):
+            if keep is not None:
+                for site in keep:
+                    site[example] = dropout_keep(rng, shape[1:], block.dropout_rate)
+    return keeps
+
+
+def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures], masks,
+                      training: bool, rng: np.random.Generator | None) -> Tensor:
+    """The CLS rows ``[B, d]`` after the fusion stack."""
     config = model.config
-    if len(config.modalities) == 1:
-        stream, mask = _prepared_stream(model, seg, config.modalities[0], masks)
-        for module in model.modules:
-            stream = encoder_block(stream, module.self_attn, x_mask=mask,
-                                   training=training, rng=rng)
-        return stream[0]
-
-    text, text_mask = _prepared_stream(model, seg, "text", masks)
-    context: dict[str, tuple[Tensor, np.ndarray]] = {}
-    for modality in ("audio", "video"):
-        if modality in config.modalities:
-            context[modality] = _prepared_stream(model, seg, modality, masks)
-
-    for module in model.modules:
-        if module.cross_audio is not None:
-            ctx, ctx_mask = context["audio"]
-            text = encoder_block(text, module.cross_audio, context=ctx,
-                                 x_mask=text_mask, context_mask=ctx_mask,
-                                 training=training, rng=rng)
-        if module.cross_video is not None:
-            ctx, ctx_mask = context["video"]
-            text = encoder_block(text, module.cross_video, context=ctx,
-                                 x_mask=text_mask, context_mask=ctx_mask,
-                                 training=training, rng=rng)
-        text = encoder_block(text, module.self_attn, x_mask=text_mask,
-                             training=training, rng=rng)
-    return text[0]
+    fused = len(config.modalities) > 1
+    text, text_mask = _prepared_stream(model, segments, masks,
+                                       "text" if fused else config.modalities[0])
+    contexts = {modality: _prepared_stream(model, segments, masks, modality)
+                for modality in ("audio", "video") if fused and modality in config.modalities}
+    stack = [(block, contexts.get(modality))
+             for module in model.modules
+             for modality, block in (("audio", module.cross_audio),
+                                     ("video", module.cross_video), (None, module.self_attn))
+             if block is not None]
+    keeps = _dropout_keeps([block for block, _ in stack], text.shape, rng) if training \
+        else [None] * len(stack)
+    for i, ((block, context), keep) in enumerate(zip(stack, keeps)):
+        ctx, ctx_mask = context if context is not None else (None, None)
+        text = encoder_block(text, block, context=ctx, x_mask=text_mask,
+                             context_mask=ctx_mask, training=training, keep=keep,
+                             cls_only=i == len(stack) - 1)
+    return text.reshape((text.shape[0], text.shape[2]))
 
 
 def _lstm_pooled(model: FusionModel, seg: SegmentFeatures,
                  masks: Mapping[str, np.ndarray] | None) -> Tensor:
+    """One ``[1, 2 * (text + audio width)]`` row of final BiLSTM states."""
     parts = []
     for modality in ("text", "audio"):
         arr = seg.modality(modality)
         if masks is not None and masks.get(modality) is not None:
             arr = arr[np.asarray(masks[modality], dtype=bool)]
         parts.append(bilstm_encode(Tensor(arr), model.lstms[modality]))
-    return T.concat(parts, axis=0)
+    pooled = T.concat(parts, axis=0)
+    return pooled.reshape((1, pooled.shape[0]))
 
 
 # -- checkpointing ---------------------------------------------------------------

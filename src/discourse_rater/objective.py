@@ -70,10 +70,6 @@ def class_weights(train_labels: Iterable[float]) -> np.ndarray:
     return weights
 
 
-def class_weights_by_component(labels_by_component: Mapping[str, Sequence[float]]) -> dict[str, np.ndarray]:
-    return {c: class_weights(labels) for c, labels in labels_by_component.items()}
-
-
 def _check_probs(probs: Tensor, n_labels: int) -> int:
     """Validate a probability batch and return its class count."""
     if probs.ndim != 2 or probs.shape[1] < 2:

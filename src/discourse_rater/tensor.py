@@ -335,20 +335,30 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``[..., K] @ [K, N] -> [..., N]``.
+
+    A left operand of rank 3 or more is flattened to ``[rows, K]``, so a
+    whole batch is one GEMM forward and one for the weight gradient.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
+    if a.data.ndim < 2 or b.data.ndim != 2:
         raise ShapeError(
-            f"matmul requires rank-2 operands, got {a.data.shape} and {b.data.shape}"
+            f"matmul requires a rank >= 2 left and a rank-2 right operand, "
+            f"got {a.data.shape} and {b.data.shape}"
         )
-    if a.data.shape[1] != b.data.shape[0]:
+    if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
-    data = a.data @ b.data
+    rows = a.data.reshape(-1, a.data.shape[-1])
+    data = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        g_rows = g.reshape(rows.shape[0], -1)
+        if a.requires_grad:
+            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape))
+        if b.requires_grad:
+            _accum(b, rows.T @ g_rows)
 
     return _op(data, (a, b), backward)
 

@@ -1,4 +1,10 @@
-"""Optimization loop: AdamW, plateau halving, early stopping, padded batches.
+"""Optimization loop: AdamW, plateau halving, early stopping, batched forward.
+
+Each training step pads its batch to one length per modality
+(``collate_batch``) and runs it through a single ``forward`` call.
+Evaluation and prediction do the same under ``no_grad`` for groups of at
+most ``EVAL_GROUP`` examples of similar length, and return results in input
+order.
 
 One training run is single-threaded and fully determined by its seed: the
 per-epoch shuffle, dropout masks, and parameter init all flow from it.  The
@@ -18,11 +24,14 @@ import numpy as np
 from . import tensor as T
 from .data import Example, SegmentFeatures
 from .errors import NumericsError, TrainingError, UsageError
-from .model import FusionModel, forward
+from .model import FusionModel, ModelConfig, forward
 from .objective import (RATINGS, class_weights, l1_loss, multitask_total,
                         oll_loss, rating_to_index, round_to_rating,
                         weighted_ce_loss)
 from .tensor import Tensor
+
+# Evaluation and prediction run padded groups of at most this many examples.
+EVAL_GROUP = 8
 
 
 @dataclass
@@ -196,36 +205,63 @@ def collate_batch(examples: Sequence[Example]) -> list[tuple[SegmentFeatures, di
 
 def batch_loss(model: FusionModel, batch, weights: Mapping[str, np.ndarray] | None,
                training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Total multi-task loss for one padded batch (averaged over samples)."""
-    config = model.config
-    rows: dict[str, list[Tensor]] = {c: [] for c in config.head_components}
-    labels: dict[str, list[float]] = {c: [] for c in config.head_components}
-    for seg, masks, seg_labels in batch:
-        outputs = forward(model, seg, training=training, rng=rng, masks=masks)
-        for component, out in outputs.items():
-            rows[component].append(out.reshape((1, out.shape[0])))
-            labels[component].append(seg_labels[component])
+    """Total multi-task loss for one padded batch (averaged over samples).
+
+    The whole batch goes through one ``forward`` call.
+    """
+    outputs = forward(model, [seg for seg, _, _ in batch], training=training, rng=rng,
+                      masks=[masks for _, masks, _ in batch])
+    return _loss(model.config, outputs, [labels for _, _, labels in batch], weights)
+
+
+def _loss(config: ModelConfig, outputs: Mapping[str, Tensor], labels: Sequence[Mapping[str, float]],
+          weights: Mapping[str, np.ndarray] | None) -> Tensor:
+    """Sum over components of the configured loss of ``[N, k]`` head outputs."""
     losses: dict[str, Tensor] = {}
     for component in config.head_components:
-        stacked = T.concat(rows[component], axis=0)
+        out = outputs[component]
+        targets = [seg_labels[component] for seg_labels in labels]
         w = None if weights is None else weights.get(component)
         if config.loss == "oll":
-            indices = [rating_to_index(r) for r in labels[component]]
-            losses[component] = oll_loss(stacked, indices, w)
+            losses[component] = oll_loss(out, [rating_to_index(r) for r in targets], w)
         elif config.loss == "ce":
-            indices = [rating_to_index(r) for r in labels[component]]
-            losses[component] = weighted_ce_loss(stacked, indices, w)
+            losses[component] = weighted_ce_loss(out, [rating_to_index(r) for r in targets], w)
         else:
-            preds = stacked.reshape((stacked.shape[0],))
-            losses[component] = l1_loss(preds, labels[component], w)
+            losses[component] = l1_loss(out.reshape((out.shape[0],)), targets, w)
     return multitask_total(losses)
+
+
+def _grouped_outputs(model: FusionModel, examples: Sequence[Example]) -> dict[str, np.ndarray]:
+    """Head outputs ``[N, k]`` per component, rows in input order.
+
+    Examples run in padded groups of at most ``EVAL_GROUP``, sorted by
+    sequence lengths so that a group pads little.  Call under ``no_grad``.
+    """
+    modalities = model.config.modalities
+    order = sorted(range(len(examples)),
+                   key=lambda i: [examples[i].features.modality(m).shape[0] for m in modalities])
+    out: dict[str, np.ndarray] = {}
+    for start in range(0, len(order), EVAL_GROUP):
+        rows = order[start:start + EVAL_GROUP]
+        batch = collate_batch([examples[i] for i in rows])
+        outputs = forward(model, [seg for seg, _, _ in batch],
+                          masks=[masks for _, masks, _ in batch])
+        for component, value in outputs.items():
+            if component not in out:
+                out[component] = np.empty((len(examples), value.shape[1]), value.data.dtype)
+            out[component][rows] = value.data
+    return out
 
 
 def evaluation_loss(model: FusionModel, examples: Sequence[Example],
                     weights: Mapping[str, np.ndarray] | None) -> float:
+    if not examples:
+        raise UsageError("evaluation_loss needs at least one example")
     with T.no_grad():
-        batch = [(ex.features, None, ex.labels) for ex in examples]
-        return float(batch_loss(model, batch, weights, training=False, rng=None).data)
+        outputs = _grouped_outputs(model, examples)
+        loss = _loss(model.config, {c: Tensor(v) for c, v in outputs.items()},
+                     [ex.labels for ex in examples], weights)
+    return float(loss.data)
 
 
 def _check_teacher_disjoint(train_examples: Sequence[Example],
@@ -321,15 +357,15 @@ def _clip_gradients(params: Mapping[str, Tensor], max_norm: float) -> None:
 
 def predict(model: FusionModel, examples: Sequence[Example]) -> dict[str, dict[str, float]]:
     """Per-segment predicted ratings (argmax for classification, rounded for regression)."""
-    out: dict[str, dict[str, float]] = {}
     with T.no_grad():
-        for ex in examples:
-            outputs = forward(model, ex.features, training=False)
-            ratings = {}
-            for component, value in outputs.items():
-                if model.config.head_mode == "classify":
-                    ratings[component] = RATINGS[int(np.argmax(value.data))]
-                else:
-                    ratings[component] = round_to_rating(float(value.data[0]))
-            out[ex.features.segment_id] = ratings
+        outputs = _grouped_outputs(model, examples)
+    out: dict[str, dict[str, float]] = {}
+    for row, ex in enumerate(examples):
+        ratings = {}
+        for component, values in outputs.items():
+            if model.config.head_mode == "classify":
+                ratings[component] = RATINGS[int(np.argmax(values[row]))]
+            else:
+                ratings[component] = round_to_rating(float(values[row, 0]))
+        out[ex.features.segment_id] = ratings
     return out

@@ -70,3 +70,44 @@ def make_segment(rng, seg_id="s1", teacher="t1", lesson="l1",
         audio=(scale * rng.standard_normal((chunk_len, AUDIO_DIM))).astype(np.float32),
         video=(scale * rng.standard_normal((chunk_len, VIDEO_DIM))).astype(np.float32),
     )
+
+
+def fusion_oracle(model, seg, masks=None, rng=None):
+    """Per-segment head outputs from rank-2 blocks on full rows.
+
+    The reference for the batched ``model.forward``: positional encoding,
+    then CLS, then every encoder block of the stack on all rows of this one
+    segment, then row 0, then the heads.  ``masks`` marks the valid rows of a
+    padded segment; with ``rng`` the blocks run in training mode and draw
+    their own dropout masks.
+    """
+    from discourse_rater import tensor as T
+    from discourse_rater.blocks import add_positional, encoder_block, mlp_head, prepend_cls
+    from discourse_rater.tensor import Tensor
+
+    config = model.config
+    fused = len(config.modalities) > 1
+
+    def stream(modality):
+        raw = Tensor(seg.modality(modality))
+        if modality == "audio" and model.audio_in_w is not None:
+            raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
+        seq = prepend_cls(add_positional(raw, config.positional), model.cls[modality])
+        valid = np.ones(seq.shape[0], dtype=bool)
+        if masks is not None:
+            valid[1:] = masks[modality]
+        return seq, valid
+
+    text, text_mask = stream("text" if fused else config.modalities[0])
+    for module in model.modules:
+        for block, modality in ((module.cross_audio, "audio"),
+                                (module.cross_video, "video"),
+                                (module.self_attn, None)):
+            if block is None:
+                continue
+            context, context_mask = (None, None) if modality is None else stream(modality)
+            text = encoder_block(text, block, context=context, x_mask=text_mask,
+                                 context_mask=context_mask, training=rng is not None,
+                                 rng=rng)
+    return {component: mlp_head(text[0], head, mode=config.head_mode)
+            for component, head in model.heads.items()}

@@ -142,6 +142,37 @@ class TestEncoderBlock:
         permuted = cls_out(rows[1:][::-1].copy())
         assert np.abs(base - permuted).max() < 1e-5
 
+    @pytest.mark.parametrize("context_dim", [None, 12], ids=["self", "cross"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_cls_only_matches_row_zero_of_full_block(self, context_dim, training):
+        with T.precision("float64"):
+            rng = np.random.default_rng(11)
+            params = EncoderBlockParams.create(rng, model_dim=16, context_dim=context_dim,
+                                               num_heads=4, dropout_rate=0.3)
+            x = Tensor(rng.standard_normal((3, 5, 16)))
+            x_mask = np.asarray([[True] * 5, [True, True, False, False, False],
+                                 [True, True, True, True, False]])
+            context = context_mask = None
+            if context_dim is not None:
+                context = Tensor(rng.standard_normal((3, 4, context_dim)))
+                context_mask = np.asarray([[True] * 4, [True, False, False, False],
+                                           [False, True, True, False]])
+            keep = (blocks.dropout_keep(rng, x.shape, 0.3),
+                    blocks.dropout_keep(rng, x.shape, 0.3))
+            kwargs = dict(context=context, x_mask=x_mask, context_mask=context_mask,
+                          training=training, keep=keep)
+            full = encoder_block(x, params, **kwargs)
+            cls = encoder_block(x, params, cls_only=True, **kwargs)
+            assert cls.shape == (3, 1, 16)
+            assert np.abs(cls.data - full.data[:, :1]).max() < 1e-12
+            single = encoder_block(x[1], params, cls_only=True, x_mask=x_mask[1],
+                                   context=None if context is None else context[1],
+                                   context_mask=None if context is None else context_mask[1])
+            alone = encoder_block(x[1], params, x_mask=x_mask[1],
+                                  context=None if context is None else context[1],
+                                  context_mask=None if context is None else context_mask[1])
+            assert np.abs(single.data - alone.data[:1]).max() < 1e-12
+
     def test_dropout_only_when_training(self, rng):
         params = EncoderBlockParams.create(rng, model_dim=16, num_heads=4,
                                            dropout_rate=0.5)

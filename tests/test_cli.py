@@ -174,17 +174,18 @@ class TestCorrelateCommand:
 
 class TestGradcheckCommand:
     # Each node-building primitive of `tensor` once (`slice` is `take`, `sum`
-    # is `tsum`, `mean` is `tmean`), plus two variants with their own backward
-    # path: `add_broadcast` (the `_unbroadcast` reduction) and `scale` (`mul`
-    # with a Python-scalar operand).
+    # is `tsum`, `mean` is `tmean`), plus three variants with their own
+    # backward path or shape: `add_broadcast` (the `_unbroadcast` reduction),
+    # `scale` (`mul` with a Python-scalar operand) and `matmul_batched` (a
+    # rank-3 left operand).
     PRIMITIVE_ENTRIES = (
         "add", "add_broadcast", "sub", "mul", "scale", "neg", "relu", "sigmoid",
-        "tanh", "log", "absolute", "clamp_min", "matmul", "bmm", "transpose",
-        "permute", "reshape", "slice", "concat", "sum", "mean", "softmax",
-        "masked_fill", "layer_norm", "embedding_lookup",
+        "tanh", "log", "absolute", "clamp_min", "matmul", "matmul_batched", "bmm",
+        "transpose", "permute", "reshape", "slice", "concat", "sum", "mean",
+        "softmax", "masked_fill", "layer_norm", "embedding_lookup",
     )
     COMPOSITE_ENTRIES = (
-        "attention", "encoder_block_self", "encoder_block_cross",
+        "attention", "attention_batched", "encoder_block_self", "encoder_block_cross",
         "mlp_head_classify", "mlp_head_regress", "bilstm",
         "oll_loss", "ce_loss", "l1_loss",
     )
@@ -201,4 +202,4 @@ class TestGradcheckCommand:
         assert {n: v for n, v in verdicts.items() if v != "pass"} == {}
         assert code == 0
         assert set(verdicts) == set(self.PRIMITIVE_ENTRIES) | set(self.COMPOSITE_ENTRIES)
-        assert "34/34 checks passed" in printed
+        assert "36/36 checks passed" in printed

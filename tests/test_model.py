@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from discourse_rater.errors import ConfigError, DataError, FormatError
+from discourse_rater import tensor as T
+from discourse_rater.data import Example
+from discourse_rater.errors import (ConfigError, DataError, FormatError,
+                                    NumericsError, ShapeError)
 from discourse_rater.model import (FusionModel, ModelConfig, build_model,
                                    forward, load_model, modality_label,
                                    parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
-from helpers import make_segment
+from discourse_rater.train import collate_batch
+from helpers import fusion_oracle, make_segment
 
 
 class TestModelConfig:
@@ -180,6 +184,65 @@ class TestForward:
         seg = make_segment(rng)
         assert np.allclose(forward(single, seg)["nature"].data,
                            forward(multi, seg)["nature"].data)
+
+
+def labelled(segments):
+    return [Example(seg, {c: 2.5 for c in COMPONENTS}) for seg in segments]
+
+
+def uneven_segments(rng, lengths=((2, 4), (5, 2), (3, 6))):
+    return [make_segment(rng, seg_id=f"s{i}", text_len=t, chunk_len=c)
+            for i, (t, c) in enumerate(lengths)]
+
+
+class TestBatchedForward:
+    # float64 throughout: what is left between the batched path and the
+    # per-segment oracle is BLAS reassociation, ~1e-16 relative.
+    @pytest.mark.parametrize("config", [
+        dict(modalities="T", fusion_modules=1),
+        dict(modalities="A", fusion_modules=1),
+        dict(modalities="T+A+V", fusion_modules=2),
+        dict(modalities="T", fusion_modules=1, loss="l1"),
+    ], ids=["T", "A", "T+A+V-M2", "T-l1"])
+    def test_padded_batch_matches_each_segment_alone(self, rng, config):
+        with T.precision("float64"):
+            model = build_model(ModelConfig(seed=3, **config))
+            segments = uneven_segments(rng)
+            batch = collate_batch(labelled(segments))
+            out = forward(model, [seg for seg, _, _ in batch],
+                          masks=[masks for _, masks, _ in batch])
+            for row, seg in enumerate(segments):
+                alone = fusion_oracle(model, seg)
+                for component, value in alone.items():
+                    assert out[component].shape[0] == len(segments)
+                    assert np.abs(out[component].data[row] - value.data).max() < 1e-12
+
+    def test_training_batch_draws_dropout_as_examples_in_order(self, rng):
+        with T.precision("float64"):
+            model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=2,
+                                            dropout=0.3, seed=4))
+            batch = collate_batch(labelled(uneven_segments(rng)))
+            batched_rng, example_rng = np.random.default_rng(7), np.random.default_rng(7)
+            out = forward(model, [seg for seg, _, _ in batch], training=True,
+                          rng=batched_rng, masks=[masks for _, masks, _ in batch])
+            for row, (seg, masks, _) in enumerate(batch):
+                alone = fusion_oracle(model, seg, masks, rng=example_rng)
+                for component, value in alone.items():
+                    assert np.abs(out[component].data[row] - value.data).max() < 1e-12
+            assert batched_rng.random() == example_rng.random()
+
+    def test_unpadded_batch_of_uneven_segments_rejected(self, rng):
+        model = build_model(ModelConfig(modalities="T", seed=1))
+        with pytest.raises(ShapeError, match="collate_batch"):
+            forward(model, uneven_segments(rng))
+
+    def test_non_finite_output_names_only_the_offending_segment(self, rng):
+        model = build_model(ModelConfig(modalities="T+A", encoder="lstm", loss="l1", seed=1))
+        segments = uneven_segments(rng, lengths=((2, 2), (2, 2), (2, 2)))
+        segments[1].text[0, 0] = np.nan
+        with pytest.raises(NumericsError, match="segment 's1': non-finite") as err:
+            forward(model, segments)
+        assert "'s0'" not in str(err.value) and "'s2'" not in str(err.value)
 
 
 class TestLstmBaseline:

@@ -8,10 +8,10 @@ from discourse_rater.model import ModelConfig, build_model, forward
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.tensor import Tensor
 from discourse_rater.train import (AdamW, EarlyStopper, PlateauScheduler,
-                                   TrainConfig, collate_batch,
+                                   TrainConfig, batch_loss, collate_batch,
                                    component_weights, evaluation_loss,
                                    pad_example, predict, train)
-from helpers import make_segment
+from helpers import fusion_oracle, make_segment
 
 
 class TestAdamW:
@@ -193,6 +193,67 @@ class TestPadding:
                     assert t.grad is None or np.abs(t.grad).max() == 0.0
                 else:
                     assert np.abs(grads[name] - t.grad).max() < 1e-12, name
+
+    def test_batch_loss_gradients_match_per_example_gradients(self, rng):
+        # One forward over the padded batch against the oracle run on each
+        # unpadded segment alone, losses averaged by hand.
+        from discourse_rater.data import Example
+        from discourse_rater.objective import oll_loss, rating_to_index
+
+        with T.precision("float64"):
+            model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=2, seed=5))
+            ratings = (1.5, 3.0, 4.0)
+            examples = [Example(make_segment(rng, seg_id=f"s{i}", text_len=t, chunk_len=c),
+                                {comp: r for comp in COMPONENTS})
+                        for i, (t, c, r) in enumerate(zip((2, 5, 3), (4, 2, 6), ratings))]
+            weights = component_weights(examples, COMPONENTS)
+            params = model.parameters()
+
+            batch_loss(model, collate_batch(examples), weights, training=False,
+                       rng=None).backward()
+            batched = {name: t.grad for name, t in params.items()}
+
+            for t in params.values():
+                t.grad = None
+            total = None
+            for ex in examples:
+                for component, probs in fusion_oracle(model, ex.features).items():
+                    term = oll_loss(probs.reshape((1, 7)),
+                                    [rating_to_index(ex.labels[component])],
+                                    weights[component]) * (1.0 / len(examples))
+                    total = term if total is None else total + term
+            total.backward()
+            for name, t in params.items():
+                assert np.abs(batched[name] - t.grad).max() < 1e-12, name
+
+    def test_evaluation_and_predict_keep_input_order(self, rng):
+        # Ten segments of shuffled lengths run as two length-sorted groups;
+        # results must come back in input order.
+        from discourse_rater.data import Example
+        from discourse_rater.objective import RATINGS, oll_loss, rating_to_index
+
+        with T.precision("float64"):
+            model = build_model(ModelConfig(modalities="T+A", seed=6))
+            lengths = rng.permutation(10) + 1
+            examples = [Example(make_segment(rng, seg_id=f"s{i}", text_len=int(n),
+                                             chunk_len=int(11 - n)),
+                                {c: RATINGS[i % 7] for c in COMPONENTS})
+                        for i, n in enumerate(lengths)]
+            weights = component_weights(examples, COMPONENTS)
+            alone = [fusion_oracle(model, ex.features) for ex in examples]
+            expected = 0.0
+            for component in COMPONENTS:
+                probs = T.concat([out[component].reshape((1, 7)) for out in alone], axis=0)
+                labels = [rating_to_index(ex.labels[component]) for ex in examples]
+                expected += float(oll_loss(probs, labels, weights[component]).data)
+            got = evaluation_loss(model, examples, weights)
+            assert abs(got - expected) < 1e-12
+
+            predicted = predict(model, examples)
+            assert list(predicted) == [ex.features.segment_id for ex in examples]
+            for ex, out in zip(examples, alone):
+                assert predicted[ex.features.segment_id] == {
+                    c: RATINGS[int(np.argmax(out[c].data))] for c in COMPONENTS}
 
     def test_collate_pads_to_batch_max(self, rng):
         from discourse_rater.data import Example

@@ -23,17 +23,30 @@ from .tensor import Tensor
 NEG_FILL = -1e30
 
 
-def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def xavier_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> Tensor:
+    """Glorot-uniform ``[fan_in, fan_out]`` weights.
+
+    The values are those of ``rng.uniform(-bound, bound, size)``, computed as
+    that method computes them (``low + (high - low) * rng.random()``) but
+    without its slower per-value path.  With ``rng`` None the array is left
+    uninitialised and nothing is drawn, for a caller that fills every value
+    itself (``model.load_model``).
+    """
+    if rng is None:
+        return Tensor(np.empty((fan_in, fan_out), dtype=T.current_dtype()), requires_grad=True)
     bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
+    values = rng.random((fan_in, fan_out))
+    values *= bound - (-bound)
+    values += -bound
+    return Tensor(values, requires_grad=True)
 
 
 def zeros_param(*shape: int) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=T.current_dtype()), requires_grad=True)
 
 
 def ones_param(*shape: int) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True)
+    return Tensor(np.ones(shape, dtype=T.current_dtype()), requires_grad=True)
 
 
 def dropout_keep(rng: np.random.Generator | None, shape: tuple[int, ...],
@@ -80,7 +93,7 @@ class AttentionParams:
     context_dim: int = 768
 
     @classmethod
-    def create(cls, rng: np.random.Generator, model_dim: int = 768,
+    def create(cls, rng: np.random.Generator | None, model_dim: int = 768,
                context_dim: int | None = None, num_heads: int = 12) -> "AttentionParams":
         if context_dim is None:
             context_dim = model_dim
@@ -192,7 +205,7 @@ class EncoderBlockParams:
     dropout_rate: float = 0.1
 
     @classmethod
-    def create(cls, rng: np.random.Generator, model_dim: int = 768,
+    def create(cls, rng: np.random.Generator | None, model_dim: int = 768,
                context_dim: int | None = None, num_heads: int = 12,
                ffn_dim: int | None = None, dropout_rate: float = 0.1) -> "EncoderBlockParams":
         if ffn_dim is None:
@@ -284,7 +297,7 @@ class HeadParams:
     b3: Tensor
 
     @classmethod
-    def create(cls, rng: np.random.Generator, in_dim: int = 768,
+    def create(cls, rng: np.random.Generator | None, in_dim: int = 768,
                hidden: int = 512, out_dim: int = 7) -> "HeadParams":
         return cls(
             w1=xavier_uniform(rng, in_dim, hidden), b1=zeros_param(hidden),
@@ -336,7 +349,7 @@ class BiLstmParams:
     hidden_size: int = 0
 
     @classmethod
-    def create(cls, rng: np.random.Generator, input_dim: int,
+    def create(cls, rng: np.random.Generator | None, input_dim: int,
                hidden_size: int | None = None, num_layers: int = 2) -> "BiLstmParams":
         h = input_dim if hidden_size is None else hidden_size
         layers = []

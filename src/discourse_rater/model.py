@@ -168,13 +168,20 @@ class FusionModel:
         return sum(t.size for t in self.parameters().values())
 
 
-def _cls_param(rng: np.random.Generator, dim: int) -> Tensor:
+def _cls_param(rng: np.random.Generator | None, dim: int) -> Tensor:
+    if rng is None:
+        return Tensor(np.empty(dim, dtype=T.current_dtype()), requires_grad=True)
     return Tensor(rng.normal(0.0, 0.02, size=dim), requires_grad=True)
 
 
 def build_model(config: ModelConfig, seed: int | None = None) -> FusionModel:
     """Deterministically initialize all parameters for ``config``."""
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    return _build(config, np.random.default_rng(config.seed if seed is None else seed))
+
+
+def _build(config: ModelConfig, rng: np.random.Generator | None) -> FusionModel:
+    """The parameters of ``config``, drawn from ``rng``; with ``rng`` None the
+    random-initialised ones are left uninitialised for ``load_model`` to fill."""
     model = FusionModel(config=config)
     mods = config.modalities
 
@@ -238,6 +245,8 @@ def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeat
 
     Attention configurations run the batch at once through the fusion stack;
     the LSTM baseline encodes segment by segment and batches only the heads.
+    When the stack raises ``NumericsError`` and a segment holds a non-finite
+    feature, ``DataError`` names each such segment and modality instead.
     """
     single = isinstance(segments, SegmentFeatures)
     if single:
@@ -246,15 +255,24 @@ def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeat
         masks = [None] * len(segments)
     for seg in segments:
         _check_inputs(model.config, seg)
-    if model.config.encoder == "lstm":
-        pooled = T.concat([_lstm_pooled(model, seg, seg_masks)
-                           for seg, seg_masks in zip(segments, masks)], axis=0)
-    else:
-        pooled = _attention_pooled(model, segments, masks, training, rng)
-    outputs = {
-        component: mlp_head(pooled, head, mode=model.config.head_mode)
-        for component, head in model.heads.items()
-    }
+    try:
+        if model.config.encoder == "lstm":
+            pooled = T.concat([_lstm_pooled(model, seg, seg_masks)
+                               for seg, seg_masks in zip(segments, masks)], axis=0)
+        else:
+            pooled = _attention_pooled(model, segments, masks, training, rng)
+        outputs = {
+            component: mlp_head(pooled, head, mode=model.config.head_mode)
+            for component, head in model.heads.items()
+        }
+    except NumericsError as exc:
+        # A primitive's check names no segment; blame the input if it is at fault.
+        bad = [f"segment {seg.segment_id!r}: non-finite {modality} features"
+               for seg in segments for modality in model.config.modalities
+               if not np.isfinite(seg.modality(modality)).all()]
+        if bad:
+            raise DataError("; ".join(bad)) from exc
+        raise
     for component, out in outputs.items():
         bad = [seg.segment_id for seg, row in zip(segments, out.data)
                if not np.isfinite(row).all()]
@@ -369,7 +387,12 @@ def save_model(model: FusionModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FusionModel:
-    """Rebuild a model from a "DFM1" checkpoint, reproducing forward bitwise."""
+    """Rebuild a model from a "DFM1" checkpoint, reproducing forward bitwise.
+
+    The model is built without a random init; every tensor is then filled
+    from the file.  Any malformed content raises ``FormatError`` with the
+    byte offset at which it was found.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {raw[:4]!r}", offset=0)
@@ -384,36 +407,56 @@ def load_model(path: str | Path) -> FusionModel:
         offset += size
         return values
 
-    (config_len,) = read("<I")
-    config_doc = json.loads(raw[offset:offset + config_len].decode("utf-8"))
-    offset += config_len
-    model = build_model(ModelConfig.from_dict(config_doc))
-    params = model.parameters()
+    def read_text(what: str) -> str:
+        nonlocal offset
+        (size,) = read("<I")
+        if len(raw) < offset + size:
+            raise FormatError(f"{path}: truncated {what}", offset=len(raw))
+        start, offset = offset, offset + size
+        try:
+            return raw[start:offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} is not UTF-8", offset=start + exc.start) from None
+
+    config_start = offset + 4
+    config_text = read_text("config")
+    try:
+        config_doc = json.loads(config_text)
+    except json.JSONDecodeError as exc:
+        at = config_start + len(config_text[:exc.pos].encode("utf-8"))
+        raise FormatError(f"{path}: config is not JSON: {exc.msg}", offset=at) from None
+    try:
+        config = ModelConfig.from_dict(config_doc)
+    except (TypeError, ValueError, ConfigError) as exc:
+        raise FormatError(f"{path}: bad config: {exc}", offset=config_start) from None
+    model = _build(config, None)
+    unfilled = model.parameters()
 
     (n_params,) = read("<I")
-    if n_params != len(params):
+    if n_params != len(unfilled):
         raise FormatError(
-            f"{path}: checkpoint has {n_params} tensors, model needs {len(params)}",
+            f"{path}: checkpoint has {n_params} tensors, model needs {len(unfilled)}",
             offset=offset)
     for _ in range(n_params):
-        (name_len,) = read("<I")
-        name = raw[offset:offset + name_len].decode("utf-8")
-        offset += name_len
+        name = read_text("tensor name")
+        tensor = unfilled.pop(name, None)
+        if tensor is None:
+            what = "repeated" if name in model.parameters() else "unexpected"
+            raise FormatError(f"{path}: {what} tensor {name!r}", offset=offset)
         (rank,) = read("<I")
+        if rank != tensor.ndim:
+            raise FormatError(f"{path}: tensor {name!r} has rank {rank}, expected {tensor.ndim}",
+                              offset=offset)
         shape = read(f"<{rank}I")
-        count = int(np.prod(shape)) if rank else 1
-        if name not in params:
-            raise FormatError(f"{path}: unexpected tensor {name!r}", offset=offset)
-        expected = params[name].data.shape
-        if tuple(shape) != expected:
+        if tuple(shape) != tensor.shape:
             raise FormatError(
-                f"{path}: tensor {name!r} has shape {tuple(shape)}, expected {expected}",
+                f"{path}: tensor {name!r} has shape {tuple(shape)}, expected {tensor.shape}",
                 offset=offset)
-        nbytes = count * 4
+        nbytes = tensor.size * 4
         if len(raw) < offset + nbytes:
             raise FormatError(f"{path}: truncated tensor {name!r}", offset=len(raw))
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-        params[name].data = arr.astype(T.current_dtype())
+        tensor.data[...] = np.frombuffer(raw, dtype="<f4", count=tensor.size,
+                                         offset=offset).reshape(tensor.shape)
         offset += nbytes
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes", offset=offset)

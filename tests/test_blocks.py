@@ -334,3 +334,17 @@ class TestSequenceUtilities:
         x = Tensor(rng.standard_normal((4, 4)))
         assert dropout(x, 0.5, training=False, rng=None) is x
         assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+
+
+class TestXavierUniform:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_equals_generator_uniform_bit_for_bit(self, dtype):
+        fan_in, fan_out = 300, 70
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        with T.precision(dtype):
+            weights = blocks.xavier_uniform(ours, fan_in, fan_out)
+            expected = Tensor(theirs.uniform(-bound, bound, size=(fan_in, fan_out)))
+        assert weights.data.dtype == np.dtype(dtype)
+        assert np.array_equal(weights.data, expected.data)
+        assert ours.random() == theirs.random()

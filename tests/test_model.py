@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -236,6 +239,25 @@ class TestBatchedForward:
         with pytest.raises(ShapeError, match="collate_batch"):
             forward(model, uneven_segments(rng))
 
+    def test_non_finite_feature_names_its_segment_and_modality(self, rng):
+        model = build_model(ModelConfig(modalities="T+A", seed=1))
+        segments = uneven_segments(rng, lengths=((2, 3), (2, 3)))
+        segments[1].text[1, 5] = np.nan
+        segments[1].audio[0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(DataError) as err:
+            forward(model, segments)
+        message = str(err.value)
+        assert "segment 's1': non-finite text features" in message
+        assert "segment 's1': non-finite audio features" in message
+        assert "'s0'" not in message
+        assert isinstance(err.value.__cause__, NumericsError)
+
+    def test_non_finite_parameter_keeps_the_original_error(self, rng):
+        model = build_model(ModelConfig(modalities="T", seed=1))
+        model.cls["text"].data[0] = np.nan
+        with pytest.raises(NumericsError, match="softmax"):
+            forward(model, uneven_segments(rng, lengths=((2, 3), (2, 3))))
+
     def test_non_finite_output_names_only_the_offending_segment(self, rng):
         model = build_model(ModelConfig(modalities="T+A", encoder="lstm", loss="l1", seed=1))
         segments = uneven_segments(rng, lengths=((2, 2), (2, 2), (2, 2)))
@@ -278,6 +300,22 @@ class TestCheckpoint:
         for component in before:
             assert np.array_equal(before[component].data, after[component].data)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_roundtrip_restores_values_a_fresh_build_lacks(self, rng, tmp_path, dtype):
+        config = ModelConfig(modalities="T+A+V", seed=10)
+        with T.precision(dtype):
+            model = build_model(config)
+            for p in model.parameters().values():
+                p.data += rng.standard_normal(p.shape)
+            save_model(model, tmp_path / "model.dfm")
+            loaded = load_model(tmp_path / "model.dfm")
+            fresh = build_model(config)
+        for name, p in model.parameters().items():
+            got = loaded.parameters()[name].data
+            assert got.dtype == np.dtype(dtype)
+            assert np.array_equal(got, p.data.astype(np.float32).astype(dtype)), name
+            assert not np.array_equal(got, fresh.parameters()[name].data), name
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "model.dfm"
         path.write_bytes(b"JUNKxxxx")
@@ -293,3 +331,70 @@ class TestCheckpoint:
         path.write_bytes(raw[: len(raw) - 100])
         with pytest.raises(FormatError):
             load_model(path)
+
+
+def dfm1_bytes(config: bytes, tensors=()) -> bytes:
+    """A DFM1 file written field by field: config JSON, then named tensors."""
+    chunks = [b"DFM1", struct.pack("<I", len(config)), config, struct.pack("<I", len(tensors))]
+    for name, arr in tensors:
+        arr = np.asarray(arr, dtype="<f4")
+        chunks += [struct.pack("<I", len(name)), name, struct.pack("<I", arr.ndim),
+                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.tobytes()]
+    return b"".join(chunks)
+
+
+class TestCheckpointErrors:
+    """Every malformed DFM1 raises FormatError at the byte where it was found."""
+
+    def load_bytes(self, tmp_path, raw: bytes) -> FormatError:
+        path = tmp_path / "model.dfm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            load_model(path)
+        return err.value
+
+    def saved_bytes(self, tmp_path) -> bytes:
+        save_model(build_model(ModelConfig(modalities="T", seed=11)), tmp_path / "ok.dfm")
+        return (tmp_path / "ok.dfm").read_bytes()
+
+    @pytest.mark.parametrize("cut", [10, 30])
+    def test_config_cut_short(self, tmp_path, cut):
+        error = self.load_bytes(tmp_path, self.saved_bytes(tmp_path)[:cut])
+        assert "truncated config" in str(error)
+        assert error.offset == cut
+
+    def test_config_not_utf8(self, tmp_path):
+        error = self.load_bytes(tmp_path, dfm1_bytes(b'{"seed": "\xff"}'))
+        assert "not UTF-8" in str(error)
+        assert error.offset == 8 + 10
+
+    def test_config_not_json(self, tmp_path):
+        error = self.load_bytes(tmp_path, dfm1_bytes('{"é": }'.encode("utf-8")))
+        assert "not JSON" in str(error)
+        assert error.offset == 8 + len('{"é": '.encode("utf-8"))
+
+    @pytest.mark.parametrize("config", [b"[1, 2]", b'"text"', b'{"bogus": 1}',
+                                        b'{"modalities": 5}', b'{"dropout": "x"}'],
+                             ids=["list", "string", "unknown-key", "bad-modalities",
+                                  "bad-dropout"])
+    def test_config_not_a_model_config(self, tmp_path, config):
+        error = self.load_bytes(tmp_path, dfm1_bytes(config))
+        assert "config" in str(error)
+        assert error.offset == 8
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        raw = bytearray(self.saved_bytes(tmp_path))
+        config_len = struct.unpack_from("<I", raw, 4)[0]
+        name_at = 8 + config_len + 4 + 4
+        raw[name_at + 2] = 0xFF
+        error = self.load_bytes(tmp_path, bytes(raw))
+        assert "tensor name is not UTF-8" in str(error)
+        assert error.offset == name_at + 2
+
+    def test_repeated_tensor_rejected(self, tmp_path):
+        # Without the check one parameter would stay uninitialised.
+        model = build_model(ModelConfig(modalities="T", seed=11))
+        items = [(name.encode(), p.data) for name, p in model.parameters().items()]
+        config = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+        error = self.load_bytes(tmp_path, dfm1_bytes(config, [items[0]] + items[:-1]))
+        assert "repeated tensor" in str(error)

@@ -3,12 +3,13 @@ import pytest
 
 from discourse_rater import tensor as T
 from discourse_rater.data import SynthConfig, generate_synthetic, uniform_signal
-from discourse_rater.errors import TrainingError, UsageError
+from discourse_rater.errors import NumericsError, TrainingError, UsageError
 from discourse_rater.model import ModelConfig, build_model, forward
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.tensor import Tensor
-from discourse_rater.train import (AdamW, EarlyStopper, PlateauScheduler,
-                                   TrainConfig, batch_loss, collate_batch,
+from discourse_rater.train import (CHUNK, AdamW, EarlyStopper,
+                                   PlateauScheduler, TrainConfig,
+                                   _clip_gradients, batch_loss, collate_batch,
                                    component_weights, evaluation_loss,
                                    pad_example, predict, train)
 from helpers import fusion_oracle, make_segment
@@ -63,6 +64,106 @@ class TestAdamW:
         loss.backward()
         opt.step()
         assert float(loss_value().data) < before
+
+
+def adamw_reference(values, grads_per_step, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+    """AdamW one array at a time: the optimizer's formula, a missing gradient
+    read as zero.  Returns the values after each step."""
+    b1, b2 = betas
+    values = {name: v.copy() for name, v in values.items()}
+    m = {name: np.zeros_like(v) for name, v in values.items()}
+    v2 = {name: np.zeros_like(v) for name, v in values.items()}
+    after = []
+    for step, grads in enumerate(grads_per_step, 1):
+        bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+        for name, p in values.items():
+            g = grads.get(name)
+            g = np.zeros_like(p) if g is None else g
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v2[name] = b2 * v2[name] + (1.0 - b2) * g * g
+            update = (m[name] / bc1) / (np.sqrt(v2[name] / bc2) + eps)
+            values[name] = p - lr * weight_decay * p - lr * update
+        after.append({name: v.copy() for name, v in values.items()})
+    return after
+
+
+DTYPES = ("float32", "float64")
+
+
+class TestFlatAdamW:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matches_per_array_reference_bit_for_bit(self, rng, dtype):
+        # "big" spans two update chunks; its gradient accumulates in place,
+        # as backward does.  "idle" never gets one, "pre" has one before
+        # construction, "rebound" gets a new array each step and None once.
+        shapes = {"big": (300, 250), "idle": (5,), "pre": (2, 3), "rebound": (4,)}
+        assert np.prod(shapes["big"]) > CHUNK
+        with T.precision(dtype):
+            params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for name, shape in shapes.items()}
+            start = {name: p.data.copy() for name, p in params.items()}
+            grads_per_step = [
+                {name: rng.standard_normal(shape).astype(dtype)
+                 for name, shape in shapes.items() if name != "idle"} for _ in range(4)]
+            grads_per_step[2]["rebound"] = None
+            params["pre"].grad = grads_per_step[0]["pre"].copy()
+            opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+            expected = adamw_reference(start, grads_per_step, lr=1e-2, weight_decay=0.1)
+            for step, grads in enumerate(grads_per_step):
+                if step:
+                    opt.zero_grad()
+                    params["pre"].grad += grads["pre"]
+                params["big"].grad += grads["big"]
+                params["rebound"].grad = grads["rebound"]
+                opt.step()
+                for name, p in params.items():
+                    assert p.data.dtype == np.dtype(dtype), name
+                    assert np.array_equal(p.data, expected[step][name]), (step, name)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_non_finite_gradient_names_parameter_and_changes_nothing(self, rng, dtype):
+        # The bad value sits after a parameter that fills more than one
+        # chunk, so an update that ran before the check would show.
+        with T.precision(dtype):
+            params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for name, shape in (("first", (CHUNK + 7,)), ("second", (3, 2)),
+                                          ("third", (4,)))}
+            opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+            for p in params.values():
+                p.grad += rng.standard_normal(p.shape)
+            opt.step()
+            before = {name: p.data.copy() for name, p in params.items()}
+            for bad in (np.inf, np.nan):
+                for p in params.values():
+                    p.grad += rng.standard_normal(p.shape)
+                params["second"].grad[1, 0] = bad
+                params["third"].grad[0] = np.nan
+                with pytest.raises(NumericsError, match="'second'"):
+                    opt.step()
+                for name, p in params.items():
+                    assert np.array_equal(p.data, before[name]), name
+            assert opt.step_count == 1
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_clipping_matches_per_parameter_norm(self, rng, dtype):
+        with T.precision(dtype):
+            model = build_model(ModelConfig(modalities=("text",), seed=12))
+            opt = AdamW(model.parameters())
+            for p in model.parameters().values():
+                p.grad += rng.standard_normal(p.shape)
+            grads = {name: p.grad.astype(np.float64) for name, p in model.parameters().items()}
+            norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+
+            _clip_gradients(opt.flat_grad, 2.0 * norm)
+            for name, p in model.parameters().items():
+                assert np.array_equal(p.grad, grads[name].astype(dtype)), name
+
+            _clip_gradients(opt.flat_grad, 0.5 * norm)
+            for name, p in model.parameters().items():
+                assert np.allclose(p.grad, 0.5 * grads[name], rtol=1e-6, atol=0.0), name
+            clipped = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum())
+                                  for p in model.parameters().values()))
+            assert clipped == pytest.approx(0.5 * norm, rel=1e-6)
 
 
 class TestPlateauScheduler:
@@ -340,6 +441,24 @@ class TestTrain:
         assert a.train_losses == b.train_losses
         assert a.val_losses == b.val_losses
         assert a.lrs == b.lrs
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_restored_parameters_equal_a_run_stopped_at_the_best_epoch(self, dtype):
+        dataset = toy_dataset()
+        train_ex, val_ex = self.split(dataset)
+
+        def run(max_epochs):
+            model = build_model(ModelConfig(modalities=("text",), seed=5))
+            history = train(model, train_ex, val_ex,
+                            TrainConfig(lr=3e-3, batch_size=8, max_epochs=max_epochs, seed=5))
+            return model, history
+
+        with T.precision(dtype):
+            full, history = run(8)
+            assert 1 <= history.best_epoch < history.stopped_epoch == 8
+            stopped, _ = run(history.best_epoch)
+            for name, p in full.parameters().items():
+                assert np.array_equal(p.data, stopped.parameters()[name].data), name
 
     def test_restored_checkpoint_reproduces_best_val_loss(self):
         dataset = toy_dataset()

@@ -7,7 +7,7 @@ Usage, from anywhere:
         [--claim setup_s]
 
 For each seed the script runs ``perfbench/run.py --trace 0`` once in each
-checkout, one after the other; the side that runs first alternates from seed
+checkout, for the ``run_seconds`` that the parent's ``BENCHMARK.json`` sets, one after the other; the side that runs first alternates from seed
 to seed.  It reads the JSON line each run prints last and writes, under the
 workload's name in ``--out``:
 
@@ -26,7 +26,9 @@ workload's name in ``--out``:
 Other workloads already in ``--out`` are kept, so one file collects several
 invocations.  The file is rewritten after every pair, so an interrupted
 session keeps the pairs it finished.  Whether a metric is better higher or
-lower is read from ``BENCHMARK.json`` of the parent checkout.
+lower is read from ``BENCHMARK.json`` of the parent checkout.  Run each side
+from a git checkout of its commit, so that its ``env`` records the commit
+and the source tree that were measured.
 """
 
 from __future__ import annotations
@@ -51,7 +53,12 @@ def parse_seeds(spec: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bool) -> dict:
-    """One ``perfbench/run.py`` run; returns its result object plus its ``env``."""
+    """One ``perfbench/run.py`` run; returns its result object plus its ``env``.
+
+    The ``env`` gains ``src_tree``, the git object name of the checkout's
+    ``src`` directory, which stays the same when the commit is rewritten
+    around an unchanged source tree.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -60,6 +67,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: bo
         raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n{proc.stderr}")
     result = json.loads(lines[-1])
     result["env"] = next((json.loads(line[5:]) for line in lines if line.startswith("env: ")), {})
+    tree = subprocess.run(["git", "rev-parse", "HEAD:src"], cwd=checkout, capture_output=True,
+                          text=True)
+    result["env"]["src_tree"] = tree.stdout.strip() if tree.returncode == 0 else "unknown"
     return result
 
 
@@ -98,19 +108,19 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--claim")
     args = parser.parse_args(argv)
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     if args.claim is not None and args.claim not in better:
         parser.error(f"--claim {args.claim!r} is not an end-to-end metric of BENCHMARK.json")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g}" \
+    doc["command"] = f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}" \
                      " --trace 0|1"
 
     def save():
@@ -121,7 +131,7 @@ def main(argv=None) -> int:
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         run = {"seed": seed, "first": order[0]}
         for side in order:
-            run[side] = run_once(checkouts[side], args.workload, seed, args.seconds, False)
+            run[side] = run_once(checkouts[side], args.workload, seed, seconds, False)
             doc.setdefault("env", {})[side] = run[side].pop("env")
         runs.append(run)
         doc.setdefault("runs", {})[args.workload] = runs
@@ -144,8 +154,7 @@ def main(argv=None) -> int:
     if args.trace_seed is not None:
         doc.setdefault("traced_per_layer", {})[f"{args.workload} seed {args.trace_seed}"] = {
             side: {name: row["value"] for name, row in
-                   run_once(checkouts[side], args.workload, args.trace_seed, args.seconds,
-                            True)["metrics"].items()}
+                   run_once(checkouts[side], args.workload, args.trace_seed, seconds, True)["metrics"].items()}
             for side in SIDES}
     save()
     return 0

@@ -349,9 +349,8 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     ``AdamW`` moves the parameters into one flat array, so on return every
     ``p.data`` of the model is a view of it.  Gradient clipping is one norm
     and one in-place scale of the flat gradient.  The best-validation
-    parameters are restored before returning: each improving epoch before
-    the last epoch that can run keeps one copy of the flat array, and the
-    restore copies it back in place.
+    parameters are restored before returning: each improving epoch keeps one
+    copy of the flat array, and the restore copies it back in place.
     """
     if not train_examples or not val_examples:
         raise UsageError("train and validation sets must both be nonempty")
@@ -390,8 +389,7 @@ def train(model: FusionModel, train_examples: Sequence[Example],
             history.lrs.append(optimizer.lr)
             history.stopped_epoch = epoch
 
-            # After the last epoch that can run, the parameters are the state.
-            if stopper.update(val_loss, epoch) and epoch < config.max_epochs:
+            if stopper.update(val_loss, epoch):
                 best_state = optimizer.flat.copy()
             scheduler.update(val_loss)
             if stopper.should_stop:
@@ -399,7 +397,7 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     except NumericsError as exc:
         raise TrainingError(f"aborted at epoch {len(history.train_losses) + 1}: {exc}") from exc
 
-    if best_state is not None and stopper.best_epoch < history.stopped_epoch:
+    if best_state is not None:
         optimizer.flat[...] = best_state
     history.best_epoch = stopper.best_epoch
     history.best_val_loss = stopper.best

@@ -349,8 +349,9 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     ``AdamW`` moves the parameters into one flat array, so on return every
     ``p.data`` of the model is a view of it.  Gradient clipping is one norm
     and one in-place scale of the flat gradient.  The best-validation
-    parameters are restored before returning: each improving epoch keeps one
-    copy of the flat array, and the restore copies it back in place.
+    parameters are restored before returning: each improving epoch before
+    the last epoch that can run keeps one copy of the flat array, and the
+    restore copies it back in place.
     """
     if not train_examples or not val_examples:
         raise UsageError("train and validation sets must both be nonempty")
@@ -390,7 +391,9 @@ def train(model: FusionModel, train_examples: Sequence[Example],
             history.stopped_epoch = epoch
 
             if stopper.update(val_loss, epoch):
-                best_state = optimizer.flat.copy()
+                # The last epoch that can run keeps no copy: its parameters
+                # are the state, and an older copy must not be restored.
+                best_state = optimizer.flat.copy() if epoch < config.max_epochs else None
             scheduler.update(val_loss)
             if stopper.should_stop:
                 break

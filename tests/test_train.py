@@ -450,13 +450,17 @@ class TestTrain:
         def run(max_epochs):
             model = build_model(ModelConfig(modalities=("text",), seed=5))
             history = train(model, train_ex, val_ex,
-                            TrainConfig(lr=3e-3, batch_size=8, max_epochs=max_epochs, seed=5))
+                            TrainConfig(lr=3e-4, batch_size=8, max_epochs=max_epochs, seed=5))
             return model, history
 
         with T.precision(dtype):
             full, history = run(8)
             assert 1 <= history.best_epoch < history.stopped_epoch == 8
-            stopped, _ = run(history.best_epoch)
+            stopped, stopped_history = run(history.best_epoch)
+            # Epoch 1 and the last epoch both improve the stopped run, so it
+            # must keep its final state over the copy of an earlier epoch.
+            assert history.best_epoch >= 2
+            assert stopped_history.best_epoch == history.best_epoch
             for name, p in full.parameters().items():
                 assert np.array_equal(p.data, stopped.parameters()[name].data), name
 

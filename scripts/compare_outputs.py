@@ -1,0 +1,109 @@
+"""Run one fixed CLI sequence in two checkouts and compare every output.
+
+Usage, from anywhere:
+
+    python3 scripts/compare_outputs.py PARENT CHANGE
+
+Each argument is the root of a checkout.  In each, with its ``src`` first on
+``PYTHONPATH``, the script runs under a temporary directory:
+
+1. ``synth``: 10 teachers of 4 segments, 3 students a teacher, seed 0;
+2. ``train``: T+A, 2 epochs, seed 3;
+3. ``cv``: the ROADMAP baseline (T+A+V, lr 1e-4, batch 8, M 1 and 2,
+   3 epochs), once with ``--jobs 1`` and once with ``--jobs 2``;
+4. ``ablate --axes loss task``: text only, the same grid, 1 epoch;
+5. ``correlate`` on the ``--jobs 1`` predictions.
+
+It then compares every file the two sides wrote, byte for byte.  In
+``run_config.json`` only the path fields (``data``, ``out``,
+``predictions``) are masked, by making them relative to the side's
+temporary directory.  It prints one line per file and exits 1 if any file
+differs or exists on one side only, 2 if a command fails.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+BASELINE_CV = ["--data", "ds", "--modalities", "T+A+V", "--grid-lr", "1e-4",
+               "--grid-batch", "8", "--grid-m", "1", "2", "--max-epochs", "3"]
+
+SEQUENCE = [
+    ["synth", "--out", "ds", "--teachers", "10", "--segments-per-teacher", "4",
+     "--students-per-teacher", "3", "--seed", "0"],
+    ["train", "--data", "ds", "--out", "train", "--modalities", "T+A",
+     "--max-epochs", "2", "--seed", "3"],
+    ["cv", *BASELINE_CV, "--jobs", "1", "--out", "cv_jobs1"],
+    ["cv", *BASELINE_CV, "--jobs", "2", "--out", "cv_jobs2"],
+    ["ablate", "--data", "ds", "--out", "ablate", "--axes", "loss", "task",
+     "--grid-lr", "1e-4", "--grid-batch", "8", "--grid-m", "1", "2",
+     "--max-epochs", "1"],
+    ["correlate", "--data", "ds", "--predictions", "cv_jobs1/predictions.csv",
+     "--out", "correlate"],
+]
+
+PATH_FIELDS = ("data", "out", "predictions")
+
+
+def run_sequence(checkout: Path, root: Path) -> None:
+    """Run every command of ``SEQUENCE`` with ``root`` as working directory."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    for argv in SEQUENCE:
+        started = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "discourse_rater.cli", *argv],
+                              cwd=root, env=env, capture_output=True, text=True)
+        out = argv[argv.index("--out") + 1]
+        print(f"{checkout}: {argv[0]} -> {out}: exit {proc.returncode} "
+              f"in {time.perf_counter() - started:.1f} s", flush=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stderr)
+            sys.exit(2)
+
+
+def comparable_bytes(path: Path, root: Path) -> bytes:
+    """The file's bytes; for ``run_config.json``, with path fields relative."""
+    if path.name != "run_config.json":
+        return path.read_bytes()
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    for key in PATH_FIELDS:
+        if key in doc:
+            doc[key] = os.path.relpath(os.path.join(root, doc[key]), root)
+    return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: compare_outputs.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    sides = [Path(a) for a in args]
+    with tempfile.TemporaryDirectory() as parent_root, \
+            tempfile.TemporaryDirectory() as change_root:
+        roots = [Path(parent_root), Path(change_root)]
+        for checkout, root in zip(sides, roots):
+            run_sequence(checkout, root)
+        files = [{p.relative_to(root): p for p in root.rglob("*") if p.is_file()}
+                 for root in roots]
+        differing = 0
+        for name in sorted(set(files[0]) | set(files[1])):
+            if name not in files[0] or name not in files[1]:
+                status = "only in " + ("change" if name in files[1] else "parent")
+            elif comparable_bytes(files[0][name], roots[0]) \
+                    == comparable_bytes(files[1][name], roots[1]):
+                status = "identical"
+            else:
+                status = "DIFFERS"
+            differing += status != "identical"
+            print(f"{status:>14s}  {name}")
+    print(f"{differing} of {len(set(files[0]) | set(files[1]))} files differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

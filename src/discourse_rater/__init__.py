@@ -9,12 +9,12 @@ nested cross-validation, ablations, and student-outcome correlations.
 
 from .data import (Dataset, DatasetManifest, Example, RaterRecord,
                    SegmentFeatures, SegmentRecord, StudentRecord, SynthConfig,
-                   generate_synthetic, read_feature_file, uniform_signal,
-                   write_feature_file)
+                   classroom_aggregate, generate_synthetic, read_feature_file,
+                   uniform_signal, write_feature_file)
 from .harness import (FoldPlan, GridPoint, default_grid, make_folds,
                       run_ablation, run_nested_cv)
-from .metrics import (EvaluationReport, classroom_aggregate, confusion_matrix,
-                      fold_summary, irr_leave_one_rater_out, pearson_r, qwk)
+from .metrics import (EvaluationReport, confusion_matrix, fold_summary,
+                      irr_leave_one_rater_out, pearson_r, qwk)
 from .model import (FusionModel, ModelConfig, build_model, forward, load_model,
                     save_model)
 from .objective import (COMPONENTS, RATINGS, class_weights, index_to_rating,

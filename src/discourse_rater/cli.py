@@ -5,32 +5,32 @@ training run), ``cv`` (nested cross-validation), ``ablate`` (variant
 comparison on one fold plan), ``correlate`` (classroom-level score vs student
 outcomes), and ``gradcheck`` (finite-difference audit of every operation).
 
-Every command resolves its settings from built-in defaults, then an optional
-JSON config file, then explicit flags, and writes the resolved configuration
-next to its outputs so any run can be reproduced from its artifacts.  Exit
-codes: 0 success, 1 computation failure, 2 usage error.
+Every command but ``gradcheck`` resolves its settings in ``_resolve`` from
+built-in defaults, then an optional JSON config file, then explicit flags, and
+``_write_outputs`` writes them next to its outputs so any run can be
+reproduced from its artifacts.  The grid, the split-then-train step and the
+classroom aggregation are ``harness``'s and ``data``'s, not restated here.
+Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from typing import Sequence
 
 from .checks import run_gradient_checks
-from .data import (Dataset, DatasetManifest, SynthConfig, generate_synthetic,
-                   uniform_signal)
-from .errors import DiscourseRaterError, UsageError
-from .harness import (GridPoint, default_grid, run_ablation, run_nested_cv)
-from .metrics import (classroom_aggregate, pearson_r, significance_stars)
-from .model import ModelConfig, build_model, save_model
-from .objective import COMPONENT_TITLES, COMPONENTS
-from .train import TrainConfig, component_weights, train
+from .data import (Dataset, DatasetManifest, SynthConfig, classroom_aggregate,
+                   generate_synthetic, uniform_signal)
+from .errors import DataError, DiscourseRaterError, FormatError, UsageError
+from .harness import GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
+from .metrics import pearson_r, significance_stars
+from .model import ModelConfig, save_model
+from .objective import COMPONENT_TITLES, COMPONENTS, RATINGS
+from .train import TrainConfig
 
 OUTCOMES = ("test_score", "interest", "self_efficacy")
 OUTCOME_TITLES = {"test_score": "Test scores", "interest": "Interest",
@@ -124,34 +124,44 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UsageError(f"config file {path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     return doc
 
 
-def _resolve(args, file_cfg: dict, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    resolved = dict(defaults)
-    for key in defaults:
+def _resolve(args, defaults: dict, required: Sequence[str] = ()) -> dict:
+    """defaults < config file < explicit flags; each ``required`` key is a
+    path that must then be set, and is resolved to its string form."""
+    file_cfg = _load_config_file(args.config)
+    resolved = {key: None for key in required} | defaults
+    for key in resolved:
         if key in file_cfg:
             resolved[key] = file_cfg[key]
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
+    for key in required:
+        if resolved[key] is None:
+            raise UsageError(f"{args.command} needs --{key}")
+        resolved[key] = str(Path(resolved[key]))
     return resolved
 
 
-def _write_resolved(out_dir: Path, resolved: dict) -> None:
+def _write_outputs(resolved: dict, files: dict[str, str | dict]) -> None:
+    """Write ``run_config.json`` and ``files`` into ``--out``: a string as
+    text, anything else as indented JSON, each with a final newline."""
+    out_dir = Path(resolved["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(resolved, indent=2, sort_keys=True)
-    (out_dir / "run_config.json").write_text(text + "\n", encoding="utf-8")
-
-
-def _require(resolved: dict, key: str, command: str):
-    if resolved.get(key) is None:
-        raise UsageError(f"{command} needs --{key.replace('_', '-')}")
-    return resolved[key]
+    for name, content in {"run_config.json": resolved, **files}.items():
+        if not isinstance(content, str):
+            content = json.dumps(content, indent=2, sort_keys=True)
+        (out_dir / name).write_text(content + "\n", encoding="utf-8")
 
 
 # -- synth ---------------------------------------------------------------------
@@ -171,17 +181,14 @@ def _parse_signal_overrides(entries, strength: float) -> dict:
 
 
 def cmd_synth(args) -> int:
-    file_cfg = _load_config_file(args.config)
     defaults = {
-        "out": None, "teachers": 10, "segments_per_teacher": 4,
+        "teachers": 10, "segments_per_teacher": 4,
         "lessons_per_teacher": 2, "text_len": [5, 9], "chunk_len": [6, 10],
         "signal_strength": 0.8, "signal": None, "rho": 0.3, "noise_sd": 0.1,
         "rater_noise_sd": 0.4, "students_per_teacher": 0,
         "outcome_noise_sd": 0.1, "seed": 0,
     }
-    resolved = _resolve(args, file_cfg, defaults)
-    out_dir = Path(_require(resolved, "out", "synth"))
-    resolved["out"] = str(out_dir)
+    resolved = _resolve(args, defaults, ("out",))
 
     cfg = SynthConfig(
         n_teachers=resolved["teachers"],
@@ -198,15 +205,13 @@ def cmd_synth(args) -> int:
         outcome_noise_sd=resolved["outcome_noise_sd"],
         seed=resolved["seed"],
     )
-    dataset = generate_synthetic(cfg, out_dir)
-    _write_resolved(out_dir, resolved)
+    dataset = generate_synthetic(cfg, resolved["out"])
+    _write_outputs(resolved, {})
 
     manifest = dataset.manifest
     print(f"teachers: {len(manifest.teacher_ids())}")
     print(f"segments: {len(manifest.segments)}")
     print(f"students: {len(manifest.student_records)}")
-    from .objective import RATINGS
-
     for component in COMPONENTS:
         counts = {r: 0 for r in RATINGS}
         for seg in manifest.segments:
@@ -224,37 +229,25 @@ _MODEL_DEFAULTS = {
     "task": "multi", "component": None, "loss": "oll",
     "no_positional": False, "dropout": 0.1,
 }
-_TRAIN_DEFAULTS = {"lr": 1e-4, "batch_size": 8, "max_epochs": 200,
-                   "val_fraction": 0.2, "seed": 0}
+_TRAIN_DEFAULTS = {key: getattr(TrainConfig(), key)
+                   for key in ("lr", "batch_size", "max_epochs", "val_fraction", "seed")}
 
 
 def _model_config(resolved: dict) -> ModelConfig:
-    return ModelConfig(
-        modalities=resolved["modalities"],
-        encoder=resolved["encoder"],
-        fusion_modules=resolved["fusion_modules"],
-        task=resolved["task"],
-        component=resolved["component"],
-        loss=resolved["loss"],
-        positional=not resolved["no_positional"],
-        dropout=resolved["dropout"],
-        seed=resolved["seed"],
-    )
-
-
-def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(lr=resolved["lr"], batch_size=resolved["batch_size"],
-                       max_epochs=resolved["max_epochs"],
-                       val_fraction=resolved["val_fraction"],
+    fields = {key: resolved[key] for key in _MODEL_DEFAULTS if key != "no_positional"}
+    return ModelConfig(**fields, positional=not resolved["no_positional"],
                        seed=resolved["seed"])
 
 
+def _train_config(resolved: dict) -> TrainConfig:
+    return TrainConfig(**{key: resolved[key] for key in _TRAIN_DEFAULTS})
+
+
 def _grid(resolved: dict) -> list[GridPoint]:
-    lrs = resolved.get("grid_lr") or [1e-4, 1e-5]
-    batches = resolved.get("grid_batch") or [8, 16, 32]
-    ms = resolved.get("grid_m") or [1, 2, 3, 4, 5]
-    return [GridPoint(lr=lr, batch_size=b, fusion_modules=m)
-            for lr in lrs for b in batches for m in ms]
+    """The harness's grid, with each axis a ``--grid-*`` value names replaced."""
+    axes = {"lrs": resolved.get("grid_lr"), "batch_sizes": resolved.get("grid_batch"),
+            "fusion_modules": resolved.get("grid_m")}
+    return default_grid(**{axis: values for axis, values in axes.items() if values})
 
 
 def _report_text(report) -> str:
@@ -272,33 +265,18 @@ def _report_text(report) -> str:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"data": None, "out": None, **_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
-    resolved = _resolve(args, file_cfg, defaults)
-    data_dir = Path(_require(resolved, "data", "train"))
-    out_dir = Path(_require(resolved, "out", "train"))
-    resolved["data"], resolved["out"] = str(data_dir), str(out_dir)
+    resolved = _resolve(args, {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}, ("data", "out"))
+    dataset = Dataset.load(resolved["data"])
+    train_config = _train_config(resolved)
+    model, history = fit_model(dataset, dataset.manifest.teacher_ids(),
+                               _model_config(resolved), train_config, train_config.seed)
 
-    dataset = Dataset.load(data_dir)
-    model_config = _model_config(resolved)
-    train_cfg = _train_config(resolved)
-
-    from .harness import split_for_validation
-
-    teachers = dataset.manifest.teacher_ids()
-    fit, sched = split_for_validation(teachers, train_cfg.val_fraction, train_cfg.seed)
-    model = build_model(model_config)
-    history = train(model, dataset.examples_for_teachers(fit),
-                    dataset.examples_for_teachers(sched), train_cfg)
-
-    _write_resolved(out_dir, resolved)
-    (out_dir / "history.txt").write_text(history.table() + "\n", encoding="utf-8")
-    (out_dir / "history.json").write_text(
-        json.dumps(history.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    save_model(model, out_dir / "model.dfm")
+    _write_outputs(resolved, {"history.txt": history.table(),
+                              "history.json": history.to_dict()})
+    save_model(model, Path(resolved["out"]) / "model.dfm")
     print(f"trained {model.num_parameters()} parameters; "
           f"best val loss {history.best_val_loss:.6f} at epoch {history.best_epoch}")
-    print(f"outputs in {out_dir}")
+    print(f"outputs in {resolved['out']}")
     return 0
 
 
@@ -312,53 +290,35 @@ def _write_predictions(path: Path, predictions) -> None:
                              row.predicted_rating, row.fold])
 
 
-def cmd_cv(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"data": None, "out": None, "jobs": 1,
-                "grid_lr": None, "grid_batch": None, "grid_m": None,
+_CV_DEFAULTS = {"jobs": 1, "grid_lr": None, "grid_batch": None, "grid_m": None,
                 **_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
-    resolved = _resolve(args, file_cfg, defaults)
-    data_dir = Path(_require(resolved, "data", "cv"))
-    out_dir = Path(_require(resolved, "out", "cv"))
-    resolved["data"], resolved["out"] = str(data_dir), str(out_dir)
 
-    dataset = Dataset.load(data_dir)
+
+def cmd_cv(args) -> int:
+    resolved = _resolve(args, _CV_DEFAULTS, ("data", "out"))
+    dataset = Dataset.load(resolved["data"])
     result = run_nested_cv(dataset, _model_config(resolved), _train_config(resolved),
                            grid=_grid(resolved), seed=resolved["seed"],
                            jobs=resolved["jobs"])
 
-    _write_resolved(out_dir, resolved)
-    _write_predictions(out_dir / "predictions.csv", result.predictions)
     report_doc = result.report.to_dict()
     report_doc["best_grid_points"] = [p.label() for p in result.best_points]
-    (out_dir / "report.json").write_text(
-        json.dumps(report_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     text = _report_text(result.report)
-    (out_dir / "report.txt").write_text(text + "\n", encoding="utf-8")
+    _write_outputs(resolved, {"report.json": report_doc, "report.txt": text})
+    _write_predictions(Path(resolved["out"]) / "predictions.csv", result.predictions)
     print(text)
     return 0
 
 
 def cmd_ablate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"data": None, "out": None, "jobs": 1, "axes": ["modality"],
-                "grid_lr": None, "grid_batch": None, "grid_m": None,
-                **_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
-    resolved = _resolve(args, file_cfg, defaults)
-    data_dir = Path(_require(resolved, "data", "ablate"))
-    out_dir = Path(_require(resolved, "out", "ablate"))
-    resolved["data"], resolved["out"] = str(data_dir), str(out_dir)
-
-    dataset = Dataset.load(data_dir)
+    resolved = _resolve(args, {"axes": ["modality"], **_CV_DEFAULTS}, ("data", "out"))
+    dataset = Dataset.load(resolved["data"])
     result = run_ablation(dataset, resolved["axes"], _model_config(resolved),
                           _train_config(resolved), grid=_grid(resolved),
                           seed=resolved["seed"], jobs=resolved["jobs"])
 
-    _write_resolved(out_dir, resolved)
-    (out_dir / "ablation.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     table = result.table()
-    (out_dir / "ablation.txt").write_text(table + "\n", encoding="utf-8")
+    _write_outputs(resolved, {"ablation.json": result.to_dict(), "ablation.txt": table})
     print(table)
     return 0
 
@@ -366,11 +326,16 @@ def cmd_ablate(args) -> int:
 # -- correlate ------------------------------------------------------------------
 
 
-def _read_predictions(path: Path) -> dict[str, dict[str, float]]:
+def _read_predictions(path: str) -> dict[str, dict[str, float]]:
     """Prediction table -> component -> segment_id -> predicted rating."""
     out: dict[str, dict[str, float]] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
+        reader = csv.DictReader(handle)
+        for column in ("segment_id", "component", "predicted_rating"):
+            if column not in (reader.fieldnames or ()):
+                raise FormatError(f"prediction table {path} has no {column!r} column",
+                                  offset=0)
+        for row in reader:
             out.setdefault(row["component"], {})[row["segment_id"]] = \
                 float(row["predicted_rating"])
     if not out:
@@ -379,27 +344,25 @@ def _read_predictions(path: Path) -> dict[str, dict[str, float]]:
 
 
 def cmd_correlate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    defaults = {"data": None, "predictions": None, "out": None}
-    resolved = _resolve(args, file_cfg, defaults)
-    data_dir = Path(_require(resolved, "data", "correlate"))
-    out_dir = Path(_require(resolved, "out", "correlate"))
-    predictions_path = Path(_require(resolved, "predictions", "correlate"))
-    resolved.update(data=str(data_dir), out=str(out_dir),
-                    predictions=str(predictions_path))
-
-    manifest = DatasetManifest.load(data_dir / "manifest.json")
+    resolved = _resolve(args, {}, ("data", "out", "predictions"))
+    manifest = DatasetManifest.load(Path(resolved["data"]) / "manifest.json")
     if not manifest.student_records:
         raise UsageError("manifest has no student records to correlate against")
-    predictions = _read_predictions(predictions_path)
+    predictions = _read_predictions(resolved["predictions"])
 
+    student_teachers = {s.teacher_id for s in manifest.student_records}
     sources: dict[str, dict[str, dict[str, float]]] = {"human": {}, "model": {}}
     for component in COMPONENTS:
-        human_scores = {s.segment_id: s.labels[component] for s in manifest.segments}
-        sources["human"][component] = classroom_aggregate(human_scores, manifest)
+        scores = {"human": {s.segment_id: s.labels[component] for s in manifest.segments}}
         if component in predictions:
-            sources["model"][component] = classroom_aggregate(
-                predictions[component], manifest)
+            scores["model"] = predictions[component]
+        for source, per_segment in scores.items():
+            per_teacher = classroom_aggregate(per_segment, manifest)
+            unscored = sorted(student_teachers - set(per_teacher))
+            if unscored:
+                raise DataError(f"{source} {component} scores cover no segment of "
+                                f"teachers with students: {', '.join(unscored)}")
+            sources[source][component] = per_teacher
 
     doc: dict = {}
     lines = [f"{'Component':<22s} {'Source':<8s} " +
@@ -423,10 +386,7 @@ def cmd_correlate(args) -> int:
                          + " ".join(cells))
     text = "\n".join(lines)
 
-    _write_resolved(out_dir, resolved)
-    (out_dir / "correlations.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    (out_dir / "correlations.txt").write_text(text + "\n", encoding="utf-8")
+    _write_outputs(resolved, {"correlations.json": doc, "correlations.txt": text})
     print(text)
     print(f"N = {len(manifest.student_records)} students")
     return 0

@@ -116,12 +116,6 @@ class DatasetManifest:
             seen.setdefault(seg.teacher_id, None)
         return list(seen)
 
-    def segments_by_teacher(self) -> dict[str, list[SegmentRecord]]:
-        out: dict[str, list[SegmentRecord]] = {}
-        for seg in self.segments:
-            out.setdefault(seg.teacher_id, []).append(seg)
-        return out
-
     def validate(self) -> None:
         seen_ids: set[str] = set()
         for seg in self.segments:
@@ -131,7 +125,10 @@ class DatasetManifest:
             for component in COMPONENTS:
                 if component not in seg.labels:
                     raise DataError(f"segment {seg.segment_id}: missing label {component!r}")
-                rating_to_index(seg.labels[component])
+                try:
+                    rating_to_index(seg.labels[component])
+                except (TypeError, ValueError, DataError) as exc:
+                    raise DataError(f"segment {seg.segment_id}: label {component!r}: {exc}") from exc
         if self.rater_records:
             counts: dict[tuple[str, str], set[str]] = {}
             for rec in self.rater_records:
@@ -163,6 +160,9 @@ class DatasetManifest:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FormatError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise FormatError(f"manifest must hold a JSON object, not {type(doc).__name__}",
+                              offset=0)
         try:
             return cls(
                 segments=[SegmentRecord(**s) for s in doc.get("segments", [])],
@@ -265,6 +265,22 @@ def average_rater_scores(rater_records: Iterable[RaterRecord],
         if not 1 <= s <= 4:
             raise DataError(f"segment {segment_id}/{component}: score {s} outside 1..4")
     return (scores[0] + scores[1]) / 2.0
+
+
+def classroom_aggregate(per_segment_scores: Mapping[str, float],
+                        manifest: DatasetManifest) -> dict[str, float]:
+    """Mean over segments within each lesson, then over lessons per teacher."""
+    seg_info = {s.segment_id: (s.teacher_id, s.lesson_id) for s in manifest.segments}
+    per_lesson: dict[str, dict[str, list[float]]] = {}
+    for segment_id, score in per_segment_scores.items():
+        if segment_id not in seg_info:
+            raise DataError(f"segment {segment_id!r} is not in the manifest")
+        teacher_id, lesson_id = seg_info[segment_id]
+        per_lesson.setdefault(teacher_id, {}).setdefault(lesson_id, []).append(float(score))
+    return {
+        teacher: float(np.mean([np.mean(scores) for scores in lessons.values()]))
+        for teacher, lessons in per_lesson.items()
+    }
 
 
 # -- feature files ---------------------------------------------------------------
@@ -483,8 +499,10 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path | None = None) -> D
                 segment_id=segment_id, teacher_id=teacher_id, lesson_id=lesson_id,
                 path=f"features/{segment_id}.dfx", labels=labels))
 
+        own = [s for s in manifest.segments if s.teacher_id == teacher_id]
+        aggregates = {c: classroom_aggregate({s.segment_id: s.labels[c] for s in own},
+                                             manifest)[teacher_id] for c in COMPONENTS}
         for n in range(cfg.students_per_teacher):
-            aggregates = _teacher_label_aggregate(manifest, teacher_id)
             manifest.student_records.append(StudentRecord(
                 student_id=f"{teacher_id}-st{n:03d}",
                 teacher_id=teacher_id,
@@ -512,17 +530,3 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 def _noisy_score(base: float, noise_sd: float, rng: np.random.Generator) -> int:
     noisy = base if noise_sd <= 0 else base + noise_sd * rng.standard_normal()
     return int(min(max(round(noisy), 1), 4))
-
-
-def _teacher_label_aggregate(manifest: DatasetManifest, teacher_id: str) -> dict[str, float]:
-    """Mean label over segments within each lesson, then over lessons."""
-    by_lesson: dict[str, list[dict[str, float]]] = {}
-    for seg in manifest.segments:
-        if seg.teacher_id == teacher_id:
-            by_lesson.setdefault(seg.lesson_id, []).append(seg.labels)
-    out = {}
-    for c in COMPONENTS:
-        lesson_means = [float(np.mean([labels[c] for labels in group]))
-                        for group in by_lesson.values()]
-        out[c] = float(np.mean(lesson_means))
-    return out

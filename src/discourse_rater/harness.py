@@ -8,6 +8,10 @@ identity ever leaks across a train/evaluate boundary.
 Grid points and outer folds are independent jobs.  Each job derives its own
 seed from (master seed, fold, point, inner fold), and results are reduced in
 sorted key order, so serial and parallel runs produce identical reports.
+
+``default_grid`` builds the tuning grid, ``GridPoint.job`` a job's configs
+and seeds, ``fit_model`` the split-then-train step that the CLI's ``train``
+shares, and ``_score_fold`` a fold's QWK.
 """
 
 from __future__ import annotations
@@ -20,16 +24,16 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import Dataset, DatasetManifest, Example
+from .data import Dataset, DatasetManifest
 from .errors import DiscourseRaterError, TrainingError, UsageError
 from .metrics import EvaluationReport, confusion_matrix, qwk, summarize_folds
-from .model import ModelConfig, build_model
-from .objective import COMPONENTS, rating_to_index
-from .train import TrainConfig, predict, train
+from .model import FUSION_MODULE_GRID, FusionModel, ModelConfig, build_model
+from .objective import COMPONENTS, NUM_CLASSES, rating_to_index
+from .train import TrainConfig, TrainHistory, predict, train
 
 LR_GRID = (1e-4, 1e-5)
 BATCH_GRID = (8, 16, 32)
-FUSION_GRID = (1, 2, 3, 4, 5)
+FUSION_GRID = FUSION_MODULE_GRID
 
 
 @dataclass(frozen=True)
@@ -49,10 +53,29 @@ class GridPoint:
     def label(self) -> str:
         return f"lr={self.lr:g},batch={self.batch_size},M={self.fusion_modules}"
 
+    def job(self, key: tuple, model_config: ModelConfig, train_config: TrainConfig,
+            train_teachers: Iterable[str], eval_teachers: Iterable[str],
+            split_seed: int) -> "_TrainEvalJob":
+        """Train at this point, then predict ``eval_teachers``; the model and
+        training seeds derive from the scheduling split's seed."""
+        return _TrainEvalJob(
+            key=key,
+            model_config=dataclasses.replace(model_config, fusion_modules=self.fusion_modules,
+                                             seed=_job_seed(split_seed, 3)),
+            train_config=dataclasses.replace(train_config, lr=self.lr,
+                                             batch_size=self.batch_size,
+                                             seed=_job_seed(split_seed, 4)),
+            train_teachers=sorted(train_teachers),
+            eval_teachers=sorted(eval_teachers),
+            split_seed=split_seed,
+        )
 
-def default_grid() -> list[GridPoint]:
+
+def default_grid(lrs: Iterable[float] = LR_GRID, batch_sizes: Iterable[int] = BATCH_GRID,
+                 fusion_modules: Iterable[int] = FUSION_GRID) -> list[GridPoint]:
+    """Every combination of the three axes, learning rate outermost."""
     return [GridPoint(lr, batch, m)
-            for lr in LR_GRID for batch in BATCH_GRID for m in FUSION_GRID]
+            for lr in lrs for batch in batch_sizes for m in fusion_modules]
 
 
 @dataclass
@@ -137,6 +160,16 @@ def split_for_validation(teachers: Sequence[str], val_fraction: float,
     return trn, val
 
 
+def fit_model(dataset: Dataset, teachers: Sequence[str], model_config: ModelConfig,
+              train_config: TrainConfig, split_seed: int) -> tuple[FusionModel, TrainHistory]:
+    """Split ``teachers`` for scheduling, then build and train a model on them."""
+    fit, sched = split_for_validation(teachers, train_config.val_fraction, split_seed)
+    model = build_model(model_config)
+    history = train(model, dataset.examples_for_teachers(fit),
+                    dataset.examples_for_teachers(sched), train_config)
+    return model, history
+
+
 @dataclass
 class _TrainEvalJob:
     key: tuple
@@ -144,7 +177,7 @@ class _TrainEvalJob:
     train_config: TrainConfig
     train_teachers: list[str]
     eval_teachers: list[str]
-    seed: int
+    split_seed: int
 
 
 _WORKER_DATASET: Dataset | None = None
@@ -155,35 +188,29 @@ def _init_worker(dataset: Dataset) -> None:
     _WORKER_DATASET = dataset
 
 
-def _mean_qwk(truth: Mapping[str, list[float]], preds: Mapping[str, list[float]]) -> float:
-    scores = []
-    for component, labels in truth.items():
-        t = [rating_to_index(v) for v in labels]
-        p = [rating_to_index(v) for v in preds[component]]
-        scores.append(qwk(t, p, 7))
-    return float(np.mean(scores))
-
-
-def _train_and_predict(dataset: Dataset, job: _TrainEvalJob):
-    """Train with a teacher-grouped scheduling split, then predict eval teachers."""
-    fit_teachers, sched_teachers = split_for_validation(
-        job.train_teachers, job.train_config.val_fraction, job.seed)
-    model = build_model(job.model_config, seed=_job_seed(job.seed, 3))
-    train_conf = dataclasses.replace(job.train_config, seed=_job_seed(job.seed, 4))
-    train(model, dataset.examples_for_teachers(fit_teachers),
-          dataset.examples_for_teachers(sched_teachers), train_conf)
-    eval_examples = dataset.examples_for_teachers(job.eval_teachers)
-    predictions = predict(model, eval_examples)
-    truth = {ex.features.segment_id: ex.labels for ex in eval_examples}
-    return predictions, truth
+def _score_fold(predictions: Mapping[str, Mapping[str, float]],
+                truth: Mapping[str, Mapping[str, float]], components: Sequence[str]):
+    """Per component, QWK between the true and predicted rating classes of one
+    fold, and those classes in segment order."""
+    scores, classes = {}, {}
+    for component in components:
+        seg_ids = sorted(predictions)
+        t_idx = [rating_to_index(truth[s][component]) for s in seg_ids]
+        p_idx = [rating_to_index(predictions[s][component]) for s in seg_ids]
+        scores[component] = qwk(t_idx, p_idx, NUM_CLASSES)
+        classes[component] = (t_idx, p_idx)
+    return scores, classes
 
 
 def _run_job(job: _TrainEvalJob):
-    """One job's result, or its failure recorded with the cause."""
+    """Train, then predict the eval teachers; or the failure with its cause."""
     dataset = _WORKER_DATASET
     try:
-        predictions, truth = _train_and_predict(dataset, job)
-        return job.key, predictions, truth, None
+        model, _ = fit_model(dataset, job.train_teachers, job.model_config,
+                             job.train_config, job.split_seed)
+        eval_examples = dataset.examples_for_teachers(job.eval_teachers)
+        truth = {ex.features.segment_id: ex.labels for ex in eval_examples}
+        return job.key, predict(model, eval_examples), truth, None
     except DiscourseRaterError as exc:
         return job.key, None, None, f"{type(exc).__name__}: {exc}"
 
@@ -216,7 +243,8 @@ def grid_search(dataset: Dataset, plan: FoldPlan, fold_idx: int,
         return grid[0]
     jobs_list = _inner_jobs(plan, fold_idx, grid, model_config, train_config)
     results = _map_jobs(dataset, jobs_list, jobs)
-    scores = _reduce_inner_scores(grid, plan, fold_idx, results)
+    scores = _reduce_inner_scores(grid, plan, fold_idx, results,
+                                  model_config.head_components)
     return _select_best(scores)
 
 
@@ -228,20 +256,15 @@ def _inner_jobs(plan: FoldPlan, fold_idx: int, grid: Sequence[GridPoint],
         for inner_idx, eval_teachers in enumerate(inner_folds):
             train_teachers = [t for i, fold in enumerate(inner_folds)
                               for t in fold if i != inner_idx]
-            jobs_list.append(_TrainEvalJob(
-                key=(fold_idx, point_idx, inner_idx),
-                model_config=dataclasses.replace(
-                    model_config, fusion_modules=point.fusion_modules),
-                train_config=dataclasses.replace(
-                    train_config, lr=point.lr, batch_size=point.batch_size),
-                train_teachers=sorted(train_teachers),
-                eval_teachers=sorted(eval_teachers),
-                seed=_job_seed(plan.seed, fold_idx, point_idx, inner_idx),
-            ))
+            jobs_list.append(point.job(
+                (fold_idx, point_idx, inner_idx), model_config, train_config,
+                train_teachers, eval_teachers,
+                _job_seed(plan.seed, fold_idx, point_idx, inner_idx)))
     return jobs_list
 
 
-def _reduce_inner_scores(grid, plan, fold_idx, results) -> dict[GridPoint, float | None]:
+def _reduce_inner_scores(grid, plan, fold_idx, results,
+                         components) -> dict[GridPoint, float | None]:
     scores: dict[GridPoint, float | None] = {}
     for point_idx, point in enumerate(grid):
         fold_scores = []
@@ -252,14 +275,8 @@ def _reduce_inner_scores(grid, plan, fold_idx, results) -> dict[GridPoint, float
                 warnings.warn(f"grid point {point.label()} skipped: {err}")
                 failed = True
                 break
-            components = list(next(iter(predictions.values()))) if predictions else []
-            truth_by_c = {c: [] for c in components}
-            preds_by_c = {c: [] for c in components}
-            for seg_id, pred in predictions.items():
-                for component in components:
-                    truth_by_c[component].append(truth[seg_id][component])
-                    preds_by_c[component].append(pred[component])
-            fold_scores.append(_mean_qwk(truth_by_c, preds_by_c))
+            component_scores, _ = _score_fold(predictions, truth, components)
+            fold_scores.append(float(np.mean(list(component_scores.values()))))
         scores[point] = None if failed else float(np.mean(fold_scores))
     return scores
 
@@ -287,12 +304,6 @@ class NestedCvResult:
     predictions: list[PredictionRow]
     report: EvaluationReport
 
-    def predictions_by_component(self) -> dict[str, dict[str, float]]:
-        out: dict[str, dict[str, float]] = {}
-        for row in self.predictions:
-            out.setdefault(row.component, {})[row.segment_id] = row.predicted_rating
-        return out
-
 
 def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
                   train_config: TrainConfig, grid: Sequence[GridPoint] | None = None,
@@ -313,46 +324,32 @@ def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
                                train_config, jobs=jobs)
                    for fold_idx in range(len(plan.outer))]
 
-    fold_jobs = []
-    for fold_idx, point in enumerate(best_points):
-        fold_jobs.append(_TrainEvalJob(
-            key=(fold_idx,),
-            model_config=dataclasses.replace(model_config,
-                                             fusion_modules=point.fusion_modules),
-            train_config=dataclasses.replace(train_config, lr=point.lr,
-                                             batch_size=point.batch_size),
-            train_teachers=sorted(plan.training_teachers(fold_idx)),
-            eval_teachers=sorted(plan.outer[fold_idx]),
-            seed=_job_seed(plan.seed, 100, fold_idx),
-        ))
+    fold_jobs = [point.job((fold_idx,), model_config, train_config,
+                           plan.training_teachers(fold_idx), plan.outer[fold_idx],
+                           _job_seed(plan.seed, 100, fold_idx))
+                 for fold_idx, point in enumerate(best_points)]
     results = _map_jobs(dataset, fold_jobs, jobs)
 
     components = model_config.head_components
     predictions: list[PredictionRow] = []
     per_fold: dict[str, list[float]] = {c: [] for c in components}
-    all_truth: dict[str, list[int]] = {c: [] for c in components}
-    all_pred: dict[str, list[int]] = {c: [] for c in components}
+    fold_classes = []
     for fold_idx in range(len(plan.outer)):
         fold_predictions, truth, err = results[(fold_idx,)]
         if err is not None:
             raise TrainingError(f"fold {fold_idx} failed: {err}")
+        scores, classes = _score_fold(fold_predictions, truth, components)
+        fold_classes.append(classes)
         for component in components:
-            t_idx, p_idx = [], []
-            for seg_id in sorted(fold_predictions):
-                true_rating = truth[seg_id][component]
-                pred_rating = fold_predictions[seg_id][component]
-                predictions.append(PredictionRow(seg_id, component, true_rating,
-                                                 pred_rating, fold_idx))
-                t_idx.append(rating_to_index(true_rating))
-                p_idx.append(rating_to_index(pred_rating))
-            per_fold[component].append(qwk(t_idx, p_idx, 7))
-            all_truth[component].extend(t_idx)
-            all_pred[component].extend(p_idx)
+            predictions.extend(
+                PredictionRow(seg_id, component, truth[seg_id][component],
+                              fold_predictions[seg_id][component], fold_idx)
+                for seg_id in sorted(fold_predictions))
+            per_fold[component].append(scores[component])
 
     report = summarize_folds(per_fold)
-    for component in components:
-        report.confusions[component] = confusion_matrix(
-            all_truth[component], all_pred[component], 7)
+    report.confusions = {c: sum(confusion_matrix(*fold[c], NUM_CLASSES) for fold in fold_classes)
+                         for c in components}
     return NestedCvResult(plan=plan, best_points=best_points,
                           predictions=predictions, report=report)
 

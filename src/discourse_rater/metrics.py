@@ -4,6 +4,9 @@ Quadratic weighted kappa (QWK) is the primary metric: chance-corrected
 agreement with (i - j)^2 penalties, computed from a confusion matrix of class
 indices.  Model-vs-label agreement uses the 7 half-point rating classes;
 rater-vs-rater reliability uses the raw 4-point integer scale.
+
+``classroom_aggregate`` lives in ``data``, whose synthetic generator draws
+student outcomes from it, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .data import DatasetManifest, RaterRecord
+from .data import RaterRecord, classroom_aggregate  # noqa: F401  (re-exported)
 from .errors import DataError, UsageError
 
 
@@ -117,22 +120,6 @@ def fold_summary(values: Sequence[float]) -> tuple[float, float]:
         return mean, 0.0
     se = float(values.std(ddof=1) / np.sqrt(values.size))
     return mean, se
-
-
-def classroom_aggregate(per_segment_scores: Mapping[str, float],
-                        manifest: DatasetManifest) -> dict[str, float]:
-    """Mean over segments within each lesson, then over lessons per teacher."""
-    seg_info = {s.segment_id: (s.teacher_id, s.lesson_id) for s in manifest.segments}
-    per_lesson: dict[str, dict[str, list[float]]] = {}
-    for segment_id, score in per_segment_scores.items():
-        if segment_id not in seg_info:
-            raise DataError(f"segment {segment_id!r} is not in the manifest")
-        teacher_id, lesson_id = seg_info[segment_id]
-        per_lesson.setdefault(teacher_id, {}).setdefault(lesson_id, []).append(float(score))
-    return {
-        teacher: float(np.mean([np.mean(scores) for scores in lessons.values()]))
-        for teacher, lessons in per_lesson.items()
-    }
 
 
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import blocks, tensor as T
+from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams,
                      add_positional, bilstm_encode, dropout_keep,
                      encoder_block, mlp_head, prepend_cls, xavier_uniform,
@@ -28,7 +28,7 @@ from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams,
 from .data import AUDIO_DIM, TEXT_DIM, VIDEO_DIM, SegmentFeatures
 from .errors import (ConfigError, DataError, FormatError, NumericsError,
                      ShapeError)
-from .objective import COMPONENTS
+from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
 
 MODALITIES = ("text", "audio", "video")
@@ -215,7 +215,7 @@ def _build(config: ModelConfig, rng: np.random.Generator | None) -> FusionModel:
             model.modules.append(FusionModule(cross_audio, cross_video, self_attn))
         head_in = MODEL_DIM
 
-    out_dim = 1 if config.head_mode == "regress" else 7
+    out_dim = 1 if config.head_mode == "regress" else NUM_CLASSES
     for component in config.head_components:
         model.heads[component] = HeadParams.create(rng, in_dim=head_in, out_dim=out_dim)
     return model

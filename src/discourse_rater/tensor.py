@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,10 +171,6 @@ class Tensor:
 
     def __getitem__(self, key):
         return take(self, key)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)

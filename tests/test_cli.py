@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from discourse_rater.cli import main
+from discourse_rater.cli import _CV_DEFAULTS, _grid, _resolve, build_parser, main
 from discourse_rater.data import DatasetManifest
+from discourse_rater.harness import BATCH_GRID, LR_GRID, GridPoint, default_grid
 from discourse_rater.model import load_model
 
 
@@ -60,6 +61,30 @@ class TestSynth:
         assert run_cli("synth", "--teachers", 5) == 2
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("content", [None, "{bad", "[1, 2]"],
+                             ids=["missing", "not_json", "json_list"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, content):
+        config = tmp_path / "config.json"
+        if content is not None:
+            config.write_text(content)
+        assert run_cli("synth", "--config", config, "--out", tmp_path / "ds") == 2
+        assert f"config file {config}" in capsys.readouterr().err
+
+
+class TestGrid:
+    @staticmethod
+    def resolved_grid(*flags):
+        return _grid(_resolve(build_parser().parse_args(["cv", *flags]), _CV_DEFAULTS))
+
+    def test_no_grid_flags_give_the_default_grid(self):
+        assert self.resolved_grid() == default_grid()
+
+    def test_one_axis_keeps_the_harness_axes_of_the_others(self):
+        assert self.resolved_grid("--grid-m", "1") == [
+            GridPoint(lr, batch, 1) for lr in LR_GRID for batch in BATCH_GRID]
+
+
 class TestTrainCommand:
     def test_writes_history_and_checkpoint(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -111,6 +136,16 @@ class TestCvCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_non_numeric_label_fails_naming_its_segment(self, dataset_dir, tmp_path,
+                                                        capsys):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["segments"][3]["labels"]["nature"] = "high"
+        path.write_text(json.dumps(doc))
+        assert run_cli(*self.cv_args(dataset_dir, tmp_path / "cvout")) == 1
+        assert f"segment {doc['segments'][3]['segment_id']}: label 'nature'" in \
+            capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_loss_axis_table(self, dataset_dir, tmp_path, capsys):
@@ -160,6 +195,39 @@ class TestCorrelateCommand:
         doc = json.loads((out / "correlations.json").read_text())
         for component, by_source in doc.items():
             assert by_source["human"] == by_source["model"]
+
+    @staticmethod
+    def label_table(path, manifest, drop_column=None, skip_teachers=()):
+        """A prediction table holding the human labels."""
+        columns = ["segment_id", "component", "true_rating", "predicted_rating", "fold"]
+        with open(path, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=[c for c in columns if c != drop_column],
+                                    extrasaction="ignore")
+            writer.writeheader()
+            for seg in manifest.segments:
+                if seg.teacher_id in skip_teachers:
+                    continue
+                for component, rating in seg.labels.items():
+                    writer.writerow(dict(zip(columns, [seg.segment_id, component,
+                                                       rating, rating, 0])))
+
+    def test_teachers_without_predictions_are_data_error(self, dataset_dir, tmp_path,
+                                                         capsys):
+        table = tmp_path / "p.csv"
+        self.label_table(table, DatasetManifest.load(dataset_dir / "manifest.json"),
+                         skip_teachers={"t000", "t002"})
+        assert run_cli("correlate", "--data", dataset_dir, "--predictions", table,
+                       "--out", tmp_path / "corr") == 1
+        assert "teachers with students: t000, t002" in capsys.readouterr().err
+
+    def test_missing_prediction_column_is_format_error(self, dataset_dir, tmp_path,
+                                                       capsys):
+        table = tmp_path / "p.csv"
+        self.label_table(table, DatasetManifest.load(dataset_dir / "manifest.json"),
+                         drop_column="predicted_rating")
+        assert run_cli("correlate", "--data", dataset_dir, "--predictions", table,
+                       "--out", tmp_path / "corr") == 1
+        assert "no 'predicted_rating' column" in capsys.readouterr().err
 
     def test_missing_student_records_is_usage_error(self, tmp_path):
         empty = tmp_path / "ds"

@@ -266,3 +266,18 @@ class TestSyntheticGenerator:
         ys = [st.test_score for st in dataset.manifest.student_records]
         r, p = pearson_r(xs, ys)
         assert r > 0.9 and p < 0.001
+
+
+class TestManifestErrors:
+    def test_top_level_list_is_format_error(self):
+        with pytest.raises(FormatError, match="JSON object"):
+            DatasetManifest.from_json('[{"segments": []}]')
+
+    def test_non_numeric_label_names_its_segment(self):
+        doc = generate_synthetic(small_synth()).manifest.to_json()
+        manifest = DatasetManifest.from_json(doc)
+        segment = manifest.segments[5]
+        segment.labels["questioning"] = "high"
+        with pytest.raises(DataError, match=f"segment {segment.segment_id}: "
+                                            "label 'questioning'"):
+            manifest.validate()

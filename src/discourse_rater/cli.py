@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -147,10 +148,22 @@ def _resolve(args, defaults: dict, required: Sequence[str] = ()) -> dict:
         if flag is not None:
             resolved[key] = flag
     for key in required:
-        if resolved[key] is None:
+        value = resolved[key]
+        if value is None:
             raise UsageError(f"{args.command} needs --{key}")
-        resolved[key] = str(Path(resolved[key]))
+        if not isinstance(value, (str, Path)):
+            raise UsageError(f"{key!r} must be a path string, not a JSON {_json_type(value)}")
+        resolved[key] = str(Path(value))
     return resolved
+
+
+def _json_type(value) -> str:
+    """The JSON type name of a value ``json.loads`` returned, other than a string or null."""
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return "array" if isinstance(value, list) else "object"
 
 
 def _write_outputs(resolved: dict, files: dict[str, str | dict]) -> None:
@@ -327,17 +340,38 @@ def cmd_ablate(args) -> int:
 
 
 def _read_predictions(path: str) -> dict[str, dict[str, float]]:
-    """Prediction table -> component -> segment_id -> predicted rating."""
+    """Prediction table -> component -> segment_id -> predicted rating.
+
+    A row too short to hold the three columns, or a table that is not UTF-8
+    CSV, is ``FormatError``; a rating that is not a finite number is
+    ``DataError`` naming its segment, component and value.
+    """
+    columns = ("segment_id", "component", "predicted_rating")
     out: dict[str, dict[str, float]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for column in ("segment_id", "component", "predicted_rating"):
-            if column not in (reader.fieldnames or ()):
-                raise FormatError(f"prediction table {path} has no {column!r} column",
-                                  offset=0)
-        for row in reader:
-            out.setdefault(row["component"], {})[row["segment_id"]] = \
-                float(row["predicted_rating"])
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            for column in columns:
+                if column not in (reader.fieldnames or ()):
+                    raise FormatError(f"prediction table {path} has no {column!r} column",
+                                      offset=0)
+            for row in reader:
+                segment, component, value = (row[column] for column in columns)
+                if value is None or component is None or segment is None:
+                    raise FormatError(f"prediction table {path} line {reader.line_num} "
+                                      f"has too few fields")
+                try:
+                    rating = float(value)
+                except ValueError:
+                    rating = math.nan
+                if not math.isfinite(rating):
+                    raise DataError(f"segment {segment!r} {component}: predicted_rating "
+                                    f"{value!r} is not a finite number")
+                out.setdefault(component, {})[segment] = rating
+    except OSError as exc:
+        raise UsageError(f"cannot read prediction table {path}: {exc.strerror}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"prediction table {path} is not UTF-8 CSV: {exc}") from exc
     if not out:
         raise UsageError(f"prediction table {path} is empty")
     return out

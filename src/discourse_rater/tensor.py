@@ -10,6 +10,11 @@ gradient checking.  The width is a process-global setting (see
 :func:`set_dtype` / :func:`precision`) and must not change while a graph is
 alive.  Tensors are never mutated in place once they participate in a graph;
 every operation allocates a fresh output.
+
+A graph is single-use: :meth:`Tensor.backward` consumes it as it goes, so
+each intermediate's gradient and the forward activations its closure holds
+are freed as soon as they have been used, and a step's peak memory is about
+the graph plus one layer's gradients rather than twice the graph.
 """
 
 from __future__ import annotations
@@ -109,11 +114,19 @@ class Tensor:
     # -- autodiff --------------------------------------------------------
 
     def backward(self) -> None:
-        """Run reverse mode from this scalar.
+        """Run reverse mode from this scalar, consuming the graph.
 
-        Gradients accumulate into ``.grad`` of every reachable tensor with
-        ``requires_grad``.  A leaf that does not lie on any path to the loss
-        keeps ``grad is None``, which readers must treat as zero.
+        Gradients accumulate into ``.grad`` of every reachable leaf (a tensor
+        with ``requires_grad`` and no closure, such as a parameter).  A leaf
+        that does not lie on any path to the loss keeps ``grad is None``,
+        which readers must treat as zero.
+
+        The graph is single-use.  Nodes are popped off the topological order,
+        and once a node's closure has run its ``.grad``, its closure (which
+        holds the forward activations) and its parent links are dropped, so
+        memory is freed while backward runs and nothing of the graph but the
+        leaves' gradients and this loss's ``.data`` outlives it.  A second
+        backward through a consumed node raises ``UsageError``.
         """
         if self.data.size != 1:
             raise UsageError(
@@ -136,9 +149,15 @@ class Tensor:
                     stack.append((parent, False))
         if self.grad is None:
             self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _consumed
+            node._parents = ()
 
     # -- operators -------------------------------------------------------
 
@@ -204,12 +223,20 @@ def _op(data: np.ndarray, parents: tuple[Tensor, ...],
     return out
 
 
+def _consumed(g: np.ndarray) -> None:
+    raise UsageError("backward already ran through this graph; "
+                     "a graph is single-use, so run the forward pass again")
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into ``t.grad``; a first gradient is one copy in ``t.data``'s layout."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

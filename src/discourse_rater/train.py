@@ -348,7 +348,10 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     Class weights default to inverse frequencies of the training labels.
     ``AdamW`` moves the parameters into one flat array, so on return every
     ``p.data`` of the model is a view of it.  Gradient clipping is one norm
-    and one in-place scale of the flat gradient.  The best-validation
+    and one in-place scale of the flat gradient.  ``loss.backward()``
+    consumes the step's graph, so the ``loss`` kept until the next step
+    holds only its value and the next forward pass runs with no graph of
+    the previous step alive.  The best-validation
     parameters are restored before returning: each improving epoch before
     the last epoch that can run keeps one copy of the flat array, and the
     restore copies it back in place.

@@ -1,12 +1,17 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from discourse_rater.cli import _CV_DEFAULTS, _grid, _resolve, build_parser, main
+from discourse_rater.cli import (_CV_DEFAULTS, _grid, _read_predictions, _resolve,
+                                 build_parser, main)
 from discourse_rater.data import DatasetManifest
+from discourse_rater.errors import DiscourseRaterError
 from discourse_rater.harness import BATCH_GRID, LR_GRID, GridPoint, default_grid
 from discourse_rater.model import load_model
 
@@ -70,6 +75,32 @@ class TestConfigFile:
             config.write_text(content)
         assert run_cli("synth", "--config", config, "--out", tmp_path / "ds") == 2
         assert f"config file {config}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,json_type", [(5, "number"), (True, "boolean"),
+                                                 (["ds"], "array"), ({"a": 1}, "object")],
+                             ids=["number", "boolean", "array", "object"])
+    def test_non_string_path_is_usage_error(self, tmp_path, capsys, value, json_type):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": value}))
+        assert run_cli("synth", "--config", config) == 2
+        assert f"'out' must be a path string, not a JSON {json_type}" in capsys.readouterr().err
+
+    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                        lambda inner: st.lists(inner, max_size=3)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                        max_leaves=6))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_json_path_value_raises_only_package_errors(self, tmp_path, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out": value}))
+        args = build_parser().parse_args(["correlate", "--config", str(config),
+                                          "--data", "ds", "--predictions", "p.csv"])
+        try:
+            resolved = _resolve(args, {}, ("data", "out", "predictions"))
+        except DiscourseRaterError:
+            return
+        assert isinstance(value, str) and resolved["out"] == str(Path(value))
 
 
 class TestGrid:
@@ -228,6 +259,46 @@ class TestCorrelateCommand:
         assert run_cli("correlate", "--data", dataset_dir, "--predictions", table,
                        "--out", tmp_path / "corr") == 1
         assert "no 'predicted_rating' column" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["high", "nan", "inf"])
+    def test_rating_that_is_not_a_finite_number_is_data_error(self, dataset_dir, tmp_path,
+                                                              capsys, value):
+        manifest = DatasetManifest.load(dataset_dir / "manifest.json")
+        table = tmp_path / "p.csv"
+        self.label_table(table, manifest)
+        lines = table.read_text().splitlines()
+        segment_id, component, true_rating, _, fold = lines[3].split(",")
+        lines[3] = ",".join([segment_id, component, true_rating, value, fold])
+        table.write_text("\n".join(lines) + "\n")
+        assert run_cli("correlate", "--data", dataset_dir, "--predictions", table,
+                       "--out", tmp_path / "corr") == 1
+        assert f"segment {segment_id!r} {component}: predicted_rating {value!r}" \
+            in capsys.readouterr().err
+
+    def test_missing_prediction_table_is_usage_error(self, dataset_dir, tmp_path, capsys):
+        assert run_cli("correlate", "--data", dataset_dir, "--predictions",
+                       tmp_path / "absent.csv", "--out", tmp_path / "corr") == 2
+        assert "cannot read prediction table" in capsys.readouterr().err
+
+    CELLS = st.one_of(st.text(max_size=6), st.floats().map(str),
+                      st.sampled_from(["nature", "quality", "1.5", "", "inf", "high"]))
+
+    @given(header=st.permutations(["segment_id", "component", "predicted_rating", "fold"]),
+           rows=st.lists(st.lists(CELLS, max_size=6), max_size=6))
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_rows_raise_only_package_errors(self, tmp_path, header, rows):
+        table = tmp_path / "p.csv"
+        with open(table, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+        try:
+            predictions = _read_predictions(str(table))
+        except DiscourseRaterError:
+            return
+        assert all(math.isfinite(rating) for per_segment in predictions.values()
+                   for rating in per_segment.values())
 
     def test_missing_student_records_is_usage_error(self, tmp_path):
         empty = tmp_path / "ds"

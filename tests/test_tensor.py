@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -91,6 +92,31 @@ class TestBackward:
         x = Tensor(np.ones(2), requires_grad=True)
         (x + x).sum().backward()
         assert np.allclose(x.grad, 2.0)
+
+    def test_second_backward_through_a_consumed_graph_is_usage_error(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = T.tanh(x * 2)
+        loss = (hidden * hidden).sum()
+        loss.backward()
+        with pytest.raises(UsageError, match="single-use"):
+            loss.backward()
+        # A new graph on top of a consumed node cannot reach the leaves either.
+        with pytest.raises(UsageError, match="single-use"):
+            (hidden * 3).sum().backward()
+
+    def test_backward_frees_intermediates_and_keeps_leaf_gradients(self, rng):
+        x = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        hidden = T.tanh(x @ w)
+        activation = weakref.ref(hidden.data)
+        loss = (hidden * hidden).sum()
+        del hidden
+        assert activation() is not None
+        loss.backward()
+        assert activation() is None  # freed while ``loss`` is still referenced
+        assert x.grad is not None and w.grad is not None
+        assert x.grad.shape == (4, 5) and w.grad.shape == (5, 3)
+        assert np.isfinite(loss.item())
 
     def test_forward_is_deterministic_bitwise(self):
         rng = np.random.default_rng(3)

@@ -327,6 +327,43 @@ class TestPadding:
             for name, t in params.items():
                 assert np.abs(batched[name] - t.grad).max() < 1e-12, name
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gradients_equal_those_of_a_zero_filled_first_gradient(self, monkeypatch, dtype):
+        # ``_accum`` seeds a first gradient with one copy in the layout of the
+        # tensor's data; the reference rule zero-fills that array and adds.
+        # At these lengths a copy that kept the transposed strides of
+        # ``permute``'s gradient would move the ``attn.bk`` gradients.
+        def zero_fill_and_add(t, g):
+            if not t.requires_grad:
+                return
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
+            t.grad += g
+
+        from discourse_rater.data import Example
+
+        def parameter_gradients():
+            with T.precision(dtype):
+                model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=2, seed=5))
+                examples = [Example(make_segment(np.random.default_rng(i), seg_id=f"s{i}",
+                                                 text_len=t, chunk_len=c),
+                                    {comp: r for comp in COMPONENTS})
+                            for i, (t, c, r) in enumerate(zip((9, 17, 12), (20, 11, 25),
+                                                              (1.5, 3.0, 4.0)))]
+                loss = batch_loss(model, collate_batch(examples),
+                                  component_weights(examples, COMPONENTS), training=True,
+                                  rng=np.random.default_rng(1))
+                loss.backward()
+                return {name: t.grad for name, t in model.parameters().items()}
+
+        seeded = parameter_gradients()
+        monkeypatch.setattr(T, "_accum", zero_fill_and_add)
+        reference = parameter_gradients()
+        assert seeded.keys() == reference.keys()
+        for name, grad in reference.items():
+            assert grad.dtype == np.dtype(dtype), name
+            assert np.array_equal(seeded[name], grad), name
+
     def test_evaluation_and_predict_keep_input_order(self, rng):
         # Ten segments of shuffled lengths run as two length-sorted groups;
         # results must come back in input order.

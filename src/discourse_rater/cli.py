@@ -357,7 +357,7 @@ def _read_predictions(path: str) -> dict[str, dict[str, float]]:
                                       offset=0)
             for row in reader:
                 segment, component, value = (row[column] for column in columns)
-                if value is None or component is None or segment is None:
+                if None in (segment, component, value):
                     raise FormatError(f"prediction table {path} line {reader.line_num} "
                                       f"has too few fields")
                 try:

@@ -13,8 +13,8 @@ every operation allocates a fresh output.
 
 A graph is single-use: :meth:`Tensor.backward` consumes it as it goes, so
 each intermediate's gradient and the forward activations its closure holds
-are freed as soon as they have been used, and a step's peak memory is about
-the graph plus one layer's gradients rather than twice the graph.
+are freed as soon as they have been used, and a training step's peak memory
+stays close to the size of its forward graph.
 """
 
 from __future__ import annotations

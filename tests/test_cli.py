@@ -280,6 +280,13 @@ class TestCorrelateCommand:
                        tmp_path / "absent.csv", "--out", tmp_path / "corr") == 2
         assert "cannot read prediction table" in capsys.readouterr().err
 
+    def test_table_that_is_not_utf8_is_format_error(self, dataset_dir, tmp_path, capsys):
+        table = tmp_path / "p.csv"
+        table.write_bytes(b"segment_id,component,predicted_rating\ns\xff,nature,2.5\n")
+        assert run_cli("correlate", "--data", dataset_dir, "--predictions", table,
+                       "--out", tmp_path / "corr") == 1
+        assert "is not UTF-8 CSV" in capsys.readouterr().err
+
     CELLS = st.one_of(st.text(max_size=6), st.floats().map(str),
                       st.sampled_from(["nature", "quality", "1.5", "", "inf", "high"]))
 

@@ -19,12 +19,22 @@ It then compares every file the two sides wrote, byte for byte.  In
 ``predictions``) are masked, by making them relative to the side's
 temporary directory.  It prints one line per file and exits 1 if any file
 differs or exists on one side only, 2 if a command fails.
+
+For a file that differs it also prints how far apart it is.  Each side is
+split into measured values and the rest: in a text file a measured value
+is a number written with two or more decimals or with an exponent; in a
+DFM1 checkpoint it is every tensor value.  Everything else (ids, ratings,
+which take one decimal at most, counts, tensor names and shapes) must match
+exactly, and the line says whether it does.  Where it does, the line gives
+the largest absolute and relative difference between paired values.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -49,6 +59,9 @@ SEQUENCE = [
 ]
 
 PATH_FIELDS = ("data", "out", "predictions")
+
+MEASURED = re.compile(r"(?<![\w.])-?(?:\d+\.\d{2,}(?:[eE][-+]?\d+)?"
+                      r"|\d+(?:\.\d*)?[eE][-+]?\d+)(?![\w.])")
 
 
 def run_sequence(checkout: Path, root: Path) -> None:
@@ -77,6 +90,55 @@ def comparable_bytes(path: Path, root: Path) -> bytes:
     return json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
 
 
+def split_measured(data: bytes) -> tuple[bytes, list[float]]:
+    """A file's content with its measured values taken out, and those values."""
+    if data[:4] == b"DFM1":
+        return split_checkpoint(data)
+    text = data.decode("utf-8", errors="surrogateescape")
+    values = [float(m) for m in MEASURED.findall(text)]
+    rest = MEASURED.sub("#", text).encode("utf-8", errors="surrogateescape")
+    return rest, values
+
+
+def split_checkpoint(data: bytes) -> tuple[bytes, list[float]]:
+    """A DFM1 checkpoint: its config, names and shapes, and its tensor values."""
+    (size,) = struct.unpack_from("<I", data, 4)
+    offset = 8 + size
+    rest = [data[:offset]]
+    values: list[float] = []
+    (count,) = struct.unpack_from("<I", data, offset)
+    offset += 4
+    for _ in range(count):
+        (size,) = struct.unpack_from("<I", data, offset)
+        (rank,) = struct.unpack_from("<I", data, offset + 4 + size)
+        header_end = offset + 8 + size + 4 * rank
+        shape = struct.unpack_from(f"<{rank}I", data, header_end - 4 * rank)
+        rest.append(data[offset:header_end])
+        n = 1
+        for dim in shape:
+            n *= dim
+        values.extend(struct.unpack_from(f"<{n}f", data, header_end))
+        offset = header_end + 4 * n
+    rest.append(data[offset:])
+    return b"".join(rest), values
+
+
+def describe_difference(parent: bytes, change: bytes) -> str:
+    """Whether the non-measured content matches, and how far the values are apart."""
+    parent_rest, parent_values = split_measured(parent)
+    change_rest, change_values = split_measured(change)
+    if parent_rest != change_rest or len(parent_values) != len(change_values):
+        return "other content DIFFERS"
+    worst_abs = worst_rel = 0.0
+    for a, b in zip(parent_values, change_values):
+        gap = abs(a - b)
+        worst_abs = max(worst_abs, gap)
+        if gap:
+            worst_rel = max(worst_rel, gap / max(abs(a), abs(b)))
+    return (f"other content identical; {len(parent_values)} values, "
+            f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -94,13 +156,13 @@ def main(argv=None) -> int:
         for name in sorted(set(files[0]) | set(files[1])):
             if name not in files[0] or name not in files[1]:
                 status = "only in " + ("change" if name in files[1] else "parent")
-            elif comparable_bytes(files[0][name], roots[0]) \
-                    == comparable_bytes(files[1][name], roots[1]):
-                status = "identical"
             else:
-                status = "DIFFERS"
+                parent, change = (comparable_bytes(side[name], root)
+                                  for side, root in zip(files, roots))
+                status = "identical" if parent == change else "DIFFERS"
             differing += status != "identical"
-            print(f"{status:>14s}  {name}")
+            detail = f": {describe_difference(parent, change)}" if status == "DIFFERS" else ""
+            print(f"{status:>14s}  {name}{detail}")
     print(f"{differing} of {len(set(files[0]) | set(files[1]))} files differ")
     return 1 if differing else 0
 

@@ -68,6 +68,42 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     return x * Tensor(dropout_keep(rng, x.shape, rate))
 
 
+# -- packed rows ----------------------------------------------------------------
+
+
+class Rows:
+    """Where ``B`` sequences sit in one packed ``[rows, d]`` array.
+
+    Sequence ``i`` holds rows ``starts[i] : starts[i] + lengths[i]``, and no
+    row is padding.  Only the attention core needs a padded view, which
+    :meth:`padded` describes.
+    """
+
+    def __init__(self, lengths):
+        self.lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.total = int(self.lengths.sum())
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def padded(self, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Gather index and validity, both ``[B, lead + max length]``.
+
+        The gather source holds ``lead`` rows shared by every sequence, then
+        the packed rows, then one zero row that every padded slot reads.
+        """
+        width = int(self.lengths.max(initial=0))
+        valid = np.arange(width) < self.lengths[:, None]
+        index = np.where(valid, lead + self.starts[:, None] + np.arange(width),
+                         lead + self.total)
+        if lead:
+            shared = np.broadcast_to(np.arange(lead), (len(self), lead))
+            index = np.concatenate([shared, index], axis=1)
+            valid = np.concatenate([np.ones((len(self), lead), dtype=bool), valid], axis=1)
+        return index, valid
+
+
 # -- attention ---------------------------------------------------------------
 
 
@@ -118,71 +154,86 @@ class AttentionParams:
                 "wv": self.wv, "bv": self.bv, "wo": self.wo, "bo": self.bo}
 
 
-def multi_head_attention(q_seq: Tensor, kv_seq: Tensor, kv_mask: np.ndarray | None,
-                         params: AttentionParams, return_weights: bool = False):
-    """Scaled dot-product attention with the query stream kept at model width.
+def multi_head_attention(x: Tensor, params: AttentionParams, *,
+                         rows: Rows | None = None,
+                         context: Tensor | None = None,
+                         context_rows: Rows | None = None,
+                         context_cls: Tensor | None = None,
+                         cls_only: bool = False,
+                         return_weights: bool = False):
+    """Scaled dot-product attention on packed rows, queries at model width.
 
-    Takes one sequence pair (``[Lq, model_dim]`` queries, ``[Lk, context_dim]``
-    context) or a batch of them (``[B, Lq, model_dim]``, ``[B, Lk,
-    context_dim]``); a batch runs as one ``bmm`` over ``B * num_heads``.
-    ``kv_mask`` (``[Lk]``, or ``[B, Lk]`` for a batch) marks valid context
-    rows; invalid rows receive exactly zero attention weight, example by
-    example.  Returns ``[..., Lq, model_dim]`` (and the per-head weight array
-    ``[..., num_heads, Lq, Lk]`` when ``return_weights``).
+    ``x`` holds the packed query-side rows ``[rows, model_dim]`` of the
+    sequences ``rows`` lays out (one sequence when None).  Keys and values
+    come from ``x`` itself, or from ``context``: the packed ``[rows,
+    context_dim]`` rows that ``context_rows`` lays out (one sequence when
+    None), each sequence led by ``context_cls`` when given.  That
+    ``[context_dim]`` row is projected once and shared, so no context row
+    needs a gradient.  Each sequence attends within its own keys only.
+
+    The projections run on the packed rows.  Only the core pads: Q, K and V
+    are each gathered once into ``[B, L_max, model_dim]``, padded slots read
+    a zero row and receive exactly zero attention weight, and one ``bmm``
+    over ``B * num_heads`` forms the scores and one the values.  Returns the
+    packed outputs ``[rows, model_dim]``, or with ``cls_only`` the first row
+    of each sequence alone (``[B, model_dim]``); with ``return_weights`` also
+    the weights ``[B, num_heads, Lq, Lk]`` of the padded view.
     """
-    if q_seq.ndim not in (2, 3) or kv_seq.ndim != q_seq.ndim:
-        raise ShapeError(f"attention needs [L, d] or [B, L, d] operands of one rank, "
-                         f"got {q_seq.shape} and {kv_seq.shape}")
-    if q_seq.shape[-1] != params.model_dim:
-        raise ShapeError(f"query width {q_seq.shape[-1]} != model_dim {params.model_dim}")
-    if kv_seq.shape[-1] != params.context_dim:
-        raise ShapeError(f"context width {kv_seq.shape[-1]} != context_dim {params.context_dim}")
-    if q_seq.shape[:-2] != kv_seq.shape[:-2]:
-        raise ShapeError(f"query batch {q_seq.shape[:-2]} != context batch {kv_seq.shape[:-2]}")
-    mask_shape = kv_seq.shape[:-1]
-    if kv_mask is None:
-        kv_mask = np.ones(mask_shape, dtype=bool)
-    else:
-        kv_mask = np.asarray(kv_mask, dtype=bool)
-        if kv_mask.shape != mask_shape:
-            raise ShapeError(f"kv_mask shape {kv_mask.shape} != {mask_shape}")
-    if not kv_mask.any(axis=-1).all():
+    rows = Rows([x.shape[0]]) if rows is None else rows
+    if x.ndim != 2 or x.shape != (rows.total, params.model_dim):
+        raise ShapeError(f"attention needs packed [{rows.total}, {params.model_dim}] "
+                         f"query rows, got {x.shape}")
+    source, source_rows, lead = x, rows, None
+    if context is not None:
+        source = context
+        source_rows = Rows([context.shape[0]]) if context_rows is None else context_rows
+        if context.ndim != 2 or context.shape != (source_rows.total, params.context_dim):
+            raise ShapeError(f"context must be packed [{source_rows.total}, "
+                             f"{params.context_dim}] rows, got {context.shape}")
+        if context_cls is not None:
+            lead = context_cls.reshape((1, params.context_dim))
+    kv_index, kv_valid = source_rows.padded(0 if lead is None else 1)
+    if not kv_valid.any(axis=-1).all():
         raise UsageError("attention needs at least one valid context position")
+    zero = Tensor(np.zeros((1, params.model_dim)))
 
-    single = q_seq.ndim == 2
-    if single:
-        q_seq = q_seq.reshape((1,) + q_seq.shape)
-        kv_seq = kv_seq.reshape((1,) + kv_seq.shape)
-        kv_mask = kv_mask[None, :]
-    batch, n_q, _ = q_seq.shape
-    n_kv = kv_seq.shape[1]
+    def padded(w: Tensor, b: Tensor) -> Tensor:
+        parts = [T.matmul(source, w) + b, zero]
+        if lead is not None:
+            parts.insert(0, T.matmul(lead, w) + b)
+        return T.embedding_lookup(T.concat(parts), kv_index)
+
+    keys, values = padded(params.wk, params.bk), padded(params.wv, params.bv)
+    batch = len(rows)
+    if cls_only:
+        queries = (T.matmul(T.take(x, rows.starts), params.wq) + params.bq) \
+            .reshape((batch, 1, params.model_dim))
+    else:
+        q_index, q_valid = rows.padded()
+        queries = T.embedding_lookup(T.concat([T.matmul(x, params.wq) + params.bq, zero]),
+                                     q_index)
+    n_q, n_kv = queries.shape[1], keys.shape[1]
     n_heads = params.num_heads
     head_dim = params.model_dim // n_heads
-    scale = 1.0 / math.sqrt(head_dim)
 
-    def split_heads(x: Tensor, axes: tuple[int, ...]) -> Tensor:
+    def split_heads(h: Tensor, axes: tuple[int, ...]) -> Tensor:
         # [B, L, H * dh] -> [B * H, ...] with the per-head axes in ``axes`` order.
-        rows = x.shape[1]
-        heads = T.permute(x.reshape((batch, rows, n_heads, head_dim)), (0, 2) + axes)
+        heads = T.permute(h.reshape((batch, h.shape[1], n_heads, head_dim)), (0, 2) + axes)
         return heads.reshape((batch * n_heads,) + heads.shape[2:])
 
-    q = split_heads(T.matmul(q_seq, params.wq) + params.bq, (1, 3))   # [BH, Lq, dh]
-    k_t = split_heads(T.matmul(kv_seq, params.wk) + params.bk, (3, 1))  # [BH, dh, Lk]
-    v = split_heads(T.matmul(kv_seq, params.wv) + params.bv, (1, 3))   # [BH, Lk, dh]
-
-    scores = T.bmm(q, k_t) * scale                                    # [BH, Lq, Lk]
-    if not kv_mask.all():
-        scores = T.masked_fill(scores, np.repeat(~kv_mask, n_heads, axis=0)[:, None, :],
+    scores = T.bmm(split_heads(queries, (1, 3)), split_heads(keys, (3, 1))) \
+        * (1.0 / math.sqrt(head_dim))                                   # [BH, Lq, Lk]
+    if not kv_valid.all():
+        scores = T.masked_fill(scores, np.repeat(~kv_valid, n_heads, axis=0)[:, None, :],
                                NEG_FILL)
     attn = T.softmax(scores, axis=-1)
-    per_head = T.bmm(attn, v).reshape((batch, n_heads, n_q, head_dim))
-    merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch, n_q, params.model_dim))
+    per_head = T.bmm(attn, split_heads(values, (1, 3))).reshape((batch, n_heads, n_q, head_dim))
+    merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch * n_q, params.model_dim))
+    if not cls_only:
+        merged = T.take(merged, np.flatnonzero(q_valid))
     out = T.matmul(merged, params.wo) + params.bo
-    if single:
-        out = out.reshape((n_q, params.model_dim))
     if return_weights:
-        weights = attn.data.reshape((batch, n_heads, n_q, n_kv))
-        return out, (weights[0] if single else weights).copy()
+        return out, attn.data.reshape((batch, n_heads, n_q, n_kv)).copy()
     return out
 
 
@@ -234,47 +285,51 @@ class EncoderBlockParams:
         return out
 
 
-def encoder_block(x_seq: Tensor, params: EncoderBlockParams, *,
+def encoder_block(x: Tensor, params: EncoderBlockParams, *,
+                  rows: Rows | None = None,
                   context: Tensor | None = None,
-                  x_mask: np.ndarray | None = None,
-                  context_mask: np.ndarray | None = None,
+                  context_rows: Rows | None = None,
+                  context_cls: Tensor | None = None,
                   training: bool = False,
                   rng: np.random.Generator | None = None,
                   keep: tuple[np.ndarray, np.ndarray] | None = None,
                   cls_only: bool = False) -> Tensor:
     """Pre-norm residual block: x + Attn(LN(x), ctx), then y + FFN(LN(y)).
 
-    Self-attention over ``x_seq`` when ``context`` is None, cross-attention
-    with text as the query otherwise.  ``x_seq`` is one sequence ``[L, d]``
-    or a padded batch ``[B, L, d]`` (masks and context batched to match).
+    ``x`` holds packed rows ``[rows, d]``: the sequences ``rows`` lays out
+    (one sequence when None), back to back with no padding, each starting
+    with its CLS row.  LN1, LN2, the Q/K/V/O projections, the FFN, dropout
+    and the residuals run on those rows alone; only the attention core pads
+    (see :func:`multi_head_attention`, which also describes ``context``,
+    ``context_rows`` and ``context_cls``).  Self-attention when ``context``
+    is None, cross-attention with text as the query otherwise.
 
     In training, ``keep`` holds the dropout scales of the attention and the
-    FFN output, each shaped like ``x_seq``; without it the block draws both
-    from ``rng``, attention site first.  With ``cls_only`` the block returns
-    row 0 alone (``[..., 1, d]``): every row still enters LN1 and the K/V
-    projections, but only the CLS row goes through the query, the residuals,
+    FFN output, each shaped like ``x``; without it the block draws both from
+    ``rng``, attention site first.  With ``cls_only`` the block returns the
+    CLS rows alone (``[B, d]``): every row still enters LN1 and the K/V
+    projections, but only the CLS rows go through the query, the residuals,
     LN2 and the FFN, because no other row of a last block reaches an output.
     """
+    rows = Rows([x.shape[0]]) if rows is None else rows
     rate = params.dropout_rate
     if not training or rate <= 0.0:
         keep = None
     elif keep is None:
-        keep = (dropout_keep(rng, x_seq.shape, rate), dropout_keep(rng, x_seq.shape, rate))
-    normed = T.layer_norm(x_seq, params.ln1_gain, params.ln1_bias)
-    if context is None:
-        kv, kv_mask = normed, x_mask
-    else:
-        kv, kv_mask = context, context_mask
-    query, residual = normed, x_seq
+        keep = (dropout_keep(rng, x.shape, rate), dropout_keep(rng, x.shape, rate))
+    normed = T.layer_norm(x, params.ln1_gain, params.ln1_bias)
+    attn = multi_head_attention(normed, params.attention, rows=rows, context=context,
+                                context_rows=context_rows, context_cls=context_cls,
+                                cls_only=cls_only)
+    residual = x
     if cls_only:
-        query, residual = normed[..., :1, :], x_seq[..., :1, :]
+        residual = T.take(x, rows.starts)
         if keep is not None:
-            keep = tuple(site[..., :1, :] for site in keep)
+            keep = tuple(site[rows.starts] for site in keep)
 
-    def drop(x: Tensor, site: int) -> Tensor:
-        return x if keep is None else x * Tensor(keep[site])
+    def drop(h: Tensor, site: int) -> Tensor:
+        return h if keep is None else h * Tensor(keep[site])
 
-    attn = multi_head_attention(query, kv, kv_mask, params.attention)
     y = residual + drop(attn, 0)
     normed2 = T.layer_norm(y, params.ln2_gain, params.ln2_bias)
     hidden = T.relu(T.matmul(normed2, params.w1) + params.b1)
@@ -413,17 +468,12 @@ def bilstm_encode(seq: Tensor, params: BiLstmParams) -> Tensor:
 
 
 def prepend_cls(seq: Tensor, cls: Tensor) -> Tensor:
-    """Row 0 of each sequence (``[L, d]`` or ``[B, L, d]``) becomes the CLS
-    embedding; original rows follow unchanged."""
+    """Row 0 of ``[L, d]`` becomes the CLS embedding; original rows follow unchanged."""
     if cls.ndim != 1:
         raise ShapeError(f"cls must be a vector, got shape {cls.shape}")
-    if seq.ndim not in (2, 3) or seq.shape[-1] != cls.shape[0]:
+    if seq.ndim != 2 or seq.shape[-1] != cls.shape[0]:
         raise ShapeError(f"width mismatch: seq {seq.shape} vs cls {cls.shape}")
-    row = cls.reshape((1,) * (seq.ndim - 1) + cls.shape)
-    if seq.ndim == 3:
-        # One CLS row per example; the gradient sums back over the batch.
-        row = row + Tensor(np.zeros((seq.shape[0], 1, cls.shape[0])))
-    return T.concat([row, seq], axis=seq.ndim - 2)
+    return T.concat([cls.reshape((1,) + cls.shape), seq], axis=0)
 
 
 def sinusoid_table(length: int, dim: int, base: float = 10000.0) -> np.ndarray:
@@ -437,8 +487,16 @@ def sinusoid_table(length: int, dim: int, base: float = 10000.0) -> np.ndarray:
     return table
 
 
-def add_positional(seq: Tensor, enabled: bool = True) -> Tensor:
-    """Add the sinusoid table to ``[L, d]``, or to every sequence of ``[B, L, d]``."""
+def add_positional(seq: Tensor, enabled: bool = True,
+                   positions: np.ndarray | None = None) -> Tensor:
+    """Add the sinusoid table to ``[L, d]`` rows, row ``j`` at position ``j``.
+
+    Packed rows of several sequences pass each row's position in its own
+    sequence as ``positions``.
+    """
     if not enabled:
         return seq
-    return seq + Tensor(sinusoid_table(seq.shape[-2], seq.shape[-1]))
+    if positions is None:
+        return seq + Tensor(sinusoid_table(seq.shape[0], seq.shape[-1]))
+    width = int(positions.max(initial=-1)) + 1
+    return seq + Tensor(sinusoid_table(width, seq.shape[-1])[positions])

@@ -1,14 +1,15 @@
 """Gradient-integrity catalog: every primitive and composite block.
 
-The catalog holds 36 entries.  Each of the 23 node-building primitives of
+The catalog holds 38 entries.  Each of the 23 node-building primitives of
 ``tensor`` appears once (``take`` as ``slice``, ``tsum`` as ``sum``, ``tmean``
 as ``mean``), plus three variants that reach a separate backward path or
 shape: ``add_broadcast`` (the ``_unbroadcast`` reduction), ``scale`` (``mul``
 with a Python-scalar operand) and ``matmul_batched`` (a rank-3 left operand,
 flattened to one GEMM).  Then each composite: attention on one sequence and
-on a padded batch whose key masks differ per example, the self and cross
-encoder blocks, the classify and regress head modes, the BiLSTM, and the
-OLL, CE and L1 losses.
+on packed rows of uneven sequences against contexts led by one shared CLS
+row, the self and cross encoder blocks on one sequence, the cross block on
+those packed rows, the CLS-only self block on packed rows, the classify and
+regress head modes, the BiLSTM, and the OLL, CE and L1 losses.
 
 Runs in float64 mode and compares reverse-mode gradients against central
 finite differences.  The catalog backs the ``gradcheck`` CLI command; any
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import (AttentionParams, BiLstmParams, EncoderBlockParams,
-                     HeadParams, bilstm_encode, encoder_block, mlp_head,
+                     HeadParams, Rows, bilstm_encode, encoder_block, mlp_head,
                      multi_head_attention)
 from .objective import l1_loss, oll_loss, weighted_ce_loss
 from .tensor import GradCheckReport, Tensor
@@ -80,16 +81,19 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
 
     attn = AttentionParams.create(rng, model_dim=8, context_dim=6, num_heads=2)
     q, kv = _t(rng, 3, 8), _t(rng, 4, 6)
-    kv_mask = np.asarray([True, True, False, True])
     checks.append(("attention",
-                   lambda q, kv, *_: multi_head_attention(q, kv, kv_mask, attn),
+                   lambda q, kv, *_: multi_head_attention(q, attn, context=kv),
                    [q, kv] + list(attn.parameters().values())))
 
-    qb, kvb = _t(rng, 2, 3, 8), _t(rng, 2, 4, 6)
-    batch_mask = np.asarray([[True, True, False, True], [False, True, False, False]])
+    # Packed rows: sequences of 3, 1 and 2 rows against contexts of 2, 0 and
+    # 3 rows behind one shared CLS row.
+    rows, context_rows = Rows([3, 1, 2]), Rows([2, 0, 3])
     checks.append(("attention_batched",
-                   lambda q, kv, *_: multi_head_attention(q, kv, batch_mask, attn),
-                   [qb, kvb] + list(attn.parameters().values())))
+                   lambda q, kv, cls, *_: multi_head_attention(
+                       q, attn, rows=rows, context=kv, context_rows=context_rows,
+                       context_cls=cls),
+                   [_t(rng, 6, 8), _t(rng, 5, 6), _t(rng, 6)]
+                   + list(attn.parameters().values())))
 
     self_block = EncoderBlockParams.create(rng, model_dim=8, num_heads=2, ffn_dim=12)
     x = _t(rng, 3, 8)
@@ -103,6 +107,19 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
     checks.append(("encoder_block_cross",
                    lambda x, ctx, *_: encoder_block(x, cross_block, context=ctx),
                    [x2, ctx] + list(cross_block.parameters().values())))
+
+    packed_cross = EncoderBlockParams.create(rng, model_dim=8, context_dim=6,
+                                             num_heads=2, ffn_dim=12)
+    checks.append(("encoder_block_packed_cross",
+                   lambda x, ctx, cls, *_: encoder_block(
+                       x, packed_cross, rows=rows, context=ctx, context_rows=context_rows,
+                       context_cls=cls),
+                   [_t(rng, 6, 8), _t(rng, 5, 6), _t(rng, 6)]
+                   + list(packed_cross.parameters().values())))
+    packed_self = EncoderBlockParams.create(rng, model_dim=8, num_heads=2, ffn_dim=12)
+    checks.append(("encoder_block_packed_cls",
+                   lambda x, *_: encoder_block(x, packed_self, rows=rows, cls_only=True),
+                   [_t(rng, 6, 8)] + list(packed_self.parameters().values())))
 
     head = HeadParams.create(rng, in_dim=10, hidden=6, out_dim=7)
     hx = _t(rng, 10)

@@ -136,14 +136,28 @@ def _load_config_file(path: Path | None) -> dict:
     return doc
 
 
+# The JSON type a config value must have, for the keys whose default is None.
+_NONE_DEFAULT_TYPES = {"component": str, "signal": [str], "grid_lr": [float],
+                       "grid_batch": [int], "grid_m": [int]}
+
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
+
+
 def _resolve(args, defaults: dict, required: Sequence[str] = ()) -> dict:
     """defaults < config file < explicit flags; each ``required`` key is a
-    path that must then be set, and is resolved to its string form."""
+    path that must then be set, and is resolved to its string form.
+
+    A config-file value must have the JSON type of its key's default (an
+    array's items that of the default's first item), or null where the
+    default is None."""
     file_cfg = _load_config_file(args.config)
     resolved = {key: None for key in required} | defaults
     for key in resolved:
         if key in file_cfg:
-            resolved[key] = file_cfg[key]
+            value = file_cfg[key]
+            if key not in required:
+                _check_json_type(key, value, defaults[key])
+            resolved[key] = value
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -157,12 +171,40 @@ def _resolve(args, defaults: dict, required: Sequence[str] = ()) -> dict:
     return resolved
 
 
+def _check_json_type(key: str, value, default) -> None:
+    if default is None:
+        if value is None:
+            return
+        expected = _NONE_DEFAULT_TYPES[key]
+    else:
+        expected = [type(default[0])] if isinstance(default, list) else type(default)
+    if not _fits(value, expected):
+        name = (f"array of {_JSON_NAMES[expected[0]]}s" if isinstance(expected, list)
+                else _JSON_NAMES[expected])
+        raise UsageError(f"config key {key!r} must be a JSON {name}, "
+                         f"not a JSON {_json_type(value)}")
+
+
+def _fits(value, expected) -> bool:
+    if isinstance(expected, list):
+        return isinstance(value, list) and all(_fits(item, expected[0]) for item in value)
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
+
 def _json_type(value) -> str:
-    """The JSON type name of a value ``json.loads`` returned, other than a string or null."""
+    """The JSON type name of a value ``json.loads`` returned."""
+    if value is None:
+        return "null"
     if isinstance(value, bool):
         return "boolean"
     if isinstance(value, (int, float)):
         return "number"
+    if isinstance(value, str):
+        return "string"
     return "array" if isinstance(value, list) else "object"
 
 
@@ -193,15 +235,17 @@ def _parse_signal_overrides(entries, strength: float) -> dict:
     return signal
 
 
+_SYNTH_DEFAULTS = {
+    "teachers": 10, "segments_per_teacher": 4,
+    "lessons_per_teacher": 2, "text_len": [5, 9], "chunk_len": [6, 10],
+    "signal_strength": 0.8, "signal": None, "rho": 0.3, "noise_sd": 0.1,
+    "rater_noise_sd": 0.4, "students_per_teacher": 0,
+    "outcome_noise_sd": 0.1, "seed": 0,
+}
+
+
 def cmd_synth(args) -> int:
-    defaults = {
-        "teachers": 10, "segments_per_teacher": 4,
-        "lessons_per_teacher": 2, "text_len": [5, 9], "chunk_len": [6, 10],
-        "signal_strength": 0.8, "signal": None, "rho": 0.3, "noise_sd": 0.1,
-        "rater_noise_sd": 0.4, "students_per_teacher": 0,
-        "outcome_noise_sd": 0.1, "seed": 0,
-    }
-    resolved = _resolve(args, defaults, ("out",))
+    resolved = _resolve(args, *_SETTINGS["synth"])
 
     cfg = SynthConfig(
         n_teachers=resolved["teachers"],
@@ -278,7 +322,7 @@ def _report_text(report) -> str:
 
 
 def cmd_train(args) -> int:
-    resolved = _resolve(args, {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}, ("data", "out"))
+    resolved = _resolve(args, *_SETTINGS["train"])
     dataset = Dataset.load(resolved["data"])
     train_config = _train_config(resolved)
     model, history = fit_model(dataset, dataset.manifest.teacher_ids(),
@@ -306,9 +350,18 @@ def _write_predictions(path: Path, predictions) -> None:
 _CV_DEFAULTS = {"jobs": 1, "grid_lr": None, "grid_batch": None, "grid_m": None,
                 **_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
 
+# Per command: the defaults of its settings and the path keys it requires.
+_SETTINGS = {
+    "synth": (_SYNTH_DEFAULTS, ("out",)),
+    "train": ({**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}, ("data", "out")),
+    "cv": (_CV_DEFAULTS, ("data", "out")),
+    "ablate": ({"axes": ["modality"], **_CV_DEFAULTS}, ("data", "out")),
+    "correlate": ({}, ("data", "out", "predictions")),
+}
+
 
 def cmd_cv(args) -> int:
-    resolved = _resolve(args, _CV_DEFAULTS, ("data", "out"))
+    resolved = _resolve(args, *_SETTINGS["cv"])
     dataset = Dataset.load(resolved["data"])
     result = run_nested_cv(dataset, _model_config(resolved), _train_config(resolved),
                            grid=_grid(resolved), seed=resolved["seed"],
@@ -324,7 +377,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    resolved = _resolve(args, {"axes": ["modality"], **_CV_DEFAULTS}, ("data", "out"))
+    resolved = _resolve(args, *_SETTINGS["ablate"])
     dataset = Dataset.load(resolved["data"])
     result = run_ablation(dataset, resolved["axes"], _model_config(resolved),
                           _train_config(resolved), grid=_grid(resolved),
@@ -378,7 +431,7 @@ def _read_predictions(path: str) -> dict[str, dict[str, float]]:
 
 
 def cmd_correlate(args) -> int:
-    resolved = _resolve(args, {}, ("data", "out", "predictions"))
+    resolved = _resolve(args, *_SETTINGS["correlate"])
     manifest = DatasetManifest.load(Path(resolved["data"]) / "manifest.json")
     if not manifest.student_records:
         raise UsageError("manifest has no student records to correlate against")

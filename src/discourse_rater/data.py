@@ -177,7 +177,16 @@ class DatasetManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        """Read a manifest; a file that cannot be read is ``UsageError``."""
+        try:
+            raw = Path(path).read_bytes()
+        except OSError as exc:
+            raise UsageError(f"cannot read dataset manifest {path}: {exc.strerror}") from exc
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"manifest {path} is not UTF-8", offset=exc.start) from None
+        return cls.from_json(text)
 
 
 # -- preprocessing rules -------------------------------------------------------
@@ -299,8 +308,15 @@ def write_feature_file(path: str | Path, seg: SegmentFeatures) -> None:
 
 def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = "",
                       lesson_id: str = "", duration_s: float = SEGMENT_S) -> SegmentFeatures:
-    """Read a "DFX1" file; malformed input raises with the failing byte offset."""
-    raw = Path(path).read_bytes()
+    """Read a "DFX1" file; malformed input raises with the failing byte offset.
+
+    A file that cannot be read is ``DataError``: the manifest names a file
+    that is not there.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read feature file {path}: {exc.strerror}") from exc
     if raw[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}", offset=0)
     offset = 4
@@ -404,6 +420,10 @@ class SynthConfig:
             raise UsageError("need at least one teacher and one segment per teacher")
         if not 0.0 <= self.label_correlation <= 1.0:
             raise UsageError("label_correlation must lie in [0, 1]")
+        for name, pair in (("text_len", self.text_len), ("chunk_len", self.chunk_len)):
+            if len(pair) != 2 or not 0 <= pair[0] <= pair[1]:
+                raise UsageError(f"{name} must be (min, max) with 0 <= min <= max, "
+                                 f"got {tuple(pair)}")
         for modality, per_component in self.signal_strength.items():
             if modality not in _MODALITY_DIMS:
                 raise UsageError(f"unknown modality {modality!r} in signal_strength")

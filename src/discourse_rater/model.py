@@ -21,10 +21,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams,
+from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, Rows,
                      add_positional, bilstm_encode, dropout_keep,
-                     encoder_block, mlp_head, prepend_cls, xavier_uniform,
-                     zeros_param)
+                     encoder_block, mlp_head, xavier_uniform, zeros_param)
 from .data import AUDIO_DIM, TEXT_DIM, VIDEO_DIM, SegmentFeatures
 from .errors import (ConfigError, DataError, FormatError, NumericsError,
                      ShapeError)
@@ -238,13 +237,16 @@ def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeat
 
     ``segments`` share one length per modality, as ``train.collate_batch``
     pads them, and ``masks`` holds one dict per segment marking its valid
-    rows (None, or a None entry, when a segment has no padding).
+    rows, a prefix (None, or a None entry, when a segment has no padding).
     Classification heads return ``[B, 7]`` probabilities; the regression
     variant returns ``[B, 1]`` unbounded scores.  One ``SegmentFeatures``
     with one mask dict is a batch of one whose outputs come back as vectors.
 
-    Attention configurations run the batch at once through the fusion stack;
-    the LSTM baseline encodes segment by segment and batches only the heads.
+    Attention configurations run the batch at once through the fusion stack
+    on packed rows: the real rows of every segment, gathered once from the
+    padded input, back to back.  Every row-wise layer sees only those rows;
+    the attention core alone pads, per block.  The LSTM baseline encodes
+    segment by segment and batches only the heads.
     When the stack raises ``NumericsError`` and a segment holds a non-finite
     feature, ``DataError`` names each such segment and modality instead.
     """
@@ -284,73 +286,92 @@ def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeat
     return outputs
 
 
-def _stacked(segments: Sequence[SegmentFeatures], masks, modality: str) -> tuple[np.ndarray, np.ndarray]:
-    """``[B, L, width]`` features and ``[B, L + 1]`` validity, CLS column first."""
+def _packed(segments: Sequence[SegmentFeatures], masks, modality: str) -> tuple[np.ndarray, Rows, np.ndarray, int]:
+    """The real rows of one modality, gathered once from the padded batch.
+
+    Returns the rows ``[rows, width]`` segment after segment, their layout,
+    each row's position in its segment and the padded length.
+    """
     arrays = [seg.modality(modality) for seg in segments]
     lengths = sorted({arr.shape[0] for arr in arrays})
     if len(lengths) != 1:
         raise ShapeError(f"{modality} sequences of one batch differ in length {lengths}; "
                          f"pad them to one length (train.collate_batch)")
-    valid = np.ones((len(arrays), lengths[0] + 1), dtype=bool)
+    valid = np.ones((len(arrays), lengths[0]), dtype=bool)
     for row, seg_masks in zip(valid, masks):
         if seg_masks is not None and seg_masks.get(modality) is not None:
-            row[1:] = seg_masks[modality]
-    return np.stack(arrays), valid
+            row[:] = seg_masks[modality]
+    rows = Rows(valid.sum(axis=1))
+    if (valid != (np.arange(lengths[0]) < rows.lengths[:, None])).any():
+        raise ShapeError(f"{modality} masks must mark a prefix of each segment's rows")
+    return np.stack(arrays)[valid], rows, np.nonzero(valid)[1], lengths[0]
 
 
 def _prepared_stream(model: FusionModel, segments: Sequence[SegmentFeatures], masks,
-                     modality: str) -> tuple[Tensor, np.ndarray]:
-    """Positional encodings, then CLS; returns the batch and its validity mask."""
-    features, valid = _stacked(segments, masks, modality)
+                     modality: str) -> tuple[Tensor, Rows, int]:
+    """Packed rows with positional encodings, their layout and the padded length."""
+    features, rows, positions, padded = _packed(segments, masks, modality)
     raw = Tensor(features)
     if modality == "audio" and model.audio_in_w is not None:
         raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
-    stream = add_positional(raw, enabled=model.config.positional)
-    return prepend_cls(stream, model.cls[modality]), valid
+    return add_positional(raw, model.config.positional, positions), rows, padded
 
 
-def _dropout_keeps(stack: Sequence[EncoderBlockParams], shape: tuple[int, int, int],
+def _dropout_keeps(stack: Sequence[EncoderBlockParams], rows: Rows, padded: int,
                    rng: np.random.Generator | None) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Dropout scales for every block of the stack, each ``shape`` = [B, L, d].
+    """Dropout scales of every block of the stack, each packed like the stream.
 
     They are drawn example-major: for each example, each block in stack
-    order, the attention site and then the FFN site, full rows each.  That is
-    the order in which running the examples one at a time draws them, so a
-    batch trains as its examples did alone.
+    order, the attention site and then the FFN site, ``padded`` full rows
+    each, of which the example keeps its first ``rows.lengths[i]``.  That is
+    the order in which running the examples one at a time on padded rows
+    draws them, so a batch trains as its examples did alone.
     """
+    shape = (rows.total, MODEL_DIM)
     keeps = [None if block.dropout_rate <= 0.0 else
              (np.empty(shape, dtype=T.current_dtype()), np.empty(shape, dtype=T.current_dtype()))
              for block in stack]
-    for example in range(shape[0]):
+    for start, length in zip(rows.starts, rows.lengths):
         for block, keep in zip(stack, keeps):
             if keep is not None:
                 for site in keep:
-                    site[example] = dropout_keep(rng, shape[1:], block.dropout_rate)
+                    drawn = dropout_keep(rng, (padded, MODEL_DIM), block.dropout_rate)
+                    site[start:start + length] = drawn[:length]
     return keeps
 
 
 def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures], masks,
                       training: bool, rng: np.random.Generator | None) -> Tensor:
-    """The CLS rows ``[B, d]`` after the fusion stack."""
+    """The CLS rows ``[B, d]`` after the fusion stack, run on packed rows.
+
+    The text stream is each segment's CLS row followed by its real rows,
+    segment after segment; audio and video are packed likewise, and their
+    CLS rows lead each context sequence inside the cross blocks.
+    """
     config = model.config
     fused = len(config.modalities) > 1
-    text, text_mask = _prepared_stream(model, segments, masks,
-                                       "text" if fused else config.modalities[0])
-    contexts = {modality: _prepared_stream(model, segments, masks, modality)
+    query = "text" if fused else config.modalities[0]
+    stream, feature_rows, padded = _prepared_stream(model, segments, masks, query)
+    index, valid = feature_rows.padded(lead=1)
+    cls_row = model.cls[query].reshape((1, MODEL_DIM))
+    text = T.embedding_lookup(T.concat([cls_row, stream]), index[valid])
+    rows = Rows(feature_rows.lengths + 1)
+    contexts = {modality: _prepared_stream(model, segments, masks, modality)[:2]
                 for modality in ("audio", "video") if fused and modality in config.modalities}
-    stack = [(block, contexts.get(modality))
+    stack = [(block, modality)
              for module in model.modules
              for modality, block in (("audio", module.cross_audio),
                                      ("video", module.cross_video), (None, module.self_attn))
              if block is not None]
-    keeps = _dropout_keeps([block for block, _ in stack], text.shape, rng) if training \
+    keeps = _dropout_keeps([block for block, _ in stack], rows, padded + 1, rng) if training \
         else [None] * len(stack)
-    for i, ((block, context), keep) in enumerate(zip(stack, keeps)):
-        ctx, ctx_mask = context if context is not None else (None, None)
-        text = encoder_block(text, block, context=ctx, x_mask=text_mask,
-                             context_mask=ctx_mask, training=training, keep=keep,
-                             cls_only=i == len(stack) - 1)
-    return text.reshape((text.shape[0], text.shape[2]))
+    for i, ((block, modality), keep) in enumerate(zip(stack, keeps)):
+        context, context_rows = contexts.get(modality, (None, None))
+        text = encoder_block(text, block, rows=rows, context=context,
+                             context_rows=context_rows,
+                             context_cls=None if modality is None else model.cls[modality],
+                             training=training, keep=keep, cls_only=i == len(stack) - 1)
+    return text
 
 
 def _lstm_pooled(model: FusionModel, seg: SegmentFeatures,

@@ -257,8 +257,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _op(data, (a, b), backward)
 
@@ -268,8 +270,10 @@ def sub(a, b) -> Tensor:
     data = a.data - b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _op(data, (a, b), backward)
 
@@ -279,8 +283,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _op(data, (a, b), backward)
 
@@ -419,8 +425,10 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.swapaxes(-1, -2))
-        _accum(b, a.data.swapaxes(-1, -2) @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            _accum(b, a.data.swapaxes(-1, -2) @ g)
 
     return _op(data, (a, b), backward)
 
@@ -458,7 +466,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+            if t.requires_grad:
+                _accum(t, piece)
 
     return _op(data, tuple(tensors), backward)
 
@@ -529,26 +538,39 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     lead = tuple(range(x.ndim - 1))
 
     def backward(g):
-        _accum(gain, (g * xhat).sum(axis=lead))
-        _accum(bias, g.sum(axis=lead))
-        dxhat = g * gain.data
-        term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(a, inv * term)
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).sum(axis=lead))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=lead))
+        if a.requires_grad:
+            dxhat = g * gain.data
+            term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            _accum(a, inv * term)
 
     return _op(data, (a, gain, bias), backward)
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
-    """Gather rows of ``table``; the gradient scatter-adds back into them."""
+    """Gather rows of ``table``; the gradient scatter-adds back into them.
+
+    A row gathered once takes its gradient by assignment; each row gathered
+    more than once sums its gradients in one reduction, so the backward costs
+    a copy plus one pass per repeated row rather than ``np.add.at``'s
+    per-index loop.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     data = table.data[idx]
 
     def backward(g):
-        if not table.requires_grad:
-            return
+        flat = idx.reshape(-1) % table.data.shape[0]
+        g_rows = g.reshape((flat.size,) + table.data.shape[1:])
+        counts = np.bincount(flat, minlength=table.data.shape[0])
+        once = counts[flat] == 1
         full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
+        full[flat[once]] = g_rows[once]
+        for row in np.flatnonzero(counts > 1):
+            full[row] = g_rows[flat == row].sum(axis=0)
         _accum(table, full)
 
     return _op(data, (table,), backward)

@@ -1,7 +1,9 @@
 """Optimization loop: AdamW, plateau halving, early stopping, batched forward.
 
 Each training step pads its batch to one length per modality
-(``collate_batch``) and runs it through a single ``forward`` call.
+(``collate_batch``) and runs it through a single ``forward`` call, which
+gathers the real rows out of the padding once and runs the fusion stack on
+those packed rows, so padding costs no compute outside the attention core.
 Evaluation and prediction do the same under ``no_grad`` for groups of at
 most ``EVAL_GROUP`` examples of similar length, and return results in input
 order.

@@ -1,6 +1,7 @@
-"""Shared test oracles, independent of the library's model code."""
+"""Shared test oracles, independent of the library's model code, and fuzzing helpers."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from discourse_rater.data import Dataset
 from discourse_rater.metrics import qwk
@@ -73,41 +74,64 @@ def make_segment(rng, seg_id="s1", teacher="t1", lesson="l1",
 
 
 def fusion_oracle(model, seg, masks=None, rng=None):
-    """Per-segment head outputs from rank-2 blocks on full rows.
+    """Per-segment head outputs from single-sequence blocks on the real rows.
 
-    The reference for the batched ``model.forward``: positional encoding,
-    then CLS, then every encoder block of the stack on all rows of this one
-    segment, then row 0, then the heads.  ``masks`` marks the valid rows of a
-    padded segment; with ``rng`` the blocks run in training mode and draw
-    their own dropout masks.
+    The reference for the packed ``model.forward``: positional encoding,
+    then CLS, then every encoder block of the stack on the real rows of this
+    one segment (``masks`` marks them in a padded segment), with each context
+    CLS prepended as an ordinary context row; then row 0, then the heads.
+    With ``rng`` the blocks run in training mode: each block draws both
+    dropout sites over all rows of the padded segment, as a batch does, and
+    keeps those of the real rows.
     """
     from discourse_rater import tensor as T
-    from discourse_rater.blocks import add_positional, encoder_block, mlp_head, prepend_cls
+    from discourse_rater.blocks import (add_positional, dropout_keep, encoder_block,
+                                        mlp_head, prepend_cls)
     from discourse_rater.tensor import Tensor
 
     config = model.config
     fused = len(config.modalities) > 1
 
     def stream(modality):
-        raw = Tensor(seg.modality(modality))
+        rows = seg.modality(modality)
+        if masks is not None:
+            rows = rows[masks[modality]]
+        raw = Tensor(rows)
         if modality == "audio" and model.audio_in_w is not None:
             raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
-        seq = prepend_cls(add_positional(raw, config.positional), model.cls[modality])
-        valid = np.ones(seq.shape[0], dtype=bool)
-        if masks is not None:
-            valid[1:] = masks[modality]
-        return seq, valid
+        return prepend_cls(add_positional(raw, config.positional), model.cls[modality])
 
-    text, text_mask = stream("text" if fused else config.modalities[0])
+    query = "text" if fused else config.modalities[0]
+    text = stream(query)
+    padded_rows = seg.modality(query).shape[0] + 1
     for module in model.modules:
         for block, modality in ((module.cross_audio, "audio"),
                                 (module.cross_video, "video"),
                                 (module.self_attn, None)):
             if block is None:
                 continue
-            context, context_mask = (None, None) if modality is None else stream(modality)
-            text = encoder_block(text, block, context=context, x_mask=text_mask,
-                                 context_mask=context_mask, training=rng is not None,
-                                 rng=rng)
+            keep = None
+            if rng is not None and block.dropout_rate > 0:
+                keep = tuple(dropout_keep(rng, (padded_rows, text.shape[1]),
+                                          block.dropout_rate)[:text.shape[0]]
+                             for _ in range(2))
+            context = None if modality is None else stream(modality)
+            text = encoder_block(text, block, context=context, training=rng is not None,
+                                 keep=keep)
     return {component: mlp_head(text[0], head, mode=config.head_mode)
             for component, head in model.heads.items()}
+
+
+# Up to four byte edits, each at a header byte or anywhere, then an optional cut.
+EDITS = st.tuples(st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.0, exclude_max=True),
+                                     st.integers(0, 255)), max_size=4),
+                  st.none() | st.floats(0.0, 1.0))
+
+
+def edited(raw: bytes, headers: list[int], edits) -> bytes:
+    """``raw`` with ``EDITS`` applied; ``headers`` lists the header byte positions."""
+    changes, cut = edits
+    out = bytearray(raw)
+    for in_header, where, value in changes:
+        out[headers[int(where * len(headers))] if in_header else int(where * len(out))] = value
+    return bytes(out if cut is None else out[:int(cut * len(out))])

@@ -3,7 +3,7 @@ import pytest
 
 from discourse_rater import blocks, tensor as T
 from discourse_rater.blocks import (AttentionParams, BiLstmParams,
-                                    EncoderBlockParams, HeadParams,
+                                    EncoderBlockParams, HeadParams, Rows,
                                     add_positional, bilstm_encode, dropout,
                                     encoder_block, mlp_head,
                                     multi_head_attention, prepend_cls,
@@ -21,7 +21,7 @@ class TestMultiHeadAttention:
         params = small_attention(rng)
         q = Tensor(rng.standard_normal((2, 24)))
         kv = Tensor(rng.standard_normal((1, 32)))
-        out = multi_head_attention(q, kv, None, params)
+        out = multi_head_attention(q, params, context=kv)
         v_row = kv.data @ params.wv.data + params.bv.data
         expected = v_row @ params.wo.data + params.bo.data
         assert np.allclose(out.data, np.repeat(expected, 2, axis=0), atol=1e-5)
@@ -30,25 +30,30 @@ class TestMultiHeadAttention:
         params = small_attention(rng)
         q = Tensor(rng.standard_normal((3, 24)))
         kv = Tensor(np.tile(rng.standard_normal(32), (5, 1)))
-        _, weights = multi_head_attention(q, kv, None, params, return_weights=True)
+        _, weights = multi_head_attention(q, params, context=kv, return_weights=True)
         assert np.allclose(weights, 0.2, atol=1e-6)
 
     def test_weight_rows_sum_to_one_at_paper_dims(self, rng):
         params = AttentionParams.create(rng, 768, 1024, 12)
         q = Tensor(rng.standard_normal((3, 768)))
         kv = Tensor(rng.standard_normal((5, 1024)))
-        out, weights = multi_head_attention(q, kv, None, params, return_weights=True)
+        out, weights = multi_head_attention(q, params, context=kv, return_weights=True)
         assert out.shape == (3, 768)
-        assert weights.shape == (12, 3, 5)
+        assert weights.shape == (1, 12, 3, 5)
         assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-6
 
     def test_masked_positions_get_exactly_zero_weight(self, rng):
+        # Packed sequences of 3 and 2 queries against 2 and 5 context rows:
+        # the padded key slots of the first sequence get exactly zero weight.
         params = small_attention(rng)
-        q = Tensor(rng.standard_normal((3, 24)))
-        kv = Tensor(rng.standard_normal((5, 32)))
-        mask = np.asarray([True, False, True, True, False])
-        _, weights = multi_head_attention(q, kv, mask, params, return_weights=True)
-        assert (weights[:, :, ~mask] == 0.0).all()
+        q = Tensor(rng.standard_normal((5, 24)))
+        kv = Tensor(rng.standard_normal((7, 32)))
+        out, weights = multi_head_attention(q, params, rows=Rows([3, 2]), context=kv,
+                                            context_rows=Rows([2, 5]), return_weights=True)
+        assert out.shape == (5, 24)
+        assert weights.shape == (2, 4, 3, 5)
+        assert (weights[0, :, :, 2:] == 0.0).all()
+        assert (weights[1] > 0.0).all()
         assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-6
 
     def test_all_masked_rejected(self, rng):
@@ -56,25 +61,28 @@ class TestMultiHeadAttention:
         q = Tensor(rng.standard_normal((2, 24)))
         kv = Tensor(rng.standard_normal((3, 32)))
         with pytest.raises(UsageError):
-            multi_head_attention(q, kv, np.zeros(3, dtype=bool), params)
+            multi_head_attention(q, params, rows=Rows([1, 1]), context=kv,
+                                 context_rows=Rows([3, 0]))
 
     def test_context_width_checked(self, rng):
         params = small_attention(rng)
         with pytest.raises(ShapeError):
-            multi_head_attention(Tensor(np.zeros((2, 24))), Tensor(np.zeros((3, 24))),
-                                 None, params)
+            multi_head_attention(Tensor(np.zeros((2, 24))), params,
+                                 context=Tensor(np.zeros((3, 24))))
 
     def test_gradients_match_finite_differences(self):
+        # Uneven packed sequences against contexts led by one shared CLS row.
         with T.precision("float64"):
             rng = np.random.default_rng(5)
             params = small_attention(rng, model_dim=8, context_dim=6, num_heads=2)
-            q = Tensor(rng.standard_normal((3, 8)), requires_grad=True)
-            kv = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
-            mask = np.asarray([True, True, False, True])
-            tensors = [q, kv] + list(params.parameters().values())
+            q = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
+            kv = Tensor(rng.standard_normal((3, 6)), requires_grad=True)
+            cls = Tensor(rng.standard_normal(6), requires_grad=True)
+            tensors = [q, kv, cls] + list(params.parameters().values())
 
-            def fn(q, kv, *_):
-                return multi_head_attention(q, kv, mask, params)
+            def fn(q, kv, cls, *_):
+                return multi_head_attention(q, params, rows=Rows([3, 1]), context=kv,
+                                            context_rows=Rows([1, 2]), context_cls=cls)
 
             report = T.grad_check(fn, tensors, tol=1e-5, name="attention")
         assert report.passed, report
@@ -145,33 +153,41 @@ class TestEncoderBlock:
     @pytest.mark.parametrize("context_dim", [None, 12], ids=["self", "cross"])
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_cls_only_matches_row_zero_of_full_block(self, context_dim, training):
+        # Three packed sequences of 5, 2 and 4 rows; contexts of 4, 0 and 2
+        # rows behind a shared CLS row.  The packed block must equal each
+        # sequence run alone, and cls_only its CLS rows.
         with T.precision("float64"):
             rng = np.random.default_rng(11)
             params = EncoderBlockParams.create(rng, model_dim=16, context_dim=context_dim,
                                                num_heads=4, dropout_rate=0.3)
-            x = Tensor(rng.standard_normal((3, 5, 16)))
-            x_mask = np.asarray([[True] * 5, [True, True, False, False, False],
-                                 [True, True, True, True, False]])
-            context = context_mask = None
+            rows = Rows([5, 2, 4])
+            x = Tensor(rng.standard_normal((rows.total, 16)))
+            context = context_rows = context_cls = None
             if context_dim is not None:
-                context = Tensor(rng.standard_normal((3, 4, context_dim)))
-                context_mask = np.asarray([[True] * 4, [True, False, False, False],
-                                           [False, True, True, False]])
+                context_rows = Rows([4, 0, 2])
+                context = Tensor(rng.standard_normal((context_rows.total, context_dim)))
+                context_cls = Tensor(rng.standard_normal(context_dim))
             keep = (blocks.dropout_keep(rng, x.shape, 0.3),
                     blocks.dropout_keep(rng, x.shape, 0.3))
-            kwargs = dict(context=context, x_mask=x_mask, context_mask=context_mask,
-                          training=training, keep=keep)
+            kwargs = dict(rows=rows, context=context, context_rows=context_rows,
+                          context_cls=context_cls, training=training, keep=keep)
             full = encoder_block(x, params, **kwargs)
             cls = encoder_block(x, params, cls_only=True, **kwargs)
-            assert cls.shape == (3, 1, 16)
-            assert np.abs(cls.data - full.data[:, :1]).max() < 1e-12
-            single = encoder_block(x[1], params, cls_only=True, x_mask=x_mask[1],
-                                   context=None if context is None else context[1],
-                                   context_mask=None if context is None else context_mask[1])
-            alone = encoder_block(x[1], params, x_mask=x_mask[1],
-                                  context=None if context is None else context[1],
-                                  context_mask=None if context is None else context_mask[1])
-            assert np.abs(single.data - alone.data[:1]).max() < 1e-12
+            assert full.shape == x.shape
+            assert cls.shape == (3, 16)
+            assert np.abs(cls.data - full.data[rows.starts]).max() < 1e-12
+            for i, (start, length) in enumerate(zip(rows.starts, rows.lengths)):
+                own = slice(start, start + length)
+                alone_kwargs = dict(training=training,
+                                    keep=tuple(site[own] for site in keep))
+                if context_dim is not None:
+                    lo = context_rows.starts[i]
+                    alone_kwargs["context"] = blocks.prepend_cls(
+                        context[lo:lo + context_rows.lengths[i]], context_cls)
+                alone = encoder_block(x[own], params, **alone_kwargs)
+                single = encoder_block(x[own], params, cls_only=True, **alone_kwargs)
+                assert np.abs(full.data[own] - alone.data).max() < 1e-12
+                assert np.abs(single.data[0] - alone.data[0]).max() < 1e-12
 
     def test_dropout_only_when_training(self, rng):
         params = EncoderBlockParams.create(rng, model_dim=16, num_heads=4,

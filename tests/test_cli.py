@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from discourse_rater.cli import (_CV_DEFAULTS, _grid, _read_predictions, _resolve,
-                                 build_parser, main)
+from discourse_rater.cli import (_CV_DEFAULTS, _SETTINGS, _grid, _read_predictions,
+                                 _resolve, build_parser, main)
 from discourse_rater.data import DatasetManifest
 from discourse_rater.errors import DiscourseRaterError
 from discourse_rater.harness import BATCH_GRID, LR_GRID, GridPoint, default_grid
@@ -18,6 +18,27 @@ from discourse_rater.model import load_model
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+SETTINGS = [(command, key) for command, (defaults, required) in _SETTINGS.items()
+            for key in [*defaults, *required]]
+# A value of the right type for each setting whose default is None.
+NONE_DEFAULT_EXAMPLES = {"component": "nature", "signal": ["audio.nature=0.9"],
+                         "grid_lr": [1e-4], "grid_batch": [8], "grid_m": [1]}
+
+
+def same_json_type(value, example) -> bool:
+    """Whether ``value`` has the JSON type of ``example`` (for an array, of its
+    first item); an integer example takes only integers."""
+    if isinstance(example, list):
+        return isinstance(value, list) and all(same_json_type(v, example[0]) for v in value)
+    if isinstance(example, bool) or isinstance(value, bool):
+        return isinstance(example, bool) and isinstance(value, bool)
+    if isinstance(example, int):
+        return isinstance(value, int)
+    if isinstance(example, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(example))
 
 
 @pytest.fixture
@@ -85,22 +106,40 @@ class TestConfigFile:
         assert run_cli("synth", "--config", config) == 2
         assert f"'out' must be a path string, not a JSON {json_type}" in capsys.readouterr().err
 
-    @given(st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-                        lambda inner: st.lists(inner, max_size=3)
-                        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-                        max_leaves=6))
-    @settings(max_examples=100, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_any_json_path_value_raises_only_package_errors(self, tmp_path, value):
+    def test_value_of_the_wrong_json_type_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"out": value}))
-        args = build_parser().parse_args(["correlate", "--config", str(config),
-                                          "--data", "ds", "--predictions", "p.csv"])
+        config.write_text(json.dumps({"teachers": "x"}))
+        assert run_cli("synth", "--config", config, "--out", tmp_path / "ds") == 2
+        assert "config key 'teachers' must be a JSON integer, not a JSON string" \
+            in capsys.readouterr().err
+
+    @given(setting=st.sampled_from(SETTINGS),
+           value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                              | st.text(),
+                              lambda inner: st.lists(inner, max_size=3)
+                              | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                              max_leaves=6))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_json_path_value_raises_only_package_errors(self, tmp_path, setting, value):
+        # Every key of every command, paths and the rest: a config value of
+        # any JSON type is a package error or is taken with its key's type.
+        command, key = setting
+        defaults, required = _SETTINGS[command]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        flags = [arg for path in required if path != key for arg in (f"--{path}", "p")]
+        args = build_parser().parse_args([command, "--config", str(config), *flags])
         try:
-            resolved = _resolve(args, {}, ("data", "out", "predictions"))
+            resolved = _resolve(args, defaults, required)
         except DiscourseRaterError:
             return
-        assert isinstance(value, str) and resolved["out"] == str(Path(value))
+        if key in required:
+            assert isinstance(value, str) and resolved[key] == str(Path(value))
+            return
+        assert json.dumps(resolved[key]) == json.dumps(value)
+        example = NONE_DEFAULT_EXAMPLES[key] if defaults[key] is None else defaults[key]
+        assert value is None and defaults[key] is None or same_json_type(value, example)
 
 
 class TestGrid:
@@ -114,6 +153,15 @@ class TestGrid:
     def test_one_axis_keeps_the_harness_axes_of_the_others(self):
         assert self.resolved_grid("--grid-m", "1") == [
             GridPoint(lr, batch, 1) for lr in LR_GRID for batch in BATCH_GRID]
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "ablate", "correlate"])
+def test_data_directory_without_manifest_is_usage_error(tmp_path, capsys, command):
+    extra = ["--predictions", tmp_path / "p.csv"] if command == "correlate" else []
+    assert run_cli(command, "--data", tmp_path / "nowhere", "--out", tmp_path / "out",
+                   *extra) == 2
+    manifest = tmp_path / "nowhere" / "manifest.json"
+    assert f"cannot read dataset manifest {manifest}" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -332,7 +380,7 @@ class TestGradcheckCommand:
     )
     COMPOSITE_ENTRIES = (
         "attention", "attention_batched", "encoder_block_self", "encoder_block_cross",
-        "mlp_head_classify", "mlp_head_regress", "bilstm",
+        "encoder_block_packed_cross", "encoder_block_packed_cls", "mlp_head_classify", "mlp_head_regress", "bilstm",
         "oll_loss", "ce_loss", "l1_loss",
     )
 
@@ -348,4 +396,4 @@ class TestGradcheckCommand:
         assert {n: v for n, v in verdicts.items() if v != "pass"} == {}
         assert code == 0
         assert set(verdicts) == set(self.PRIMITIVE_ENTRIES) | set(self.COMPOSITE_ENTRIES)
-        assert "36/36 checks passed" in printed
+        assert "38/38 checks passed" in printed

@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from discourse_rater.data import (AUDIO_DIM, TEXT_DIM, VIDEO_DIM, Dataset,
@@ -10,9 +12,9 @@ from discourse_rater.data import (AUDIO_DIM, TEXT_DIM, VIDEO_DIM, Dataset,
                                   average_rater_scores, generate_synthetic,
                                   read_feature_file, segment_boundaries,
                                   uniform_signal, write_feature_file)
-from discourse_rater.errors import DataError, FormatError
+from discourse_rater.errors import DataError, DiscourseRaterError, FormatError
 from discourse_rater.objective import COMPONENTS, RATINGS
-from helpers import linear_readout_qwk
+from helpers import EDITS, edited, linear_readout_qwk
 
 
 class TestSegmentBoundaries:
@@ -175,6 +177,52 @@ class TestFeatureFiles:
         write_feature_file(path, seg)
         with pytest.raises(FormatError):
             read_feature_file(path)
+
+
+def valid_dfx1(tmp_path) -> bytes:
+    path = tmp_path / "valid.dfx"
+    write_feature_file(path, make_segment(np.random.default_rng(3), text_len=2, chunk_len=3))
+    return path.read_bytes()
+
+
+def dfx1_header_positions(raw: bytes) -> list[int]:
+    """Byte positions of the magic and the three (rows, cols) headers."""
+    positions, offset = list(range(4)), 4
+    for _ in range(3):
+        rows, cols = struct.unpack_from("<II", raw, offset)
+        positions += range(offset, offset + 8)
+        offset += 8 + 4 * rows * cols
+    return positions
+
+
+class TestFeatureFileFuzz:
+    """Any DFX1 bytes either load as valid features or raise a package error."""
+
+    @staticmethod
+    def load(tmp_path, raw: bytes) -> None:
+        path = tmp_path / "fuzz.dfx"
+        path.write_bytes(raw)
+        try:
+            read_feature_file(path).validate()
+        except DiscourseRaterError:
+            pass
+
+    @given(edits=EDITS)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_edited_file_raises_only_package_errors(self, tmp_path, edits):
+        raw = valid_dfx1(tmp_path)
+        self.load(tmp_path, edited(raw, dfx1_header_positions(raw), edits))
+
+    @given(body=st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bytes_after_the_magic_raise_only_package_errors(self, tmp_path, body):
+        self.load(tmp_path, b"DFX1" + body)
+
+    def test_missing_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read feature file"):
+            read_feature_file(tmp_path / "absent.dfx")
 
 
 def small_synth(**overrides) -> SynthConfig:

@@ -3,17 +3,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from discourse_rater import tensor as T
 from discourse_rater.data import Example
-from discourse_rater.errors import (ConfigError, DataError, FormatError,
+from discourse_rater.errors import (ConfigError, DataError, DiscourseRaterError, FormatError,
                                     NumericsError, ShapeError)
 from discourse_rater.model import (FusionModel, ModelConfig, build_model,
                                    forward, load_model, modality_label,
                                    parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.train import collate_batch
-from helpers import fusion_oracle, make_segment
+from helpers import EDITS, edited, fusion_oracle, make_segment
 
 
 class TestModelConfig:
@@ -220,6 +222,26 @@ class TestBatchedForward:
                     assert out[component].shape[0] == len(segments)
                     assert np.abs(out[component].data[row] - value.data).max() < 1e-12
 
+    @pytest.mark.parametrize("config", [
+        dict(modalities="T", fusion_modules=1),
+        dict(modalities="A", fusion_modules=1),
+        dict(modalities="T+A+V", fusion_modules=2),
+        dict(modalities="T", fusion_modules=1, loss="l1"),
+    ], ids=["T", "A", "T+A+V-M2", "T-l1"])
+    def test_training_batch_matches_each_segment_alone(self, rng, config):
+        # Packed rows in training mode against the oracle drawing its own
+        # dropout from a generator of the same seed, example by example.
+        with T.precision("float64"):
+            model = build_model(ModelConfig(seed=3, dropout=0.3, **config))
+            batch = collate_batch(labelled(uneven_segments(rng)))
+            batched_rng, example_rng = np.random.default_rng(5), np.random.default_rng(5)
+            out = forward(model, [seg for seg, _, _ in batch], training=True,
+                          rng=batched_rng, masks=[masks for _, masks, _ in batch])
+            for row, (seg, masks, _) in enumerate(batch):
+                alone = fusion_oracle(model, seg, masks, rng=example_rng)
+                for component, value in alone.items():
+                    assert np.abs(out[component].data[row] - value.data).max() < 1e-12
+
     def test_training_batch_draws_dropout_as_examples_in_order(self, rng):
         with T.precision("float64"):
             model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=2,
@@ -398,3 +420,51 @@ class TestCheckpointErrors:
         config = json.dumps(model.config.to_dict(), sort_keys=True).encode()
         error = self.load_bytes(tmp_path, dfm1_bytes(config, [items[0]] + items[:-1]))
         assert "repeated tensor" in str(error)
+
+
+def dfm1_header_positions(raw: bytes) -> list[int]:
+    """Byte positions of a DFM1 checkpoint outside its tensor values."""
+    (size,) = struct.unpack_from("<I", raw, 4)
+    offset = 8 + size + 4
+    positions = list(range(offset))
+    while offset < len(raw):
+        (size,) = struct.unpack_from("<I", raw, offset)
+        (rank,) = struct.unpack_from("<I", raw, offset + 4 + size)
+        end = offset + 8 + size + 4 * rank
+        positions += range(offset, end)
+        offset = end + 4 * int(np.prod(struct.unpack_from(f"<{rank}I", raw, end - 4 * rank)))
+    return positions
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory) -> tuple[bytes, list[int]]:
+    path = tmp_path_factory.mktemp("dfm1") / "valid.dfm"
+    save_model(build_model(ModelConfig(modalities="T", seed=11)), path)
+    raw = path.read_bytes()
+    return raw, dfm1_header_positions(raw)
+
+
+class TestCheckpointFuzz:
+    """Any DFM1 bytes either load as a model or raise a package error."""
+
+    @staticmethod
+    def load(tmp_path, raw: bytes) -> None:
+        path = tmp_path / "fuzz.dfm"
+        path.write_bytes(raw)
+        try:
+            load_model(path)
+        except DiscourseRaterError:
+            pass
+
+    @given(edits=EDITS)
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_edited_checkpoint_raises_only_package_errors(self, tmp_path, checkpoint, edits):
+        raw, headers = checkpoint
+        self.load(tmp_path, edited(raw, headers, edits))
+
+    @given(body=st.binary(max_size=64))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_bytes_after_the_magic_raise_only_package_errors(self, tmp_path, body):
+        self.load(tmp_path, b"DFM1" + body)

@@ -176,6 +176,9 @@ PRIMITIVES = {
     "embedding_lookup": lambda rng: (
         lambda tbl: T.embedding_lookup(tbl, [0, 2, 2, 1]),
         [rng.standard_normal((4, 5))]),
+    "embedding_lookup_2d_negative": lambda rng: (
+        lambda tbl: T.embedding_lookup(tbl, [[-1, 0, 3], [3, -1, -1]]),
+        [rng.standard_normal((4, 5))]),
 }
 
 

@@ -327,6 +327,42 @@ class TestPadding:
             for name, t in params.items():
                 assert np.abs(batched[name] - t.grad).max() < 1e-12, name
 
+    def test_training_step_gradients_match_per_example_gradients(self, rng):
+        # A training step on packed rows against the oracle run on each padded
+        # segment with its own dropout draws, in the batch's example order.
+        from discourse_rater.data import Example
+        from discourse_rater.objective import oll_loss, rating_to_index
+
+        with T.precision("float64"):
+            model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=2,
+                                            dropout=0.3, seed=5))
+            examples = [Example(make_segment(rng, seg_id=f"s{i}", text_len=t, chunk_len=c),
+                                {comp: r for comp in COMPONENTS})
+                        for i, (t, c, r) in enumerate(zip((2, 5, 3), (4, 2, 6),
+                                                          (1.5, 3.0, 4.0)))]
+            weights = component_weights(examples, COMPONENTS)
+            params = model.parameters()
+            batch = collate_batch(examples)
+
+            batch_loss(model, batch, weights, training=True,
+                       rng=np.random.default_rng(9)).backward()
+            batched = {name: t.grad for name, t in params.items()}
+
+            for t in params.values():
+                t.grad = None
+            example_rng = np.random.default_rng(9)
+            total = None
+            for seg, masks, labels in batch:
+                for component, probs in fusion_oracle(model, seg, masks,
+                                                      rng=example_rng).items():
+                    term = oll_loss(probs.reshape((1, 7)),
+                                    [rating_to_index(labels[component])],
+                                    weights[component]) * (1.0 / len(batch))
+                    total = term if total is None else total + term
+            total.backward()
+            for name, t in params.items():
+                assert np.abs(batched[name] - t.grad).max() < 1e-12, name
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_gradients_equal_those_of_a_zero_filled_first_gradient(self, monkeypatch, dtype):
         # ``_accum`` seeds a first gradient with one copy in the layout of the

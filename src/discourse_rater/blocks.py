@@ -190,6 +190,9 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
         if context.ndim != 2 or context.shape != (source_rows.total, params.context_dim):
             raise ShapeError(f"context must be packed [{source_rows.total}, "
                              f"{params.context_dim}] rows, got {context.shape}")
+        if len(source_rows) != len(rows):
+            raise ShapeError(f"{len(rows)} query sequences against "
+                             f"{len(source_rows)} context sequences")
         if context_cls is not None:
             lead = context_cls.reshape((1, params.context_dim))
     kv_index, kv_valid = source_rows.padded(0 if lead is None else 1)

@@ -69,6 +69,9 @@ class TestMultiHeadAttention:
         with pytest.raises(ShapeError):
             multi_head_attention(Tensor(np.zeros((2, 24))), params,
                                  context=Tensor(np.zeros((3, 24))))
+        with pytest.raises(ShapeError, match="2 query sequences against 1 context"):
+            multi_head_attention(Tensor(np.zeros((2, 24))), params, rows=Rows([1, 1]),
+                                 context=Tensor(np.zeros((3, 32))))
 
     def test_gradients_match_finite_differences(self):
         # Uneven packed sequences against contexts led by one shared CLS row.

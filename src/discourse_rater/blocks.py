@@ -1,10 +1,10 @@
 """Neural building blocks.
 
-Multi-head attention (self and cross), pre-norm transformer encoder blocks,
-the three-layer MLP rating head, a bidirectional LSTM encoder used as a
-baseline, and the CLS / sinusoidal-position utilities the sequence models
-share.  All blocks are pure functions of (parameters, input) built from the
-autodiff primitives in :mod:`.tensor`.
+Multi-head attention (self and cross) and pre-norm transformer encoder
+blocks on packed rows, the three-layer MLP rating head, a bidirectional LSTM
+encoder used as a baseline, and the sinusoidal position encodings.  All
+blocks are pure functions of (parameters, input) built from the autodiff
+primitives in :mod:`.tensor`.
 """
 
 from __future__ import annotations
@@ -59,13 +59,6 @@ def dropout_keep(rng: np.random.Generator | None, shape: tuple[int, ...],
     if rng is None:
         raise UsageError("dropout in training mode needs an rng")
     return np.asarray((rng.random(shape) >= rate) / (1.0 - rate), dtype=T.current_dtype())
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when not training or rate is zero."""
-    if not training or rate <= 0.0:
-        return x
-    return x * Tensor(dropout_keep(rng, x.shape, rate))
 
 
 # -- packed rows ----------------------------------------------------------------
@@ -159,8 +152,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
                          context: Tensor | None = None,
                          context_rows: Rows | None = None,
                          context_cls: Tensor | None = None,
-                         cls_only: bool = False,
-                         return_weights: bool = False):
+                         cls_only: bool = False) -> Tensor:
     """Scaled dot-product attention on packed rows, queries at model width.
 
     ``x`` holds the packed query-side rows ``[rows, model_dim]`` of the
@@ -176,8 +168,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
     a zero row and receive exactly zero attention weight, and one ``bmm``
     over ``B * num_heads`` forms the scores and one the values.  Returns the
     packed outputs ``[rows, model_dim]``, or with ``cls_only`` the first row
-    of each sequence alone (``[B, model_dim]``); with ``return_weights`` also
-    the weights ``[B, num_heads, Lq, Lk]`` of the padded view.
+    of each sequence alone (``[B, model_dim]``).
     """
     rows = Rows([x.shape[0]]) if rows is None else rows
     if x.ndim != 2 or x.shape != (rows.total, params.model_dim):
@@ -215,7 +206,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
         q_index, q_valid = rows.padded()
         queries = T.embedding_lookup(T.concat([T.matmul(x, params.wq) + params.bq, zero]),
                                      q_index)
-    n_q, n_kv = queries.shape[1], keys.shape[1]
+    n_q = queries.shape[1]
     n_heads = params.num_heads
     head_dim = params.model_dim // n_heads
 
@@ -234,10 +225,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
     merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch * n_q, params.model_dim))
     if not cls_only:
         merged = T.take(merged, np.flatnonzero(q_valid))
-    out = T.matmul(merged, params.wo) + params.bo
-    if return_weights:
-        return out, attn.data.reshape((batch, n_heads, n_q, n_kv)).copy()
-    return out
+    return T.matmul(merged, params.wo) + params.bo
 
 
 # -- encoder block -----------------------------------------------------------
@@ -369,24 +357,18 @@ class HeadParams:
 
 
 def mlp_head(x: Tensor, params: HeadParams, mode: str = "classify") -> Tensor:
-    """Map pooled vectors to 7 class probabilities or one unbounded score each.
-
-    ``x`` is a batch ``[B, d]`` (returns ``[B, k]``) or one vector ``[d]``
-    (returns ``[k]``).
-    """
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"head input must be [d] or [B, d], got shape {x.shape}")
+    """Map pooled rows ``[B, d]`` to 7 class probabilities or one unbounded
+    score each (``[B, k]``)."""
+    if x.ndim != 2:
+        raise ShapeError(f"head input must be [B, d], got shape {x.shape}")
     if x.shape[-1] != params.w1.shape[0]:
         raise ShapeError(f"head input width {x.shape[-1]} != {params.w1.shape[0]}")
     if mode not in ("classify", "regress"):
         raise UsageError(f"unknown head mode {mode!r}")
-    rows = x if x.ndim == 2 else x.reshape((1, x.shape[0]))
-    h = T.relu(T.matmul(rows, params.w1) + params.b1)
+    h = T.relu(T.matmul(x, params.w1) + params.b1)
     h = T.relu(T.matmul(h, params.w2) + params.b2)
     out = T.matmul(h, params.w3) + params.b3
-    if mode == "classify":
-        out = T.softmax(out, axis=-1)
-    return out if x.ndim == 2 else out.reshape((out.shape[1],))
+    return T.softmax(out, axis=-1) if mode == "classify" else out
 
 
 # -- bidirectional LSTM baseline ----------------------------------------------
@@ -467,16 +449,7 @@ def bilstm_encode(seq: Tensor, params: BiLstmParams) -> Tensor:
     return pooled.reshape((2 * h_dim,))
 
 
-# -- sequence utilities ---------------------------------------------------------
-
-
-def prepend_cls(seq: Tensor, cls: Tensor) -> Tensor:
-    """Row 0 of ``[L, d]`` becomes the CLS embedding; original rows follow unchanged."""
-    if cls.ndim != 1:
-        raise ShapeError(f"cls must be a vector, got shape {cls.shape}")
-    if seq.ndim != 2 or seq.shape[-1] != cls.shape[0]:
-        raise ShapeError(f"width mismatch: seq {seq.shape} vs cls {cls.shape}")
-    return T.concat([cls.reshape((1,) + cls.shape), seq], axis=0)
+# -- position encodings ---------------------------------------------------------
 
 
 def sinusoid_table(length: int, dim: int, base: float = 10000.0) -> np.ndarray:
@@ -490,16 +463,10 @@ def sinusoid_table(length: int, dim: int, base: float = 10000.0) -> np.ndarray:
     return table
 
 
-def add_positional(seq: Tensor, enabled: bool = True,
-                   positions: np.ndarray | None = None) -> Tensor:
-    """Add the sinusoid table to ``[L, d]`` rows, row ``j`` at position ``j``.
-
-    Packed rows of several sequences pass each row's position in its own
-    sequence as ``positions``.
-    """
+def add_positional(seq: Tensor, enabled: bool, positions: np.ndarray) -> Tensor:
+    """Add the sinusoid table to packed ``[rows, d]`` rows, row ``j`` at
+    ``positions[j]``, its position in its own sequence."""
     if not enabled:
         return seq
-    if positions is None:
-        return seq + Tensor(sinusoid_table(seq.shape[0], seq.shape[-1]))
     width = int(positions.max(initial=-1)) + 1
     return seq + Tensor(sinusoid_table(width, seq.shape[-1])[positions])

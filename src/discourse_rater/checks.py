@@ -9,7 +9,8 @@ flattened to one GEMM).  Then each composite: attention on one sequence and
 on packed rows of uneven sequences against contexts led by one shared CLS
 row, the self and cross encoder blocks on one sequence, the cross block on
 those packed rows, the CLS-only self block on packed rows, the classify and
-regress head modes, the BiLSTM, and the OLL, CE and L1 losses.
+regress head modes on a batch of two rows, the BiLSTM, and the OLL, CE and
+L1 losses.
 
 Runs in float64 mode and compares reverse-mode gradients against central
 finite differences.  The catalog backs the ``gradcheck`` CLI command; any
@@ -122,13 +123,13 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
                    [_t(rng, 6, 8)] + list(packed_self.parameters().values())))
 
     head = HeadParams.create(rng, in_dim=10, hidden=6, out_dim=7)
-    hx = _t(rng, 10)
+    hx = _t(rng, 2, 10)
     checks.append(("mlp_head_classify",
                    lambda x, *_: mlp_head(x, head, mode="classify"),
                    [hx] + list(head.parameters().values())))
 
     reg_head = HeadParams.create(rng, in_dim=10, hidden=6, out_dim=1)
-    rx = _t(rng, 10)
+    rx = _t(rng, 2, 10)
     checks.append(("mlp_head_regress",
                    lambda x, *_: mlp_head(x, reg_head, mode="regress"),
                    [rx] + list(reg_head.parameters().values())))

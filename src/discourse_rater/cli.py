@@ -24,8 +24,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .checks import run_gradient_checks
-from .data import (Dataset, DatasetManifest, SynthConfig, classroom_aggregate,
-                   generate_synthetic, uniform_signal)
+from .data import (JSON_NAMES, Dataset, DatasetManifest, SynthConfig,
+                   classroom_aggregate, fits_json_type, generate_synthetic,
+                   json_type, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
 from .harness import GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
 from .metrics import pearson_r, significance_stars
@@ -140,9 +141,6 @@ def _load_config_file(path: Path | None) -> dict:
 _NONE_DEFAULT_TYPES = {"component": str, "signal": [str], "grid_lr": [float],
                        "grid_batch": [int], "grid_m": [int]}
 
-_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string"}
-
-
 def _resolve(args, defaults: dict, required: Sequence[str] = ()) -> dict:
     """defaults < config file < explicit flags; each ``required`` key is a
     path that must then be set, and is resolved to its string form.
@@ -166,7 +164,7 @@ def _resolve(args, defaults: dict, required: Sequence[str] = ()) -> dict:
         if value is None:
             raise UsageError(f"{args.command} needs --{key}")
         if not isinstance(value, (str, Path)):
-            raise UsageError(f"{key!r} must be a path string, not a JSON {_json_type(value)}")
+            raise UsageError(f"{key!r} must be a path string, not a JSON {json_type(value)}")
         resolved[key] = str(Path(value))
     return resolved
 
@@ -178,34 +176,11 @@ def _check_json_type(key: str, value, default) -> None:
         expected = _NONE_DEFAULT_TYPES[key]
     else:
         expected = [type(default[0])] if isinstance(default, list) else type(default)
-    if not _fits(value, expected):
-        name = (f"array of {_JSON_NAMES[expected[0]]}s" if isinstance(expected, list)
-                else _JSON_NAMES[expected])
+    if not fits_json_type(value, expected):
+        name = (f"array of {JSON_NAMES[expected[0]]}s" if isinstance(expected, list)
+                else JSON_NAMES[expected])
         raise UsageError(f"config key {key!r} must be a JSON {name}, "
-                         f"not a JSON {_json_type(value)}")
-
-
-def _fits(value, expected) -> bool:
-    if isinstance(expected, list):
-        return isinstance(value, list) and all(_fits(item, expected[0]) for item in value)
-    if isinstance(value, bool):
-        return expected is bool
-    if expected is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, expected)
-
-
-def _json_type(value) -> str:
-    """The JSON type name of a value ``json.loads`` returned."""
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    if isinstance(value, str):
-        return "string"
-    return "array" if isinstance(value, list) else "object"
+                         f"not a JSON {json_type(value)}")
 
 
 def _write_outputs(resolved: dict, files: dict[str, str | dict]) -> None:

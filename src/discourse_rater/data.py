@@ -37,6 +37,36 @@ FEATURE_MAGIC = b"DFX1"
 
 _MODALITY_DIMS = {"text": TEXT_DIM, "audio": AUDIO_DIM, "video": VIDEO_DIM}
 
+JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+              dict: "object"}
+
+
+def json_type(value) -> str:
+    """The JSON type name of a value ``json.loads`` returned."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    return "array" if isinstance(value, list) else "object"
+
+
+def fits_json_type(value, expected) -> bool:
+    """Whether a parsed JSON value has type ``expected``: a key of
+    ``JSON_NAMES``, or ``[t]`` for an array of ``t``.  Only ``bool`` takes a
+    boolean, and ``float`` takes any number."""
+    if isinstance(expected, list):
+        return isinstance(value, list) and all(fits_json_type(item, expected[0])
+                                               for item in value)
+    if isinstance(value, bool):
+        return expected is bool
+    if expected is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, expected)
+
 
 @dataclass
 class SegmentFeatures:
@@ -104,6 +134,36 @@ class StudentRecord:
     self_efficacy: float
 
 
+# The JSON type of each manifest record field that is not a string.
+_FIELD_TYPES = {"labels": dict, "score": int, "test_score": float, "interest": float,
+                "self_efficacy": float}
+_RECORD_TYPES = {"segments": SegmentRecord, "rater_records": RaterRecord,
+                 "student_records": StudentRecord}
+
+
+def _record(key: str, index: int, item):
+    """Entry ``index`` of the manifest's ``key`` array, each field checked
+    against its JSON type; a label must be a number.  A segment is named by
+    its id once that is a string."""
+    where = f"{key}[{index}]"
+    if not isinstance(item, dict):
+        raise FormatError(f"manifest {where} must be a JSON object, not a JSON {json_type(item)}")
+    if key == "segments" and isinstance(item.get("segment_id"), str):
+        where = f"segment {item['segment_id']}"
+    checks = [(f"field {name!r}", value, _FIELD_TYPES.get(name, str))
+              for name, value in item.items()]
+    if isinstance(item.get("labels"), dict):
+        checks += [(f"label {name!r}", value, float) for name, value in item["labels"].items()]
+    for what, value, expected in checks:
+        if not fits_json_type(value, expected):
+            raise FormatError(f"manifest {where}: {what} must be a JSON "
+                              f"{JSON_NAMES[expected]}, not a JSON {json_type(value)}")
+    try:
+        return _RECORD_TYPES[key](**item)
+    except TypeError as exc:
+        raise FormatError(f"manifest {where}: field mismatch: {exc}") from None
+
+
 @dataclass
 class DatasetManifest:
     segments: list[SegmentRecord] = field(default_factory=list)
@@ -127,7 +187,7 @@ class DatasetManifest:
                     raise DataError(f"segment {seg.segment_id}: missing label {component!r}")
                 try:
                     rating_to_index(seg.labels[component])
-                except (TypeError, ValueError, DataError) as exc:
+                except (TypeError, ValueError, OverflowError, DataError) as exc:
                     raise DataError(f"segment {seg.segment_id}: label {component!r}: {exc}") from exc
         if self.rater_records:
             counts: dict[tuple[str, str], set[str]] = {}
@@ -163,14 +223,14 @@ class DatasetManifest:
         if not isinstance(doc, dict):
             raise FormatError(f"manifest must hold a JSON object, not {type(doc).__name__}",
                               offset=0)
-        try:
-            return cls(
-                segments=[SegmentRecord(**s) for s in doc.get("segments", [])],
-                rater_records=[RaterRecord(**r) for r in doc.get("rater_records", [])],
-                student_records=[StudentRecord(**r) for r in doc.get("student_records", [])],
-            )
-        except TypeError as exc:
-            raise FormatError(f"manifest field mismatch: {exc}") from exc
+        records = {}
+        for key in _RECORD_TYPES:
+            items = doc.get(key, [])
+            if not isinstance(items, list):
+                raise FormatError(f"manifest {key!r} must be a JSON array, "
+                                  f"not a JSON {json_type(items)}")
+            records[key] = [_record(key, i, item) for i, item in enumerate(items)]
+        return cls(**records)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -311,12 +371,14 @@ def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = 
     """Read a "DFX1" file; malformed input raises with the failing byte offset.
 
     A file that cannot be read is ``DataError``: the manifest names a file
-    that is not there.
+    that is not there, or a path no file can have.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read feature file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DataError(f"cannot read feature file {path!r}: {exc}") from exc
     if raw[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}", offset=0)
     offset = 4

@@ -229,9 +229,9 @@ def _check_inputs(config: ModelConfig, seg: SegmentFeatures) -> None:
                 f"required by this configuration")
 
 
-def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeatures],
+def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
             training: bool = False, rng: np.random.Generator | None = None,
-            masks: Sequence[Mapping[str, np.ndarray] | None] | Mapping[str, np.ndarray] | None = None,
+            masks: Sequence[Mapping[str, np.ndarray] | None] | None = None,
             ) -> dict[str, Tensor]:
     """Map a padded batch of segments to per-component outputs.
 
@@ -239,8 +239,7 @@ def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeat
     pads them, and ``masks`` holds one dict per segment marking its valid
     rows, a prefix (None, or a None entry, when a segment has no padding).
     Classification heads return ``[B, 7]`` probabilities; the regression
-    variant returns ``[B, 1]`` unbounded scores.  One ``SegmentFeatures``
-    with one mask dict is a batch of one whose outputs come back as vectors.
+    variant returns ``[B, 1]`` unbounded scores.
 
     Attention configurations run the batch at once through the fusion stack
     on packed rows: the real rows of every segment, gathered once from the
@@ -250,10 +249,7 @@ def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeat
     When the stack raises ``NumericsError`` and a segment holds a non-finite
     feature, ``DataError`` names each such segment and modality instead.
     """
-    single = isinstance(segments, SegmentFeatures)
-    if single:
-        segments, masks = [segments], [masks]
-    elif masks is None:
+    if masks is None:
         masks = [None] * len(segments)
     for seg in segments:
         _check_inputs(model.config, seg)
@@ -281,8 +277,6 @@ def forward(model: FusionModel, segments: SegmentFeatures | Sequence[SegmentFeat
         if bad:
             raise NumericsError(
                 f"segment {', '.join(map(repr, bad))}: non-finite {component} output")
-    if single:
-        outputs = {c: out.reshape((out.shape[1],)) for c, out in outputs.items()}
     return outputs
 
 

@@ -74,7 +74,8 @@ def make_segment(rng, seg_id="s1", teacher="t1", lesson="l1",
 
 
 def fusion_oracle(model, seg, masks=None, rng=None):
-    """Per-segment head outputs from single-sequence blocks on the real rows.
+    """Per-segment head outputs ``[1, k]`` from single-sequence blocks on the
+    real rows.
 
     The reference for the packed ``model.forward``: positional encoding,
     then CLS, then every encoder block of the stack on the real rows of this
@@ -85,8 +86,7 @@ def fusion_oracle(model, seg, masks=None, rng=None):
     keeps those of the real rows.
     """
     from discourse_rater import tensor as T
-    from discourse_rater.blocks import (add_positional, dropout_keep, encoder_block,
-                                        mlp_head, prepend_cls)
+    from discourse_rater.blocks import add_positional, dropout_keep, encoder_block, mlp_head
     from discourse_rater.tensor import Tensor
 
     config = model.config
@@ -99,7 +99,8 @@ def fusion_oracle(model, seg, masks=None, rng=None):
         raw = Tensor(rows)
         if modality == "audio" and model.audio_in_w is not None:
             raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
-        return prepend_cls(add_positional(raw, config.positional), model.cls[modality])
+        cls = model.cls[modality].reshape((1, raw.shape[1]))
+        return T.concat([cls, add_positional(raw, config.positional, np.arange(len(rows)))])
 
     query = "text" if fused else config.modalities[0]
     text = stream(query)
@@ -118,8 +119,23 @@ def fusion_oracle(model, seg, masks=None, rng=None):
             context = None if modality is None else stream(modality)
             text = encoder_block(text, block, context=context, training=rng is not None,
                                  keep=keep)
-    return {component: mlp_head(text[0], head, mode=config.head_mode)
+    return {component: mlp_head(text[0:1], head, mode=config.head_mode)
             for component, head in model.heads.items()}
+
+
+# Any value ``json.loads`` can return, nested at most a few levels.
+JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                           lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                           max_leaves=6)
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value inside a parsed JSON object or array."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from json_paths(value, prefix + (key,))
 
 
 # Up to four byte edits, each at a header byte or anywhere, then an optional cut.

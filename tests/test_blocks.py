@@ -4,10 +4,9 @@ import pytest
 from discourse_rater import blocks, tensor as T
 from discourse_rater.blocks import (AttentionParams, BiLstmParams,
                                     EncoderBlockParams, HeadParams, Rows,
-                                    add_positional, bilstm_encode, dropout,
+                                    add_positional, bilstm_encode,
                                     encoder_block, mlp_head,
-                                    multi_head_attention, prepend_cls,
-                                    sinusoid_table)
+                                    multi_head_attention, sinusoid_table)
 from discourse_rater.errors import ShapeError, UsageError
 from discourse_rater.tensor import Tensor
 
@@ -27,34 +26,47 @@ class TestMultiHeadAttention:
         assert np.allclose(out.data, np.repeat(expected, 2, axis=0), atol=1e-5)
 
     def test_identical_rows_give_uniform_weights(self, rng):
-        params = small_attention(rng)
-        q = Tensor(rng.standard_normal((3, 24)))
-        kv = Tensor(np.tile(rng.standard_normal(32), (5, 1)))
-        _, weights = multi_head_attention(q, params, context=kv, return_weights=True)
-        assert np.allclose(weights, 0.2, atol=1e-6)
+        # Identical keys (a zero key projection) and distinct values: uniform
+        # weights make every output row the projected mean of the values.
+        with T.precision("float64"):
+            params = small_attention(rng)
+            params.wk.data = np.zeros_like(params.wk.data)
+            q = Tensor(rng.standard_normal((3, 24)))
+            kv = Tensor(rng.standard_normal((5, 32)))
+            out = multi_head_attention(q, params, context=kv)
+        mean_v = (kv.data @ params.wv.data + params.bv.data).mean(axis=0)
+        expected = mean_v @ params.wo.data + params.bo.data
+        assert np.abs(out.data - expected).max() < 1e-12
 
     def test_weight_rows_sum_to_one_at_paper_dims(self, rng):
-        params = AttentionParams.create(rng, 768, 1024, 12)
-        q = Tensor(rng.standard_normal((3, 768)))
-        kv = Tensor(rng.standard_normal((5, 1024)))
-        out, weights = multi_head_attention(q, params, context=kv, return_weights=True)
+        # Every value row equal to ``bv``: each output row is ``bv`` projected,
+        # scaled by the sum of its weights.
+        with T.precision("float64"):
+            params = AttentionParams.create(rng, 768, 1024, 12)
+            params.wv.data = np.zeros_like(params.wv.data)
+            params.bv.data = rng.standard_normal(768)
+            q = Tensor(rng.standard_normal((3, 768)))
+            kv = Tensor(rng.standard_normal((5, 1024)))
+            out = multi_head_attention(q, params, context=kv)
         assert out.shape == (3, 768)
-        assert weights.shape == (1, 12, 3, 5)
-        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-6
+        expected = params.bv.data @ params.wo.data + params.bo.data
+        assert np.abs(out.data - expected).max() < 1e-12
 
-    def test_masked_positions_get_exactly_zero_weight(self, rng):
+    def test_masked_positions_get_exactly_zero_weight(self):
         # Packed sequences of 3 and 2 queries against 2 and 5 context rows:
-        # the padded key slots of the first sequence get exactly zero weight.
-        params = small_attention(rng)
-        q = Tensor(rng.standard_normal((5, 24)))
-        kv = Tensor(rng.standard_normal((7, 32)))
-        out, weights = multi_head_attention(q, params, rows=Rows([3, 2]), context=kv,
-                                            context_rows=Rows([2, 5]), return_weights=True)
-        assert out.shape == (5, 24)
-        assert weights.shape == (2, 4, 3, 5)
-        assert (weights[0, :, :, 2:] == 0.0).all()
-        assert (weights[1] > 0.0).all()
-        assert np.abs(weights.sum(axis=-1) - 1.0).max() < 1e-6
+        # the first sequence's 3 padded key slots read a zero row, so only an
+        # exactly zero weight on them leaves it equal to that sequence alone.
+        with T.precision("float64"):
+            rng = np.random.default_rng(4)
+            params = small_attention(rng)
+            q = Tensor(rng.standard_normal((5, 24)))
+            kv = Tensor(rng.standard_normal((7, 32)))
+            out = multi_head_attention(q, params, rows=Rows([3, 2]), context=kv,
+                                       context_rows=Rows([2, 5]))
+            assert out.shape == (5, 24)
+            for own, context in ((slice(0, 3), slice(0, 2)), (slice(3, 5), slice(2, 7))):
+                alone = multi_head_attention(q[own], params, context=kv[context])
+                assert np.abs(out.data[own] - alone.data).max() < 1e-12
 
     def test_all_masked_rejected(self, rng):
         params = small_attention(rng)
@@ -185,8 +197,9 @@ class TestEncoderBlock:
                                     keep=tuple(site[own] for site in keep))
                 if context_dim is not None:
                     lo = context_rows.starts[i]
-                    alone_kwargs["context"] = blocks.prepend_cls(
-                        context[lo:lo + context_rows.lengths[i]], context_cls)
+                    alone_kwargs["context"] = T.concat([
+                        context_cls.reshape((1, context_dim)),
+                        context[lo:lo + context_rows.lengths[i]]])
                 alone = encoder_block(x[own], params, **alone_kwargs)
                 single = encoder_block(x[own], params, cls_only=True, **alone_kwargs)
                 assert np.abs(full.data[own] - alone.data).max() < 1e-12
@@ -204,31 +217,48 @@ class TestEncoderBlock:
         with pytest.raises(UsageError):
             encoder_block(x, params, training=True)
 
+    def test_dropout_identity_when_disabled(self, rng):
+        # A zero rate in training runs the block as in evaluation and draws
+        # nothing from the generator.
+        params = EncoderBlockParams.create(rng, model_dim=16, num_heads=4,
+                                           dropout_rate=0.0)
+        x = Tensor(rng.standard_normal((4, 16)))
+        drawn = np.random.default_rng(0)
+        out = encoder_block(x, params, training=True, rng=drawn)
+        assert np.array_equal(out.data, encoder_block(x, params).data)
+        assert drawn.random() == np.random.default_rng(0).random()
+
 
 class TestMlpHead:
     def test_classify_sums_to_one(self, rng):
         params = HeadParams.create(rng, in_dim=16, hidden=8, out_dim=7)
-        out = mlp_head(Tensor(rng.standard_normal(16)), params)
-        assert out.shape == (7,)
+        out = mlp_head(Tensor(rng.standard_normal((1, 16))), params)
+        assert out.shape == (1, 7)
         assert abs(out.data.sum() - 1.0) < 1e-6
 
     def test_zero_parameters_give_uniform(self, rng):
         params = HeadParams.create(rng, in_dim=16, hidden=8, out_dim=7)
         for tensor in params.parameters().values():
             tensor.data = np.zeros_like(tensor.data)
-        out = mlp_head(Tensor(rng.standard_normal(16)), params)
+        out = mlp_head(Tensor(rng.standard_normal((1, 16))), params)
         assert np.allclose(out.data, 1.0 / 7.0)
 
     def test_regress_returns_single_score(self, rng):
         params = HeadParams.create(rng, in_dim=16, hidden=8, out_dim=1)
-        out = mlp_head(Tensor(rng.standard_normal(16)), params, mode="regress")
-        assert out.shape == (1,)
+        out = mlp_head(Tensor(rng.standard_normal((1, 16))), params, mode="regress")
+        assert out.shape == (1, 1)
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 1, 16)], ids=["vector", "rank3"])
+    def test_input_other_than_rows_rejected(self, rng, shape):
+        params = HeadParams.create(rng, in_dim=16, hidden=8, out_dim=7)
+        with pytest.raises(ShapeError, match=r"\[B, d\]"):
+            mlp_head(Tensor(rng.standard_normal(shape)), params)
 
     def test_gradients_match_finite_differences(self):
         with T.precision("float64"):
             rng = np.random.default_rng(8)
             params = HeadParams.create(rng, in_dim=10, hidden=6, out_dim=7)
-            x = Tensor(rng.standard_normal(10), requires_grad=True)
+            x = Tensor(rng.standard_normal((1, 10)), requires_grad=True)
             tensors = [x] + list(params.parameters().values())
 
             def fn(x, *_):
@@ -315,22 +345,6 @@ class TestBiLstm:
 
 
 class TestSequenceUtilities:
-    def test_prepend_cls_layout(self, rng):
-        seq = Tensor(rng.standard_normal((3, 8)))
-        cls = Tensor(rng.standard_normal(8))
-        out = prepend_cls(seq, cls)
-        assert out.shape == (4, 8)
-        assert np.array_equal(out.data[0], cls.data)
-        assert np.array_equal(out.data[1:], seq.data)
-
-    def test_prepend_cls_single_row(self, rng):
-        out = prepend_cls(Tensor(rng.standard_normal((1, 4))), Tensor(np.zeros(4)))
-        assert out.shape == (2, 4)
-
-    def test_prepend_cls_width_mismatch(self, rng):
-        with pytest.raises(ShapeError):
-            prepend_cls(Tensor(np.zeros((2, 4))), Tensor(np.zeros(5)))
-
     def test_position_zero_adds_zero_and_one(self):
         table = sinusoid_table(2, 8)
         assert np.array_equal(table[0, 0::2], np.zeros(4))   # sin(0)
@@ -338,21 +352,19 @@ class TestSequenceUtilities:
 
     def test_disabled_flag_is_identity(self, rng):
         seq = Tensor(rng.standard_normal((3, 8)))
-        assert add_positional(seq, enabled=False) is seq
+        assert add_positional(seq, False, np.arange(3)) is seq
 
     def test_positions_zero_and_one_differ_everywhere(self):
         table = sinusoid_table(2, 12)
         assert (table[0] != table[1]).all()
 
     def test_enabled_adds_table(self, rng):
-        seq = Tensor(rng.standard_normal((3, 8)))
-        out = add_positional(seq, enabled=True)
-        assert np.allclose(out.data, seq.data + sinusoid_table(3, 8).astype(np.float32))
-
-    def test_dropout_identity_when_disabled(self, rng):
-        x = Tensor(rng.standard_normal((4, 4)))
-        assert dropout(x, 0.5, training=False, rng=None) is x
-        assert dropout(x, 0.0, training=True, rng=np.random.default_rng(0)) is x
+        # Packed rows of sequences of 3 and 2: each row at its own position.
+        seq = Tensor(rng.standard_normal((5, 8)))
+        positions = np.asarray([0, 1, 2, 0, 1])
+        out = add_positional(seq, True, positions)
+        table = sinusoid_table(3, 8).astype(np.float32)
+        assert np.allclose(out.data, seq.data + table[positions])
 
 
 class TestXavierUniform:

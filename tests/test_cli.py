@@ -14,6 +14,7 @@ from discourse_rater.data import DatasetManifest
 from discourse_rater.errors import DiscourseRaterError
 from discourse_rater.harness import BATCH_GRID, LR_GRID, GridPoint, default_grid
 from discourse_rater.model import load_model
+from helpers import JSON_VALUES
 
 
 def run_cli(*argv) -> int:
@@ -113,12 +114,7 @@ class TestConfigFile:
         assert "config key 'teachers' must be a JSON integer, not a JSON string" \
             in capsys.readouterr().err
 
-    @given(setting=st.sampled_from(SETTINGS),
-           value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
-                              | st.text(),
-                              lambda inner: st.lists(inner, max_size=3)
-                              | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-                              max_leaves=6))
+    @given(setting=st.sampled_from(SETTINGS), value=JSON_VALUES)
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_any_json_path_value_raises_only_package_errors(self, tmp_path, setting, value):
@@ -214,6 +210,26 @@ class TestCvCommand:
                        "--grid-m", 1)
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,index,field,value,message", [
+        ("segments", 0, "labels", 5, "field 'labels' must be a JSON object, not a JSON number"),
+        ("segments", 0, "segment_id", ["a"],
+         "segments[0]: field 'segment_id' must be a JSON string, not a JSON array"),
+        ("segments", 0, "path", 5, "field 'path' must be a JSON string, not a JSON number"),
+        ("segments", 0, "path", None, "field 'path' must be a JSON string, not a JSON null"),
+        ("rater_records", 0, "score", "x",
+         "rater_records[0]: field 'score' must be a JSON integer, not a JSON string"),
+    ], ids=["labels_number", "segment_id_array", "path_number", "path_null", "score_string"])
+    def test_field_of_the_wrong_json_type_is_format_error(self, dataset_dir, tmp_path, capsys,
+                                                          key, index, field, value, message):
+        path = dataset_dir / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc[key][index][field] = value
+        path.write_text(json.dumps(doc))
+        assert run_cli(*self.cv_args(dataset_dir, tmp_path / "cvout")) == 1
+        err = capsys.readouterr().err
+        assert f"error: manifest " in err and message in err
+        assert "Traceback" not in err
 
     def test_non_numeric_label_fails_naming_its_segment(self, dataset_dir, tmp_path,
                                                         capsys):

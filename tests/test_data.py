@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -14,7 +15,7 @@ from discourse_rater.data import (AUDIO_DIM, TEXT_DIM, VIDEO_DIM, Dataset,
                                   uniform_signal, write_feature_file)
 from discourse_rater.errors import DataError, DiscourseRaterError, FormatError
 from discourse_rater.objective import COMPONENTS, RATINGS
-from helpers import EDITS, edited, linear_readout_qwk
+from helpers import EDITS, JSON_VALUES, edited, json_paths, linear_readout_qwk
 
 
 class TestSegmentBoundaries:
@@ -224,6 +225,10 @@ class TestFeatureFileFuzz:
         with pytest.raises(DataError, match="cannot read feature file"):
             read_feature_file(tmp_path / "absent.dfx")
 
+    def test_path_with_a_nul_byte_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read feature file.*null byte"):
+            read_feature_file(tmp_path / "a\x00b.dfx")
+
 
 def small_synth(**overrides) -> SynthConfig:
     base = dict(n_teachers=6, segments_per_teacher=4, seed=11,
@@ -316,6 +321,38 @@ class TestSyntheticGenerator:
         assert r > 0.9 and p < 0.001
 
 
+class TestManifestFuzz:
+    """A valid manifest with any one value replaced by any JSON value either
+    loads or raises a package error."""
+
+    @pytest.fixture(scope="class")
+    def root(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("manifest_fuzz")
+        generate_synthetic(small_synth(n_teachers=2, segments_per_teacher=2,
+                                       students_per_teacher=1), root)
+        return root
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_value_replaced_raises_only_package_errors(self, root, data):
+        doc = json.loads((root / "manifest.json").read_text())
+        path = data.draw(st.sampled_from(list(json_paths(doc))), label="path")
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(JSON_VALUES, label="value")
+        text = json.dumps(doc)
+        try:
+            DatasetManifest.from_json(text).validate()
+        except DiscourseRaterError:
+            pass
+        (root / "fuzzed.json").write_text(text)
+        try:
+            Dataset.load(root, manifest_name="fuzzed.json")
+        except DiscourseRaterError:
+            pass
+
+
 class TestManifestErrors:
     def test_top_level_list_is_format_error(self):
         with pytest.raises(FormatError, match="JSON object"):
@@ -328,4 +365,15 @@ class TestManifestErrors:
         segment.labels["questioning"] = "high"
         with pytest.raises(DataError, match=f"segment {segment.segment_id}: "
                                             "label 'questioning'"):
+            manifest.validate()
+
+    @pytest.mark.parametrize("value", ["1e400", "-Infinity", "1" + "0" * 400],
+                             ids=["overflowing_float", "infinity", "huge_integer"])
+    def test_label_beyond_float_range_names_its_segment(self, value):
+        doc = json.loads(generate_synthetic(small_synth()).manifest.to_json())
+        doc["segments"][2]["labels"]["nature"] = "LABEL"
+        text = json.dumps(doc).replace('"LABEL"', value)
+        manifest = DatasetManifest.from_json(text)
+        with pytest.raises(DataError, match=f"segment {doc['segments'][2]['segment_id']}: "
+                                            "label 'nature'"):
             manifest.validate()

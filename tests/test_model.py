@@ -102,29 +102,29 @@ class TestForward:
     def test_multi_task_probability_vectors(self, rng):
         model = build_model(ModelConfig(modalities="T+A", fusion_modules=1, seed=1))
         seg = make_segment(rng)
-        out = forward(model, seg)
+        out = forward(model, [seg])
         assert set(out) == set(COMPONENTS)
         for probs in out.values():
-            assert probs.shape == (7,)
+            assert probs.shape == (1, 7)
             assert abs(probs.data.sum() - 1.0) < 1e-6
 
     def test_single_task_single_head(self, rng):
         model = build_model(ModelConfig(modalities=("text",), task="single",
                                         component="questioning", seed=1))
-        out = forward(model, make_segment(rng))
+        out = forward(model, [make_segment(rng)])
         assert set(out) == {"questioning"}
 
     def test_regression_mode_scalar_outputs(self, rng):
         model = build_model(ModelConfig(modalities=("text",), loss="l1", seed=1))
-        out = forward(model, make_segment(rng))
+        out = forward(model, [make_segment(rng)])
         for score in out.values():
-            assert score.shape == (1,)
+            assert score.shape == (1, 1)
 
     def test_forward_deterministic(self, rng):
         model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=2, seed=2))
         seg = make_segment(rng)
-        a = forward(model, seg)
-        b = forward(model, seg)
+        a = forward(model, [seg])
+        b = forward(model, [seg])
         for component in a:
             assert np.array_equal(a[component].data, b[component].data)
 
@@ -133,32 +133,32 @@ class TestForward:
         seg = make_segment(rng, seg_id="seg-empty")
         seg.audio = np.zeros((0, 1024), dtype=np.float32)
         with pytest.raises(DataError, match="seg-empty.*audio"):
-            forward(model, seg)
+            forward(model, [seg])
 
     def test_audio_kv_permutation_invariance_without_positions(self, rng):
         model = build_model(ModelConfig(modalities="T+A", fusion_modules=2,
                                         positional=False, seed=3))
         seg = make_segment(rng, chunk_len=6)
-        base = forward(model, seg)
+        base = forward(model, [seg])
         perm = rng.permutation(6)
         shuffled = make_segment(rng, chunk_len=6)
         shuffled.text = seg.text
         shuffled.audio = seg.audio[perm]
         shuffled.video = seg.video
-        permuted = forward(model, shuffled)
+        permuted = forward(model, [shuffled])
         for component in base:
             assert np.abs(base[component].data - permuted[component].data).max() < 1e-5
 
     def test_unimodal_variants_run(self, rng):
         for modality in ("text", "audio", "video"):
             model = build_model(ModelConfig(modalities=(modality,), seed=4))
-            out = forward(model, make_segment(rng))
+            out = forward(model, [make_segment(rng)])
             assert set(out) == set(COMPONENTS)
 
     def test_no_nan_for_large_inputs(self, rng):
         model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=1, seed=5))
         seg = make_segment(rng, scale=100.0)
-        out = forward(model, seg)
+        out = forward(model, [seg])
         for probs in out.values():
             assert np.isfinite(probs.data).all()
 
@@ -167,11 +167,10 @@ class TestForward:
         from discourse_rater.objective import oll_loss, rating_to_index
 
         model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=1, seed=6))
-        out = forward(model, make_segment(rng))
+        out = forward(model, [make_segment(rng)])
         losses = []
         for component, probs in out.items():
-            row = probs.reshape((1, 7))
-            losses.append(oll_loss(row, [rating_to_index(2.5)]))
+            losses.append(oll_loss(probs, [rating_to_index(2.5)]))
         total = losses[0] + losses[1] + losses[2]
         total.backward()
         for name, tensor in model.parameters().items():
@@ -187,8 +186,8 @@ class TestForward:
         for name, tensor in single.parameters().items():
             tensor.data = multi_params[name].data.copy()
         seg = make_segment(rng)
-        assert np.allclose(forward(single, seg)["nature"].data,
-                           forward(multi, seg)["nature"].data)
+        assert np.allclose(forward(single, [seg])["nature"].data,
+                           forward(multi, [seg])["nature"].data)
 
 
 def labelled(segments):
@@ -293,7 +292,7 @@ class TestLstmBaseline:
     def test_pooled_width_is_3584(self, rng):
         model = build_model(ModelConfig(modalities="T+A", encoder="lstm", seed=1))
         assert model.heads["nature"].w1.shape == (3584, 512)
-        out = forward(model, make_segment(rng, text_len=2, chunk_len=2))
+        out = forward(model, [make_segment(rng, text_len=2, chunk_len=2)])
         assert set(out) == set(COMPONENTS)
 
     def test_three_heads_in_multi_task_mode(self):
@@ -303,8 +302,8 @@ class TestLstmBaseline:
     def test_deterministic_under_seed(self, rng):
         cfg = ModelConfig(modalities="T+A", encoder="lstm", seed=9)
         seg = make_segment(rng, text_len=2, chunk_len=2)
-        a = forward(build_model(cfg), seg)
-        b = forward(build_model(cfg), seg)
+        a = forward(build_model(cfg), [seg])
+        b = forward(build_model(cfg), [seg])
         for component in a:
             assert np.array_equal(a[component].data, b[component].data)
 
@@ -313,12 +312,12 @@ class TestCheckpoint:
     def test_roundtrip_reproduces_forward_bitwise(self, rng, tmp_path):
         model = build_model(ModelConfig(modalities="T+A", fusion_modules=2, seed=10))
         seg = make_segment(rng)
-        before = forward(model, seg)
+        before = forward(model, [seg])
         path = tmp_path / "model.dfm"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.config == model.config
-        after = forward(loaded, seg)
+        after = forward(loaded, [seg])
         for component in before:
             assert np.array_equal(before[component].data, after[component].data)
 

@@ -239,8 +239,8 @@ class TestPadding:
             seg = make_segment(rng, text_len=3, chunk_len=4)
             example = Example(seg, {c: 2.0 for c in COMPONENTS})
             padded_seg, masks = pad_example(example, {"text": 7, "audio": 9, "video": 9})
-            base = forward(model, seg)
-            padded = forward(model, padded_seg, masks=masks)
+            base = forward(model, [seg])
+            padded = forward(model, [padded_seg], masks=[masks])
             for component in base:
                 assert np.abs(base[component].data - padded[component].data).max() < 1e-12
 
@@ -251,8 +251,8 @@ class TestPadding:
         seg = make_segment(rng, text_len=3, chunk_len=4)
         example = Example(seg, {c: 2.0 for c in COMPONENTS})
         padded_seg, masks = pad_example(example, {"text": 7, "audio": 9, "video": 9})
-        base = forward(model, seg)
-        padded = forward(model, padded_seg, masks=masks)
+        base = forward(model, [seg])
+        padded = forward(model, [padded_seg], masks=[masks])
         for component in base:
             assert np.abs(base[component].data - padded[component].data).max() < 2e-6
 
@@ -263,8 +263,8 @@ class TestPadding:
         seg = make_segment(rng, text_len=2, chunk_len=3)
         example = Example(seg, {c: 2.0 for c in COMPONENTS})
         padded_seg, masks = pad_example(example, {"text": 4, "audio": 5, "video": 5})
-        base = forward(model, seg)
-        padded = forward(model, padded_seg, masks=masks)
+        base = forward(model, [seg])
+        padded = forward(model, [padded_seg], masks=[masks])
         for component in base:
             assert np.abs(base[component].data - padded[component].data).max() == 0.0
 
@@ -277,17 +277,16 @@ class TestPadding:
             seg = make_segment(rng, text_len=3, chunk_len=3)
             example = Example(seg, {c: 2.0 for c in COMPONENTS})
             padded_seg, masks = pad_example(example, {"text": 6, "audio": 6, "video": 6})
-            out = forward(model, padded_seg, masks=masks)
-            probs = out["nature"].reshape((1, 7))
-            loss = oll_loss(probs, [4])
+            out = forward(model, [padded_seg], masks=[masks])
+            loss = oll_loss(out["nature"], [4])
             loss.backward()
             grads = {name: (t.grad.copy() if t.grad is not None else None)
                      for name, t in model.parameters().items()}
 
             for t in model.parameters().values():
                 t.grad = None
-            out2 = forward(model, seg)
-            loss2 = oll_loss(out2["nature"].reshape((1, 7)), [4])
+            out2 = forward(model, [seg])
+            loss2 = oll_loss(out2["nature"], [4])
             loss2.backward()
             for name, t in model.parameters().items():
                 if grads[name] is None:
@@ -319,7 +318,7 @@ class TestPadding:
             total = None
             for ex in examples:
                 for component, probs in fusion_oracle(model, ex.features).items():
-                    term = oll_loss(probs.reshape((1, 7)),
+                    term = oll_loss(probs,
                                     [rating_to_index(ex.labels[component])],
                                     weights[component]) * (1.0 / len(examples))
                     total = term if total is None else total + term
@@ -355,7 +354,7 @@ class TestPadding:
             for seg, masks, labels in batch:
                 for component, probs in fusion_oracle(model, seg, masks,
                                                       rng=example_rng).items():
-                    term = oll_loss(probs.reshape((1, 7)),
+                    term = oll_loss(probs,
                                     [rating_to_index(labels[component])],
                                     weights[component]) * (1.0 / len(batch))
                     total = term if total is None else total + term
@@ -417,7 +416,7 @@ class TestPadding:
             alone = [fusion_oracle(model, ex.features) for ex in examples]
             expected = 0.0
             for component in COMPONENTS:
-                probs = T.concat([out[component].reshape((1, 7)) for out in alone], axis=0)
+                probs = T.concat([out[component] for out in alone], axis=0)
                 labels = [rating_to_index(ex.labels[component]) for ex in examples]
                 expected += float(oll_loss(probs, labels, weights[component]).data)
             got = evaluation_loss(model, examples, weights)

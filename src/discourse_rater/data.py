@@ -37,8 +37,7 @@ FEATURE_MAGIC = b"DFX1"
 
 _MODALITY_DIMS = {"text": TEXT_DIM, "audio": AUDIO_DIM, "video": VIDEO_DIM}
 
-JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
-              dict: "object"}
+JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
 
 
 def json_type(value) -> str:
@@ -58,9 +57,10 @@ def fits_json_type(value, expected) -> bool:
     """Whether a parsed JSON value has type ``expected``: a key of
     ``JSON_NAMES``, or ``[t]`` for an array of ``t``.  Only ``bool`` takes a
     boolean, and ``float`` takes any number."""
+    if type(value) is expected:
+        return True
     if isinstance(expected, list):
-        return isinstance(value, list) and all(fits_json_type(item, expected[0])
-                                               for item in value)
+        return isinstance(value, list) and all(fits_json_type(v, expected[0]) for v in value)
     if isinstance(value, bool):
         return expected is bool
     if expected is float:
@@ -142,21 +142,19 @@ _RECORD_TYPES = {"segments": SegmentRecord, "rater_records": RaterRecord,
 
 
 def _record(key: str, index: int, item):
-    """Entry ``index`` of the manifest's ``key`` array, each field checked
-    against its JSON type; a label must be a number.  A segment is named by
-    its id once that is a string."""
+    """Entry ``index`` of the manifest's ``key`` array, each field (and label)
+    checked against its JSON type; a segment is named by a string id."""
     where = f"{key}[{index}]"
     if not isinstance(item, dict):
         raise FormatError(f"manifest {where} must be a JSON object, not a JSON {json_type(item)}")
     if key == "segments" and isinstance(item.get("segment_id"), str):
         where = f"segment {item['segment_id']}"
-    checks = [(f"field {name!r}", value, _FIELD_TYPES.get(name, str))
-              for name, value in item.items()]
+    checks = [("field", name, value, _FIELD_TYPES.get(name, str)) for name, value in item.items()]
     if isinstance(item.get("labels"), dict):
-        checks += [(f"label {name!r}", value, float) for name, value in item["labels"].items()]
-    for what, value, expected in checks:
+        checks += [("label", name, value, float) for name, value in item["labels"].items()]
+    for what, name, value, expected in checks:
         if not fits_json_type(value, expected):
-            raise FormatError(f"manifest {where}: {what} must be a JSON "
+            raise FormatError(f"manifest {where}: {what} {name!r} must be a JSON "
                               f"{JSON_NAMES[expected]}, not a JSON {json_type(value)}")
     try:
         return _RECORD_TYPES[key](**item)

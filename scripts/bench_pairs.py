@@ -18,7 +18,10 @@ workload's name in ``--out``:
   neither side), ``median_change_pct`` and ``gain_rule_met``, the gain rule
   of the choosing-metrics guide: the change better in at least nine tenths of
   the pairs, and the medians apart by more than the parent's interquartile
-  distance, in the better direction;
+  distance, in the better direction; and per side ``incorrect_runs``, the
+  runs whose own checks failed (``"correct": false``).  A run whose output
+  is wrong measures nothing, so any incorrect run on either side makes
+  ``gain_rule_met``, and so the claim, false;
 - with ``--trace-seed``: one ``--trace 1`` run of each side at that seed,
   under ``traced_per_layer``;
 - with ``--claim METRIC``: a ``claim`` entry for that metric on this workload.
@@ -82,6 +85,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarise(runs: list[dict], better: dict[str, str]) -> dict:
     """Per-metric sides, pair wins and the gain rule over ``runs``."""
+    incorrect = {side: sum(not run[side]["correct"] for run in runs) for side in SIDES}
     out = {}
     for metric, direction in better.items():
         pairs = [(run["parent"]["metrics"][metric]["value"],
@@ -94,8 +98,10 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             "change": {"median": round(cm, 4), "q1": round(c1, 4), "q3": round(c3, 4)},
             "change_better_in": f"{wins}/{len(pairs)}",
             "median_change_pct": round(100.0 * (cm / pm - 1.0), 1) if pm else None,
-            "gain_rule_met": wins >= 0.9 * len(pairs) and sign * (cm - pm) > p3 - p1,
+            "gain_rule_met": not any(incorrect.values()) and wins >= 0.9 * len(pairs)
+            and sign * (cm - pm) > p3 - p1,
         }
+    out["incorrect_runs"] = incorrect
     out["failed_operations"] = {side: sum(run[side]["failed"] for run in runs) for side in SIDES}
     out["attempted_operations"] = {side: sum(run[side]["attempted"] for run in runs)
                                    for side in SIDES}

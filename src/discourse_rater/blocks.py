@@ -23,30 +23,61 @@ from .tensor import Tensor
 NEG_FILL = -1e30
 
 
-def xavier_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int) -> Tensor:
-    """Glorot-uniform ``[fan_in, fan_out]`` weights.
+class ParamArena:
+    """One flat buffer in the current float width that parameters are
+    carved from, one view each, in the order they are made."""
+
+    def __init__(self, size: int):
+        self.buffer = np.empty(size, dtype=T.current_dtype())
+        self.used = 0
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        stop = self.used + math.prod(shape)
+        if stop > self.buffer.size:
+            raise UsageError(f"parameter arena of {self.buffer.size} values is full")
+        view = self.buffer[self.used:stop].reshape(shape)
+        self.used = stop
+        return view
+
+
+def param_array(shape: tuple[int, ...], arena: ParamArena | None) -> np.ndarray:
+    """An uninitialised parameter array in the current float width: the next
+    view of ``arena``, or an array of its own when that is None."""
+    if arena is None:
+        return np.empty(shape, dtype=T.current_dtype())
+    return arena.take(shape)
+
+
+def xavier_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int,
+                   arena: ParamArena | None = None) -> Tensor:
+    """Glorot-uniform ``[fan_in, fan_out]`` weights in a ``param_array``.
 
     The values are those of ``rng.uniform(-bound, bound, size)``, computed as
     that method computes them (``low + (high - low) * rng.random()``) but
-    without its slower per-value path.  With ``rng`` None the array is left
-    uninitialised and nothing is drawn, for a caller that fills every value
-    itself (``model.load_model``).
+    without its slower per-value path.  The last step, ``+ low``, runs in
+    float64 and is rounded once into the parameter's width as it is written.
+    With ``rng`` None the array is left uninitialised and nothing is drawn,
+    for a caller that fills every value itself (``model.load_model``).
     """
-    if rng is None:
-        return Tensor(np.empty((fan_in, fan_out), dtype=T.current_dtype()), requires_grad=True)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    values = rng.random((fan_in, fan_out))
-    values *= bound - (-bound)
-    values += -bound
-    return Tensor(values, requires_grad=True)
+    out = param_array((fan_in, fan_out), arena)
+    if rng is not None:
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        values = rng.random((fan_in, fan_out))
+        values *= bound - (-bound)
+        np.add(values, -bound, out=out, casting="same_kind")
+    return Tensor(out, requires_grad=True)
 
 
-def zeros_param(*shape: int) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=T.current_dtype()), requires_grad=True)
+def zeros_param(*shape: int, arena: ParamArena | None = None) -> Tensor:
+    out = param_array(shape, arena)
+    out.fill(0)
+    return Tensor(out, requires_grad=True)
 
 
-def ones_param(*shape: int) -> Tensor:
-    return Tensor(np.ones(shape, dtype=T.current_dtype()), requires_grad=True)
+def ones_param(*shape: int, arena: ParamArena | None = None) -> Tensor:
+    out = param_array(shape, arena)
+    out.fill(1)
+    return Tensor(out, requires_grad=True)
 
 
 def dropout_keep(rng: np.random.Generator | None, shape: tuple[int, ...],
@@ -123,20 +154,21 @@ class AttentionParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator | None, model_dim: int = 768,
-               context_dim: int | None = None, num_heads: int = 12) -> "AttentionParams":
+               context_dim: int | None = None, num_heads: int = 12,
+               arena: ParamArena | None = None) -> "AttentionParams":
         if context_dim is None:
             context_dim = model_dim
         if model_dim % num_heads != 0:
             raise UsageError(f"model_dim {model_dim} not divisible by {num_heads} heads")
         return cls(
-            wq=xavier_uniform(rng, model_dim, model_dim),
-            bq=zeros_param(model_dim),
-            wk=xavier_uniform(rng, context_dim, model_dim),
-            bk=zeros_param(model_dim),
-            wv=xavier_uniform(rng, context_dim, model_dim),
-            bv=zeros_param(model_dim),
-            wo=xavier_uniform(rng, model_dim, model_dim),
-            bo=zeros_param(model_dim),
+            wq=xavier_uniform(rng, model_dim, model_dim, arena),
+            bq=zeros_param(model_dim, arena=arena),
+            wk=xavier_uniform(rng, context_dim, model_dim, arena),
+            bk=zeros_param(model_dim, arena=arena),
+            wv=xavier_uniform(rng, context_dim, model_dim, arena),
+            bv=zeros_param(model_dim, arena=arena),
+            wo=xavier_uniform(rng, model_dim, model_dim, arena),
+            bo=zeros_param(model_dim, arena=arena),
             num_heads=num_heads,
             model_dim=model_dim,
             context_dim=context_dim,
@@ -249,19 +281,20 @@ class EncoderBlockParams:
     @classmethod
     def create(cls, rng: np.random.Generator | None, model_dim: int = 768,
                context_dim: int | None = None, num_heads: int = 12,
-               ffn_dim: int | None = None, dropout_rate: float = 0.1) -> "EncoderBlockParams":
+               ffn_dim: int | None = None, dropout_rate: float = 0.1,
+               arena: ParamArena | None = None) -> "EncoderBlockParams":
         if ffn_dim is None:
             ffn_dim = 2 * model_dim
         return cls(
-            attention=AttentionParams.create(rng, model_dim, context_dim, num_heads),
-            w1=xavier_uniform(rng, model_dim, ffn_dim),
-            b1=zeros_param(ffn_dim),
-            w2=xavier_uniform(rng, ffn_dim, model_dim),
-            b2=zeros_param(model_dim),
-            ln1_gain=ones_param(model_dim),
-            ln1_bias=zeros_param(model_dim),
-            ln2_gain=ones_param(model_dim),
-            ln2_bias=zeros_param(model_dim),
+            attention=AttentionParams.create(rng, model_dim, context_dim, num_heads, arena),
+            w1=xavier_uniform(rng, model_dim, ffn_dim, arena),
+            b1=zeros_param(ffn_dim, arena=arena),
+            w2=xavier_uniform(rng, ffn_dim, model_dim, arena),
+            b2=zeros_param(model_dim, arena=arena),
+            ln1_gain=ones_param(model_dim, arena=arena),
+            ln1_bias=zeros_param(model_dim, arena=arena),
+            ln2_gain=ones_param(model_dim, arena=arena),
+            ln2_bias=zeros_param(model_dim, arena=arena),
             dropout_rate=dropout_rate,
         )
 
@@ -344,11 +377,12 @@ class HeadParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator | None, in_dim: int = 768,
-               hidden: int = 512, out_dim: int = 7) -> "HeadParams":
+               hidden: int = 512, out_dim: int = 7,
+               arena: ParamArena | None = None) -> "HeadParams":
         return cls(
-            w1=xavier_uniform(rng, in_dim, hidden), b1=zeros_param(hidden),
-            w2=xavier_uniform(rng, hidden, hidden), b2=zeros_param(hidden),
-            w3=xavier_uniform(rng, hidden, out_dim), b3=zeros_param(out_dim),
+            w1=xavier_uniform(rng, in_dim, hidden, arena), b1=zeros_param(hidden, arena=arena),
+            w2=xavier_uniform(rng, hidden, hidden, arena), b2=zeros_param(hidden, arena=arena),
+            w3=xavier_uniform(rng, hidden, out_dim, arena), b3=zeros_param(out_dim, arena=arena),
         )
 
     def parameters(self) -> dict[str, Tensor]:
@@ -390,16 +424,17 @@ class BiLstmParams:
 
     @classmethod
     def create(cls, rng: np.random.Generator | None, input_dim: int,
-               hidden_size: int | None = None, num_layers: int = 2) -> "BiLstmParams":
+               hidden_size: int | None = None, num_layers: int = 2,
+               arena: ParamArena | None = None) -> "BiLstmParams":
         h = input_dim if hidden_size is None else hidden_size
         layers = []
         for layer in range(num_layers):
             in_dim = input_dim if layer == 0 else 2 * h
             layers.append({
                 direction: LstmCellParams(
-                    wx=xavier_uniform(rng, in_dim, 4 * h),
-                    wh=xavier_uniform(rng, h, 4 * h),
-                    b=zeros_param(4 * h),
+                    wx=xavier_uniform(rng, in_dim, 4 * h, arena),
+                    wh=xavier_uniform(rng, h, 4 * h, arena),
+                    b=zeros_param(4 * h, arena=arena),
                 )
                 for direction in ("fw", "bw")
             })

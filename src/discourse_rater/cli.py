@@ -408,6 +408,7 @@ def _read_predictions(path: str) -> dict[str, dict[str, float]]:
 def cmd_correlate(args) -> int:
     resolved = _resolve(args, *_SETTINGS["correlate"])
     manifest = DatasetManifest.load(Path(resolved["data"]) / "manifest.json")
+    manifest.validate()
     if not manifest.student_records:
         raise UsageError("manifest has no student records to correlate against")
     predictions = _read_predictions(resolved["predictions"])

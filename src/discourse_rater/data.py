@@ -15,6 +15,7 @@ bounds what any model should achieve on the generated data.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -187,6 +188,15 @@ class DatasetManifest:
                     rating_to_index(seg.labels[component])
                 except (TypeError, ValueError, OverflowError, DataError) as exc:
                     raise DataError(f"segment {seg.segment_id}: label {component!r}: {exc}") from exc
+        for rec in self.student_records:
+            for name in ("test_score", "interest", "self_efficacy"):
+                try:
+                    finite = math.isfinite(getattr(rec, name))
+                except OverflowError:
+                    finite = False
+                if not finite:
+                    raise DataError(f"student {rec.student_id}: field {name!r} must be a "
+                                    f"finite number")
         if self.rater_records:
             counts: dict[tuple[str, str], set[str]] = {}
             for rec in self.rater_records:

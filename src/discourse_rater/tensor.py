@@ -15,6 +15,14 @@ A graph is single-use: :meth:`Tensor.backward` consumes it as it goes, so
 each intermediate's gradient and the forward activations its closure holds
 are freed as soon as they have been used, and a training step's peak memory
 stays close to the size of its forward graph.
+
+A gradient is written where it will be read.  A tensor with a
+``grad_slot`` (a parameter under ``train.AdamW``) takes its first gradient
+of a step in that slot: matmul writes its weight gradient there directly,
+any other primitive by one copy.  Elsewhere a first gradient that its
+primitive has just computed becomes ``.grad`` as it is, and one that passes
+through unchanged or as a view (add, sub, reshape, concat, permute,
+transpose) is copied, so no two tensors ever share a gradient array.
 """
 
 from __future__ import annotations
@@ -81,12 +89,14 @@ class Tensor:
     operation's inputs exist before its output.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "grad_slot", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: np.ndarray = np.asarray(data, dtype=_DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        # Where a first gradient goes instead of a new array (see ``_accum``).
+        self.grad_slot: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -211,7 +221,7 @@ def _op(data: np.ndarray, parents: tuple[Tensor, ...],
         backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
+    out.grad = out.grad_slot = None
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
@@ -228,15 +238,27 @@ def _consumed(g: np.ndarray) -> None:
                      "a graph is single-use, so run the forward pass again")
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into ``t.grad``; a first gradient is one copy in ``t.data``'s layout."""
+def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.
+
+    A first gradient is copied into ``t.grad_slot`` when there is one.  Else
+    it is adopted as it is when ``owned`` (the caller has just computed it and
+    nothing else holds it) and it has ``t.data``'s dtype and shape and, like
+    ``t.data``, C order; otherwise it is one copy in ``t.data``'s layout.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
+    if t.grad is not None:
+        t.grad += g
+    elif t.grad_slot is not None:
+        np.copyto(t.grad_slot, g)
+        t.grad = t.grad_slot
+    elif owned and g.dtype == t.data.dtype and g.shape == t.data.shape \
+            and g.flags.c_contiguous and t.data.flags.c_contiguous:
+        t.grad = g
+    else:
         t.grad = np.empty_like(t.data)
         np.copyto(t.grad, g)
-    else:
-        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -273,7 +295,7 @@ def sub(a, b) -> Tensor:
         if a.requires_grad:
             _accum(a, _unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(-g, b.data.shape))
+            _accum(b, _unbroadcast(-g, b.data.shape), owned=True)
 
     return _op(data, (a, b), backward)
 
@@ -284,9 +306,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+            _accum(a, _unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, _unbroadcast(g * a.data, b.data.shape))
+            _accum(b, _unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return _op(data, (a, b), backward)
 
@@ -295,7 +317,7 @@ def neg(a: Tensor) -> Tensor:
     data = -a.data
 
     def backward(g):
-        _accum(a, -g)
+        _accum(a, -g, owned=True)
 
     return _op(data, (a,), backward)
 
@@ -304,7 +326,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0)
 
     def backward(g):
-        _accum(a, g * (a.data > 0))
+        _accum(a, g * (a.data > 0), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -318,7 +340,7 @@ def sigmoid(a: Tensor) -> Tensor:
     data[~pos] = ex / (1.0 + ex)
 
     def backward(g):
-        _accum(a, g * data * (1.0 - data))
+        _accum(a, g * data * (1.0 - data), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -327,7 +349,7 @@ def tanh(a: Tensor) -> Tensor:
     data = np.tanh(a.data)
 
     def backward(g):
-        _accum(a, g * (1.0 - data * data))
+        _accum(a, g * (1.0 - data * data), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -336,7 +358,7 @@ def log(a: Tensor) -> Tensor:
     data = np.log(a.data)
 
     def backward(g):
-        _accum(a, g / a.data)
+        _accum(a, g / a.data, owned=True)
 
     return _op(data, (a,), backward)
 
@@ -345,7 +367,7 @@ def absolute(a: Tensor) -> Tensor:
     data = np.abs(a.data)
 
     def backward(g):
-        _accum(a, g * np.sign(a.data))
+        _accum(a, g * np.sign(a.data), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -355,7 +377,7 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     data = np.maximum(a.data, floor)
 
     def backward(g):
-        _accum(a, g * (a.data > floor))
+        _accum(a, g * (a.data > floor), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -367,7 +389,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``[..., K] @ [K, N] -> [..., N]``.
 
     A left operand of rank 3 or more is flattened to ``[rows, K]``, so a
-    whole batch is one GEMM forward and one for the weight gradient.
+    whole batch is one GEMM forward and one for the weight gradient.  A
+    first weight gradient of a right operand with a ``grad_slot`` is that
+    GEMM's output, written in the slot.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim != 2:
@@ -385,9 +409,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         g_rows = g.reshape(rows.shape[0], -1)
         if a.requires_grad:
-            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape))
+            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape), owned=True)
         if b.requires_grad:
-            _accum(b, rows.T @ g_rows)
+            if b.grad is None and b.grad_slot is not None:
+                b.grad = np.matmul(rows.T, g_rows, out=b.grad_slot)
+            else:
+                _accum(b, rows.T @ g_rows, owned=True)
 
     return _op(data, (a, b), backward)
 
@@ -426,9 +453,9 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g @ b.data.swapaxes(-1, -2))
+            _accum(a, g @ b.data.swapaxes(-1, -2), owned=True)
         if b.requires_grad:
-            _accum(b, a.data.swapaxes(-1, -2) @ g)
+            _accum(b, a.data.swapaxes(-1, -2) @ g, owned=True)
 
     return _op(data, (a, b), backward)
 
@@ -451,7 +478,7 @@ def take(a: Tensor, key) -> Tensor:
     def backward(g):
         full = np.zeros_like(a.data)
         full[key] = g
-        _accum(a, full)
+        _accum(a, full, owned=True)
 
     return _op(data, (a,), backward)
 
@@ -485,7 +512,7 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = np.asarray(data, dtype=a.data.dtype)
 
     def backward(g):
-        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims).copy())
+        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims).copy(), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -496,7 +523,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     count = a.data.size if axis is None else a.data.shape[axis]
 
     def backward(g):
-        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims) / count)
+        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims) / count, owned=True)
 
     return _op(data, (a,), backward)
 
@@ -511,7 +538,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         inner = (g * data).sum(axis=axis, keepdims=True)
-        _accum(a, data * (g - inner))
+        _accum(a, data * (g - inner), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -522,7 +549,7 @@ def masked_fill(a: Tensor, fill_mask: np.ndarray, value: float) -> Tensor:
     data = np.where(mask, np.asarray(value, dtype=a.data.dtype), a.data)
 
     def backward(g):
-        _accum(a, np.where(mask, 0.0, g))
+        _accum(a, np.where(mask, 0.0, g), owned=True)
 
     return _op(data, (a,), backward)
 
@@ -539,14 +566,14 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def backward(g):
         if gain.requires_grad:
-            _accum(gain, (g * xhat).sum(axis=lead))
+            _accum(gain, (g * xhat).sum(axis=lead), owned=True)
         if bias.requires_grad:
-            _accum(bias, g.sum(axis=lead))
+            _accum(bias, g.sum(axis=lead), owned=True)
         if a.requires_grad:
             dxhat = g * gain.data
             term = dxhat - dxhat.mean(axis=-1, keepdims=True) \
                 - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accum(a, inv * term)
+            _accum(a, inv * term, owned=True)
 
     return _op(data, (a, gain, bias), backward)
 
@@ -571,7 +598,7 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
         full[flat[once]] = g_rows[once]
         for row in np.flatnonzero(counts > 1):
             full[row] = g_rows[flat == row].sum(axis=0)
-        _accum(table, full)
+        _accum(table, full, owned=True)
 
     return _op(data, (table,), backward)
 

@@ -56,21 +56,28 @@ class TrainConfig:
 class AdamW:
     """Adam with decoupled weight decay (Loshchilov & Hutter, arXiv:1711.05101).
 
-    The parameters live in one contiguous array, ``flat``: the constructor
-    copies each parameter into it, in the parameters' float width, and
-    rebinds ``p.data`` to a view of it.  Each ``p.grad`` is likewise a view of
-    ``flat_grad``, into which backward accumulates in place; a ``.grad`` set
-    before construction is copied into its slot, and ``zero_grad`` zeroes the
-    whole array.  The first and second moments are flat arrays too.
+    The parameters live in one contiguous array, ``flat``.  When they tile
+    one buffer exactly, in order, as ``model.build_model`` and
+    ``model.load_model`` build them, that buffer is ``flat`` and nothing is
+    copied; any other dict is copied into a new ``flat``, in the parameters'
+    float width, and each ``p.data`` rebound to its view.  Each parameter's
+    ``grad_slot`` is the matching view of ``flat_grad``, so backward writes a
+    first gradient straight into it (see ``tensor._accum``).  The first and
+    second moments are flat arrays too.
 
-    ``step`` first copies into its slot any ``.grad`` a caller has rebound to
-    another array (None reads as zero), then checks the whole gradient: a
-    non-finite value raises ``NumericsError`` naming the first parameter that
-    holds one, before anything changes.  The update then runs in place over
-    ``CHUNK``-element pieces through two preallocated scratch arrays, so no
-    temporary grows with the model.  It performs the same operations in the
-    same order as the per-array form ``m = b1 * m + (1 - b1) * g`` and so on,
-    so its results are bit-identical to that form.
+    ``zero_grad`` sets every ``.grad`` to None.  ``flat_gradient`` copies a
+    ``.grad`` that is not its slot (rebound by a caller, or set before
+    construction) into the slot and zero-fills the slot of a None one, so
+    ``flat_grad`` then holds the whole gradient.  ``step`` does that first,
+    then checks the whole gradient in one pass: when its squared norm is not
+    finite, an exact scan raises ``NumericsError`` naming the first
+    parameter that holds a non-finite value, before anything changes (a
+    finite gradient whose squares overflow passes).  The update then runs in
+    place over ``CHUNK``-element pieces through two preallocated scratch
+    arrays, so no temporary grows with the model.  It performs the same
+    operations in the same order as the per-array form
+    ``m = b1 * m + (1 - b1) * g`` and so on, so its results are bit-identical
+    to that form.
     """
 
     def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
@@ -82,41 +89,53 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        dtype = np.result_type(*(p.data.dtype for p in self.params.values())) \
-            if self.params else T.current_dtype()
-        size = sum(p.data.size for p in self.params.values())
-        self.flat = np.empty(size, dtype)
-        self.flat_grad = np.zeros(size, dtype)
+        flat = _tiled_buffer(self.params)
+        if flat is None:
+            dtype = np.result_type(*(p.data.dtype for p in self.params.values())) \
+                if self.params else T.current_dtype()
+            flat = np.empty(sum(p.data.size for p in self.params.values()), dtype)
+        size, dtype = flat.size, flat.dtype
+        self.flat = flat
+        self.flat_grad = np.empty(size, dtype)
         self._m = np.zeros(size, dtype)
         self._v = np.zeros(size, dtype)
         self._grads: dict[str, np.ndarray] = {}
         start = 0
         for name, p in self.params.items():
             stop = start + p.data.size
-            data = self.flat[start:stop].reshape(p.data.shape)
-            data[...] = p.data
-            grad = self.flat_grad[start:stop].reshape(p.data.shape)
-            if p.grad is not None:
-                grad[...] = p.grad
-            p.data, p.grad = data, grad
-            self._grads[name] = grad
+            if p.data.base is not flat:
+                flat[start:stop] = p.data.reshape(-1)
+                p.data = flat[start:stop].reshape(p.data.shape)
+            p.grad_slot = self._grads[name] = self.flat_grad[start:stop].reshape(p.data.shape)
             start = stop
         chunk = min(CHUNK, size)
         self._scratch = (np.empty(chunk, dtype), np.empty(chunk, dtype))
 
     def zero_grad(self) -> None:
-        self.flat_grad.fill(0)
+        for p in self.params.values():
+            p.grad = None
+
+    def flat_gradient(self) -> np.ndarray:
+        """``flat_grad`` with every parameter's gradient in its slot."""
+        for name, p in self.params.items():
+            slot = self._grads[name]
+            if p.grad is not slot:
+                if p.grad is None:
+                    slot.fill(0)
+                else:
+                    slot[...] = p.grad
+                p.grad = slot
+        return self.flat_grad
 
     def step(self) -> None:
-        for name, p in self.params.items():
-            grad = self._grads[name]
-            if p.grad is not grad:
-                grad[...] = 0 if p.grad is None else p.grad
-                p.grad = grad
-        g_all = self.flat_grad
-        if g_all.size and not (np.isfinite(g_all.min()) and np.isfinite(g_all.max())):
-            name = next(name for name, grad in self._grads.items() if not np.isfinite(grad).all())
-            raise NumericsError(f"non-finite gradient for parameter {name!r}")
+        g_all = self.flat_gradient()
+        with np.errstate(over="ignore", invalid="ignore"):
+            squared_norm = np.dot(g_all, g_all)
+        if not np.isfinite(squared_norm):
+            name = next((name for name, grad in self._grads.items()
+                         if not np.isfinite(grad).all()), None)
+            if name is not None:
+                raise NumericsError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
         b1, b2, lr = self.beta1, self.beta2, self.lr
         bc1 = 1.0 - b1 ** self.step_count
@@ -142,6 +161,21 @@ class AdamW:
             p -= s1
             s2 *= lr
             p -= s2
+
+
+def _tiled_buffer(params: Mapping[str, Tensor]) -> np.ndarray | None:
+    """The flat buffer that the parameters tile exactly, in their order, or None."""
+    base = next(iter(params.values())).data.base if params else None
+    if not isinstance(base, np.ndarray) or base.ndim != 1 or not base.flags.c_contiguous:
+        return None
+    at = base.__array_interface__["data"][0]
+    for p in params.values():
+        data = p.data
+        if data.base is not base or data.dtype != base.dtype or not data.flags.c_contiguous \
+                or data.__array_interface__["data"][0] != at:
+            return None
+        at += data.nbytes
+    return base if at == base.__array_interface__["data"][0] + base.nbytes else None
 
 
 class PlateauScheduler:
@@ -348,9 +382,12 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     """Optimize ``model`` in place and return the epoch history.
 
     Class weights default to inverse frequencies of the training labels.
-    ``AdamW`` moves the parameters into one flat array, so on return every
-    ``p.data`` of the model is a view of it.  Gradient clipping is one norm
-    and one in-place scale of the flat gradient.  ``loss.backward()``
+    ``AdamW`` adopts the model's parameter buffer as its flat array (or
+    moves the parameters into one), so on return every ``p.data`` of the
+    model is a view of it.  Each step sets every ``.grad`` to None, and
+    backward writes each parameter's gradient straight into its slot of the
+    flat gradient.  Gradient clipping is one norm and one in-place scale of
+    the flat gradient.  ``loss.backward()``
     consumes the step's graph, so the ``loss`` kept until the next step
     holds only its value and the next forward pass runs with no graph of
     the previous step alive.  The best-validation
@@ -384,7 +421,7 @@ def train(model: FusionModel, train_examples: Sequence[Example],
                 loss = batch_loss(model, batch, weights, training=True, rng=rng)
                 loss.backward()
                 if config.grad_clip is not None:
-                    _clip_gradients(optimizer.flat_grad, config.grad_clip)
+                    _clip_gradients(optimizer.flat_gradient(), config.grad_clip)
                 optimizer.step()
                 epoch_losses.append(float(loss.data))
             train_loss = float(np.mean(epoch_losses))

@@ -371,6 +371,25 @@ class TestCorrelateCommand:
         assert all(math.isfinite(rating) for per_segment in predictions.values()
                    for rating in per_segment.values())
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field", ["test_score", "interest", "self_efficacy"])
+    def test_non_finite_student_outcome_is_data_error(self, dataset_dir, tmp_path, capsys,
+                                                      field, value):
+        path = dataset_dir / "manifest.json"
+        manifest = DatasetManifest.load(path)
+        doc = json.loads(path.read_text())
+        doc["student_records"][4][field] = "OUTCOME"
+        path.write_text(json.dumps(doc).replace('"OUTCOME"', value))
+        table = tmp_path / "p.csv"
+        self.label_table(table, manifest)
+        assert run_cli("correlate", "--data", dataset_dir, "--predictions", table,
+                       "--out", tmp_path / "corr") == 1
+        err = capsys.readouterr().err
+        student = doc["student_records"][4]["student_id"]
+        assert f"student {student}: field {field!r} must be a finite number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "corr").exists()
+
     def test_missing_student_records_is_usage_error(self, tmp_path):
         empty = tmp_path / "ds"
         assert run_cli("synth", "--out", empty, "--teachers", 5,

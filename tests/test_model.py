@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -10,11 +11,11 @@ from discourse_rater import tensor as T
 from discourse_rater.data import Example
 from discourse_rater.errors import (ConfigError, DataError, DiscourseRaterError, FormatError,
                                     NumericsError, ShapeError)
-from discourse_rater.model import (FusionModel, ModelConfig, build_model,
+from discourse_rater.model import (FusionModel, ModelConfig, _build, build_model,
                                    forward, load_model, modality_label,
                                    parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
-from discourse_rater.train import collate_batch
+from discourse_rater.train import AdamW, collate_batch
 from helpers import EDITS, edited, fusion_oracle, make_segment
 
 
@@ -306,6 +307,92 @@ class TestLstmBaseline:
         b = forward(build_model(cfg), [seg])
         for component in a:
             assert np.array_equal(a[component].data, b[component].data)
+
+
+def parameter_digests(model: FusionModel) -> dict[str, tuple]:
+    """Name to (dtype, shape, SHA-256 of the values) of every parameter; a
+    digest lets two models of up to 66M values be compared one at a time."""
+    return {name: (p.data.dtype, p.shape, hashlib.sha256(np.ascontiguousarray(p.data)).digest())
+            for name, p in model.parameters().items()}
+
+
+def arena_offsets(params) -> list[int] | None:
+    """Each parameter's element offset in the buffer its data views, when the
+    parameters tile that one buffer in order; else None."""
+    arrays = [p.data for p in params.values()]
+    base = arrays[0].base
+    if base is None or any(a.base is not base for a in arrays):
+        return None
+    offsets = [(a.__array_interface__["data"][0] - base.__array_interface__["data"][0])
+               // base.itemsize for a in arrays]
+    starts = np.cumsum([0] + [a.size for a in arrays])
+    if offsets != list(starts[:-1]) or starts[-1] != base.size:
+        return None
+    return offsets
+
+
+class TestParameterArena:
+    CONFIGS = {
+        "T_M1": ModelConfig(modalities=("text",), fusion_modules=1, seed=3),
+        "TAV_M2": ModelConfig(modalities="T+A+V", fusion_modules=2, seed=3),
+        "A": ModelConfig(modalities=("audio",), seed=3),
+        "lstm": ModelConfig(modalities="T+A", encoder="lstm", seed=3),
+        "T_l1": ModelConfig(modalities=("text",), loss="l1", seed=3),
+    }
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_build_equals_a_build_without_arena(self, config, dtype):
+        with T.precision(dtype):
+            model = build_model(config)
+            assert arena_offsets(model.parameters()) is not None
+            in_arena = parameter_digests(model)
+            del model
+            alone = _build(config, np.random.default_rng(config.seed))
+            assert all(p.data.base is None for p in alone.parameters().values())
+            assert parameter_digests(alone) == in_arena
+
+    @pytest.mark.parametrize("config", [CONFIGS["T_M1"], CONFIGS["A"]], ids=["T_M1", "A"])
+    def test_optimizer_adopts_the_buffer(self, config):
+        model = build_model(config)
+        params = model.parameters()
+        buffer = next(iter(params.values())).data.base
+        data = {name: p.data for name, p in params.items()}
+        opt = AdamW(params)
+        assert opt.flat is buffer
+        assert all(p.data is data[name] for name, p in params.items())
+
+    def test_loaded_model_is_adopted_the_same_way(self, rng, tmp_path):
+        model = build_model(self.CONFIGS["T_M1"])
+        for p in model.parameters().values():
+            p.data += rng.standard_normal(p.shape)
+        save_model(model, tmp_path / "model.dfm")
+        loaded = load_model(tmp_path / "model.dfm")
+        params = loaded.parameters()
+        assert arena_offsets(params) == arena_offsets(model.parameters())
+        buffer = next(iter(params.values())).data.base
+        assert AdamW(params).flat is buffer
+        for name, p in model.parameters().items():
+            assert np.array_equal(params[name].data, p.data), name
+
+    @pytest.mark.parametrize("kind", ["separate", "subset", "reordered"])
+    def test_dict_that_does_not_tile_one_buffer_is_copied(self, rng, kind):
+        if kind == "separate":
+            params = {name: T.Tensor(rng.standard_normal(shape), requires_grad=True)
+                      for name, shape in (("a", (3, 4)), ("b", (5,)))}
+        else:
+            params = build_model(ModelConfig(modalities=("text",), seed=3)).parameters()
+            names = list(params)
+            names = names[1:] if kind == "subset" else names[1:] + names[:1]
+            params = {name: params[name] for name in names}
+        before = {name: (p.data, p.data.copy()) for name, p in params.items()}
+        opt = AdamW(params)
+        assert all(opt.flat is not old.base for old, _ in before.values())
+        assert arena_offsets(params) is not None
+        assert next(iter(params.values())).data.base is opt.flat
+        for name, p in params.items():
+            assert p.data is not before[name][0], name
+            assert np.array_equal(p.data, before[name][1]), name
 
 
 class TestCheckpoint:

@@ -1,0 +1,50 @@
+"""Tests of the measurement scripts under ``scripts/``."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchPairsSummary:
+    BETTER = {"segments_per_s": "higher", "setup_s": "lower"}
+
+    @staticmethod
+    def fake_runs(incorrect=()):
+        """Ten pairs in which the change reads 20% faster on every one; the
+        (index, side) pairs in ``incorrect`` failed their own checks."""
+        runs = []
+        for i in range(10):
+            run = {"seed": i, "first": "parent"}
+            for side, rate in (("parent", 3.0 + 0.01 * i), ("change", 3.6 + 0.01 * i)):
+                run[side] = {"correct": (i, side) not in incorrect, "attempted": 5,
+                             "failed": 0,
+                             "metrics": {"segments_per_s": {"value": rate},
+                                         "setup_s": {"value": 0.05}}}
+            runs.append(run)
+        return runs
+
+    def test_correct_runs_meet_the_gain_rule(self):
+        summary = load_script("bench_pairs").summarise(self.fake_runs(), self.BETTER)
+        assert summary["incorrect_runs"] == {"parent": 0, "change": 0}
+        assert summary["segments_per_s"]["gain_rule_met"] is True
+        assert summary["segments_per_s"]["change_better_in"] == "10/10"
+        assert summary["setup_s"]["gain_rule_met"] is False
+
+    @pytest.mark.parametrize("side", ["parent", "change"])
+    def test_one_incorrect_run_on_either_side_voids_the_gain(self, side):
+        summary = load_script("bench_pairs").summarise(self.fake_runs({(3, side)}),
+                                                       self.BETTER)
+        assert summary["incorrect_runs"] == {"parent": int(side == "parent"),
+                                             "change": int(side == "change")}
+        assert summary["segments_per_s"]["change_better_in"] == "10/10"
+        assert summary["segments_per_s"]["gain_rule_met"] is False

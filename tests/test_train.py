@@ -93,9 +93,11 @@ DTYPES = ("float32", "float64")
 class TestFlatAdamW:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_matches_per_array_reference_bit_for_bit(self, rng, dtype):
-        # "big" spans two update chunks; its gradient accumulates in place,
-        # as backward does.  "idle" never gets one, "pre" has one before
-        # construction, "rebound" gets a new array each step and None once.
+        # "big" spans two update chunks; its gradient comes in two parts
+        # through ``_accum``, as backward writes it: the first into its slot
+        # of the flat gradient, the second added there.  "idle" never gets
+        # one, "pre" has one before construction, "rebound" gets a new array
+        # each step and None once.
         shapes = {"big": (300, 250), "idle": (5,), "pre": (2, 3), "rebound": (4,)}
         assert np.prod(shapes["big"]) > CHUNK
         with T.precision(dtype):
@@ -104,16 +106,23 @@ class TestFlatAdamW:
             start = {name: p.data.copy() for name, p in params.items()}
             grads_per_step = [
                 {name: rng.standard_normal(shape).astype(dtype)
-                 for name, shape in shapes.items() if name != "idle"} for _ in range(4)]
+                 for name, shape in shapes.items() if name not in ("idle", "big")}
+                for _ in range(4)]
+            big_parts = [[rng.standard_normal(shapes["big"]).astype(dtype) for _ in range(2)]
+                         for _ in grads_per_step]
+            for grads, (first, second) in zip(grads_per_step, big_parts):
+                grads["big"] = first + second
             grads_per_step[2]["rebound"] = None
             params["pre"].grad = grads_per_step[0]["pre"].copy()
             opt = AdamW(params, lr=1e-2, weight_decay=0.1)
             expected = adamw_reference(start, grads_per_step, lr=1e-2, weight_decay=0.1)
-            for step, grads in enumerate(grads_per_step):
+            for step, (grads, parts) in enumerate(zip(grads_per_step, big_parts)):
                 if step:
                     opt.zero_grad()
-                    params["pre"].grad += grads["pre"]
-                params["big"].grad += grads["big"]
+                    T._accum(params["pre"], grads["pre"])
+                for part in parts:
+                    T._accum(params["big"], part)
+                assert np.shares_memory(params["big"].grad, opt.flat_grad)
                 params["rebound"].grad = grads["rebound"]
                 opt.step()
                 for name, p in params.items():
@@ -130,12 +139,12 @@ class TestFlatAdamW:
                                           ("third", (4,)))}
             opt = AdamW(params, lr=1e-2, weight_decay=0.1)
             for p in params.values():
-                p.grad += rng.standard_normal(p.shape)
+                T._accum(p, rng.standard_normal(p.shape))
             opt.step()
             before = {name: p.data.copy() for name, p in params.items()}
             for bad in (np.inf, np.nan):
                 for p in params.values():
-                    p.grad += rng.standard_normal(p.shape)
+                    T._accum(p, rng.standard_normal(p.shape))
                 params["second"].grad[1, 0] = bad
                 params["third"].grad[0] = np.nan
                 with pytest.raises(NumericsError, match="'second'"):
@@ -150,20 +159,119 @@ class TestFlatAdamW:
             model = build_model(ModelConfig(modalities=("text",), seed=12))
             opt = AdamW(model.parameters())
             for p in model.parameters().values():
-                p.grad += rng.standard_normal(p.shape)
+                T._accum(p, rng.standard_normal(p.shape))
             grads = {name: p.grad.astype(np.float64) for name, p in model.parameters().items()}
             norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
 
-            _clip_gradients(opt.flat_grad, 2.0 * norm)
+            _clip_gradients(opt.flat_gradient(), 2.0 * norm)
             for name, p in model.parameters().items():
                 assert np.array_equal(p.grad, grads[name].astype(dtype)), name
 
-            _clip_gradients(opt.flat_grad, 0.5 * norm)
+            _clip_gradients(opt.flat_gradient(), 0.5 * norm)
             for name, p in model.parameters().items():
                 assert np.allclose(p.grad, 0.5 * grads[name], rtol=1e-6, atol=0.0), name
             clipped = np.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum())
                                   for p in model.parameters().values()))
             assert clipped == pytest.approx(0.5 * norm, rel=1e-6)
+
+
+class TestGradientContract:
+    @staticmethod
+    def text_model_and_loss():
+        """A text-only model and a function that builds one example's loss on
+        the "nature" head alone, so the other heads get no gradient."""
+        from discourse_rater.objective import oll_loss
+
+        model = build_model(ModelConfig(modalities=("text",), seed=4))
+        seg = make_segment(np.random.default_rng(1), text_len=3)
+        return model, lambda: oll_loss(forward(model, [seg])["nature"], [2])
+
+    def test_grad_is_none_after_construction_and_zero_grad(self):
+        model, loss = self.text_model_and_loss()
+        opt = AdamW(model.parameters())
+        assert all(p.grad is None for p in model.parameters().values())
+        loss().backward()
+        assert any(p.grad is not None for p in model.parameters().values())
+        opt.zero_grad()
+        assert all(p.grad is None for p in model.parameters().values())
+
+    def test_backward_writes_each_gradient_into_its_flat_slot(self):
+        model, loss = self.text_model_and_loss()
+        opt = AdamW(model.parameters())
+        for _ in range(2):
+            opt.zero_grad()
+            loss().backward()
+            reached = {name: p for name, p in model.parameters().items() if p.grad is not None}
+            assert "head.nature.w1" in reached and "module0.self.attn.wq" in reached
+            assert not any(name.startswith("head.pacing") for name in reached)
+            origin = opt.flat_grad.__array_interface__["data"][0]
+            for name, p in reached.items():
+                assert p.grad is p.grad_slot, name
+                assert p.grad.base is opt.flat_grad, name
+                assert p.grad.__array_interface__["data"][0] - origin == \
+                    p.data.__array_interface__["data"][0] \
+                    - opt.flat.__array_interface__["data"][0], name
+
+    def test_unreached_parameter_reads_as_zero_in_step(self):
+        model, loss = self.text_model_and_loss()
+        params = model.parameters()
+        start = {name: p.data.copy() for name, p in params.items()}
+        opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+        opt.flat_grad.fill(np.nan)              # what an unwritten slot could hold
+        loss().backward()
+        unreached = [name for name, p in params.items() if p.grad is None]
+        assert unreached and all(name.startswith("head.") for name in unreached)
+        grads = {name: p.grad.copy() for name, p in params.items() if p.grad is not None}
+        opt.step()
+        expected = adamw_reference(start, [grads], lr=1e-2, weight_decay=0.1)[0]
+        for name, p in params.items():
+            assert np.array_equal(p.data, expected[name]), name
+
+    def test_gradients_through_add_and_concat_never_alias(self, rng, monkeypatch):
+        # ``h`` reaches the loss through ``add`` and ``concat``, and so does
+        # the leaf ``x``; every gradient any tensor is given is recorded, and
+        # no two tensors may share memory.
+        given = []
+        accum = T._accum
+
+        def recording(t, g, owned=False):
+            accum(t, g, owned)
+            given.append((t, t.grad))
+
+        monkeypatch.setattr(T, "_accum", recording)
+        x = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+        h = T.relu(x)
+        left = h + x
+        right = T.concat([h, x], axis=1)
+        both = T.concat([left, right], axis=1)
+        (both * Tensor(rng.standard_normal((4, 18)))).sum().backward()
+        tensors = {id(t): t for t, _ in given}
+        assert {id(x), id(h), id(left), id(right), id(both)} <= set(tensors)
+        for i, (t, grad) in enumerate(given):
+            for u, other in given[i + 1:]:
+                if u is not t:
+                    assert not np.shares_memory(grad, other)
+
+    def test_finite_gradient_whose_squares_overflow_steps(self):
+        # 1e19 squared is 1e38, below the float32 maximum of 3.4e38, so the
+        # update itself stays finite; the sum of eleven such squares is not.
+        with T.precision("float32"):
+            params = {"w": Tensor(np.linspace(-1.0, 1.0, 8), requires_grad=True),
+                      "b": Tensor(np.zeros(3), requires_grad=True)}
+            start = {name: p.data.copy() for name, p in params.items()}
+            grads = {"w": np.full(8, 1e19, np.float32), "b": np.full(3, -1e19, np.float32)}
+            opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(np.dot(grads["w"], grads["w"]))
+            for name, p in params.items():
+                T._accum(p, grads[name])
+            opt.step()
+            assert opt.step_count == 1
+            expected = adamw_reference(start, [grads], lr=1e-2, weight_decay=0.1)[0]
+            assert all(np.isfinite(v).all() and not np.array_equal(v, start[name])
+                       for name, v in expected.items())
+            for name, p in params.items():
+                assert np.array_equal(p.data, expected[name]), name
 
 
 class TestPlateauScheduler:
@@ -364,11 +472,13 @@ class TestPadding:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_gradients_equal_those_of_a_zero_filled_first_gradient(self, monkeypatch, dtype):
-        # ``_accum`` seeds a first gradient with one copy in the layout of the
-        # tensor's data; the reference rule zero-fills that array and adds.
-        # At these lengths a copy that kept the transposed strides of
-        # ``permute``'s gradient would move the ``attn.bk`` gradients.
-        def zero_fill_and_add(t, g):
+        # ``_accum`` takes a first gradient as it is when its primitive has
+        # just made it in the layout of the tensor's data, and else copies it
+        # into that layout; the reference rule zero-fills an array in that
+        # layout and adds.  At these lengths a copy that kept the transposed
+        # strides of ``permute``'s gradient would move the ``attn.bk``
+        # gradients.
+        def zero_fill_and_add(t, g, owned=False):
             if not t.requires_grad:
                 return
             if t.grad is None:

@@ -9,8 +9,8 @@ with the checkout's ``src`` and ``perfbench`` first on ``sys.path``, the
 script builds one fixed, paper-shaped training batch: the ``train_long``
 dataset at seed 1, its longest batch of 8 training segments (the batch that
 ``train_long`` warms up on), a T+A+V model with one fusion module, float32,
-dropout on, and ``AdamW`` constructed first so that the parameter gradients
-are its preallocated flat buffer, as in ``train.train``.  It then runs one
+dropout on, and ``AdamW`` constructed first so that backward writes the
+parameter gradients into its preallocated flat buffer, as in ``train.train``.  It then runs one
 ``batch_loss`` and one ``backward`` under tracemalloc, which sees every numpy
 array, and prints per side, in MB of 2**20 bytes:
 

@@ -19,8 +19,10 @@ array, and prints per side, in MB of 2**20 bytes:
 - ``held_after``: memory still held once backward has returned, with the
   loss still referenced, as ``train`` keeps it until the next step.
 
-The loss of the step is printed too; both sides must agree on it.  Exits 2
-if a side fails to run.
+The loss of the step is printed too; both sides must agree on it.  Then the
+graph's arrays are listed by the primitive that made them, in MB per side
+(see ``graph_bytes_by_primitive``), largest first.  Exits 2 if a side fails
+to run.
 """
 
 from __future__ import annotations
@@ -31,17 +33,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 SEED = 1
 BATCH = 8
+SCRIPTS = Path(__file__).resolve().parent
 
 CHILD = f"""
-import json, tempfile, tracemalloc
+import json, sys, tempfile, tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 import workloads
 from workloads import model, train
+
+sys.path.insert(0, {str(SCRIPTS)!r})
+from step_memory import graph_bytes_by_primitive
 
 workload = workloads.TrainLong(seed={SEED}, batch_size={BATCH})
 with tempfile.TemporaryDirectory() as root:
@@ -60,17 +68,72 @@ tracemalloc.start()
 base = tracemalloc.get_traced_memory()[0]
 loss = train.batch_loss(rater, batch, weights, training=True, rng=rng)
 graph = tracemalloc.get_traced_memory()[0] - base
+by_primitive = graph_bytes_by_primitive(loss)
 tracemalloc.reset_peak()
 loss.backward()
 held, peak = tracemalloc.get_traced_memory()
 tracemalloc.stop()
 print(json.dumps({{"graph": graph, "backward_peak": peak - base, "held_after": held - base,
-                  "loss": float(loss.data),
+                  "loss": float(loss.data), "by_primitive": by_primitive,
                   "lengths": {{m: max(ex.features.modality(m).shape[0] for ex in examples)
                               for m in ("text", "audio", "video")}}}}))
 """
 
 FIGURES = ("graph", "backward_peak", "held_after")
+
+
+def _base(array: np.ndarray) -> np.ndarray:
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def graph_bytes_by_primitive(loss) -> dict:
+    """Bytes of the arrays that the graph of ``loss`` holds, by primitive.
+
+    Walks ``_parents`` from ``loss`` and visits the nodes in topological
+    order, inputs first.  A node's ``.data`` is keyed by the primitive that
+    made it, the name of the function whose ``_backward`` closure it has
+    (``matmul`` for ``matmul.<locals>.backward``), or ``leaf`` for a tensor
+    with no closure; then every other array that a closure holds, directly
+    or in a tuple or list, is keyed by that closure's primitive.  A view
+    counts as its base array, and each base array counts once, under the
+    first key that reaches it, so a view that a later node returns (say a
+    ``reshape``) stays with the node that made its base.  Parameters,
+    leaves that require a gradient, are left out: they outlive the step.
+    """
+    nodes, stack, seen = [], [(loss, False)], set()
+    while stack:
+        node, done = stack.pop()
+        if done:
+            nodes.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node._parents)
+    params = {id(_base(n.data)) for n in nodes if n._backward is None and n.requires_grad}
+    counted, out = set(params), {}
+
+    def count(array, key):
+        base = _base(array)
+        if id(base) not in counted:
+            counted.add(id(base))
+            out[key] = out.get(key, 0) + base.nbytes
+
+    def key_of(node):
+        if node._backward is None:
+            return "leaf"
+        return node._backward.__qualname__.split(".<locals>")[0]
+
+    for node in nodes:
+        count(node.data, key_of(node))
+    for node in nodes:
+        for cell in getattr(node._backward, "__closure__", None) or ():
+            held = cell.cell_contents
+            for item in held if isinstance(held, (tuple, list)) else (held,):
+                if isinstance(item, np.ndarray):
+                    count(item, key_of(node))
+    return out
 
 
 def measure(checkout: Path) -> dict:
@@ -100,6 +163,13 @@ def main(argv=None) -> int:
     for side, figures in results.items():
         print(f"{side:<8s}" + "".join(f"{figures[name] / 2**20:>18.1f}" for name in FIGURES)
               + f"{figures['loss']:>14.6f}")
+    print("\ngraph MB by the primitive that made each array")
+    keys = sorted(set().union(*(figures["by_primitive"] for figures in results.values())),
+                  key=lambda k: -sum(f["by_primitive"].get(k, 0) for f in results.values()))
+    print(f"{'primitive':<18s}" + "".join(f"{side:>12s}" for side in results))
+    for key in keys:
+        print(f"{key:<18s}" + "".join(f"{f['by_primitive'].get(key, 0) / 2**20:>12.1f}"
+                                      for f in results.values()))
     return 0
 
 

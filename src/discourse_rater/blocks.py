@@ -18,11 +18,6 @@ from . import tensor as T
 from .errors import ShapeError, UsageError
 from .tensor import Tensor
 
-# Finite stand-in for -inf: exp(x - max) underflows to exactly 0.0, so masked
-# positions get exactly zero attention weight while softmax inputs stay finite.
-NEG_FILL = -1e30
-
-
 class ParamArena:
     """One flat buffer in the current float width that parameters are
     carved from, one view each, in the order they are made."""
@@ -195,12 +190,11 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
     ``[context_dim]`` row is projected once and shared, so no context row
     needs a gradient.  Each sequence attends within its own keys only.
 
-    The projections run on the packed rows.  Only the core pads: Q, K and V
-    are each gathered once into ``[B, L_max, model_dim]``, padded slots read
-    a zero row and receive exactly zero attention weight, and one ``bmm``
-    over ``B * num_heads`` forms the scores and one the values.  Returns the
-    packed outputs ``[rows, model_dim]``, or with ``cls_only`` the first row
-    of each sequence alone (``[B, model_dim]``).
+    The Q, K, V and output projections run on the packed rows, each one
+    GEMM with its bias; the core between them is one ``tensor.attention``
+    node, which alone pads.  Returns the packed outputs ``[rows,
+    model_dim]``, or with ``cls_only`` the first row of each sequence alone
+    (``[B, model_dim]``), the only queries then projected.
     """
     rows = Rows([x.shape[0]]) if rows is None else rows
     if x.ndim != 2 or x.shape != (rows.total, params.model_dim):
@@ -217,47 +211,21 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
             raise ShapeError(f"{len(rows)} query sequences against "
                              f"{len(source_rows)} context sequences")
         if context_cls is not None:
-            lead = context_cls.reshape((1, params.context_dim))
-    kv_index, kv_valid = source_rows.padded(0 if lead is None else 1)
+            cls_row = context_cls.reshape((1, params.context_dim))
+            lead = (T.matmul(cls_row, params.wk, bias=params.bk),
+                    T.matmul(cls_row, params.wv, bias=params.bv))
+    _, kv_valid = source_rows.padded(0 if lead is None else 1)
     if not kv_valid.any(axis=-1).all():
         raise UsageError("attention needs at least one valid context position")
-    zero = Tensor(np.zeros((1, params.model_dim)))
-
-    def padded(w: Tensor, b: Tensor) -> Tensor:
-        parts = [T.matmul(source, w) + b, zero]
-        if lead is not None:
-            parts.insert(0, T.matmul(lead, w) + b)
-        return T.embedding_lookup(T.concat(parts), kv_index)
-
-    keys, values = padded(params.wk, params.bk), padded(params.wv, params.bv)
-    batch = len(rows)
+    keys = T.matmul(source, params.wk, bias=params.bk)
+    values = T.matmul(source, params.wv, bias=params.bv)
     if cls_only:
-        queries = (T.matmul(T.take(x, rows.starts), params.wq) + params.bq) \
-            .reshape((batch, 1, params.model_dim))
+        queries, q_valid = T.take(x, rows.starts), np.ones((len(rows), 1), dtype=bool)
     else:
-        q_index, q_valid = rows.padded()
-        queries = T.embedding_lookup(T.concat([T.matmul(x, params.wq) + params.bq, zero]),
-                                     q_index)
-    n_q = queries.shape[1]
-    n_heads = params.num_heads
-    head_dim = params.model_dim // n_heads
-
-    def split_heads(h: Tensor, axes: tuple[int, ...]) -> Tensor:
-        # [B, L, H * dh] -> [B * H, ...] with the per-head axes in ``axes`` order.
-        heads = T.permute(h.reshape((batch, h.shape[1], n_heads, head_dim)), (0, 2) + axes)
-        return heads.reshape((batch * n_heads,) + heads.shape[2:])
-
-    scores = T.bmm(split_heads(queries, (1, 3)), split_heads(keys, (3, 1))) \
-        * (1.0 / math.sqrt(head_dim))                                   # [BH, Lq, Lk]
-    if not kv_valid.all():
-        scores = T.masked_fill(scores, np.repeat(~kv_valid, n_heads, axis=0)[:, None, :],
-                               NEG_FILL)
-    attn = T.softmax(scores, axis=-1)
-    per_head = T.bmm(attn, split_heads(values, (1, 3))).reshape((batch, n_heads, n_q, head_dim))
-    merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch * n_q, params.model_dim))
-    if not cls_only:
-        merged = T.take(merged, np.flatnonzero(q_valid))
-    return T.matmul(merged, params.wo) + params.bo
+        queries, q_valid = x, rows.padded()[1]
+    queries = T.matmul(queries, params.wq, bias=params.bq)
+    attended = T.attention(queries, keys, values, q_valid, kv_valid, params.num_heads, lead)
+    return T.matmul(attended, params.wo, bias=params.bo)
 
 
 # -- encoder block -----------------------------------------------------------
@@ -356,8 +324,8 @@ def encoder_block(x: Tensor, params: EncoderBlockParams, *,
 
     y = residual + drop(attn, 0)
     normed2 = T.layer_norm(y, params.ln2_gain, params.ln2_bias)
-    hidden = T.relu(T.matmul(normed2, params.w1) + params.b1)
-    ffn = T.matmul(hidden, params.w2) + params.b2
+    hidden = T.relu(T.matmul(normed2, params.w1, bias=params.b1))
+    ffn = T.matmul(hidden, params.w2, bias=params.b2)
     return y + drop(ffn, 1)
 
 
@@ -399,9 +367,9 @@ def mlp_head(x: Tensor, params: HeadParams, mode: str = "classify") -> Tensor:
         raise ShapeError(f"head input width {x.shape[-1]} != {params.w1.shape[0]}")
     if mode not in ("classify", "regress"):
         raise UsageError(f"unknown head mode {mode!r}")
-    h = T.relu(T.matmul(x, params.w1) + params.b1)
-    h = T.relu(T.matmul(h, params.w2) + params.b2)
-    out = T.matmul(h, params.w3) + params.b3
+    h = T.relu(T.matmul(x, params.w1, bias=params.b1))
+    h = T.relu(T.matmul(h, params.w2, bias=params.b2))
+    out = T.matmul(h, params.w3, bias=params.b3)
     return T.softmax(out, axis=-1) if mode == "classify" else out
 
 

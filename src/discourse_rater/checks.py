@@ -1,11 +1,15 @@
 """Gradient-integrity catalog: every primitive and composite block.
 
-The catalog holds 38 entries.  Each of the 23 node-building primitives of
+The catalog holds 42 entries.  Each of the 24 node-building primitives of
 ``tensor`` appears once (``take`` as ``slice``, ``tsum`` as ``sum``, ``tmean``
-as ``mean``), plus three variants that reach a separate backward path or
+as ``mean``, ``attention`` as ``attention_core``, self-attention of uneven
+packed sequences), plus six variants that reach a separate backward path or
 shape: ``add_broadcast`` (the ``_unbroadcast`` reduction), ``scale`` (``mul``
-with a Python-scalar operand) and ``matmul_batched`` (a rank-3 left operand,
-flattened to one GEMM).  Then each composite: attention on one sequence and
+with a Python-scalar operand), ``matmul_batched`` (a rank-3 left operand,
+flattened to one GEMM), ``matmul_bias`` (the bias folded into the GEMM),
+``attention_core_lead`` (uneven contexts, one empty, behind a shared lead
+row) and ``attention_core_cls_only`` (one query row per sequence).  Then
+each composite: attention on one sequence and
 on packed rows of uneven sequences against contexts led by one shared CLS
 row, the self and cross encoder blocks on one sequence, the cross block on
 those packed rows, the CLS-only self block on packed rows, the classify and
@@ -46,6 +50,11 @@ def _off_kink(rng: np.random.Generator, *shape: int) -> Tensor:
 
 def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, list[Tensor]]]:
     mask = np.asarray([True, False, True, True])
+    # Packed sequences of 3, 1 and 2 query rows against 2, 0 and 3 context
+    # rows, two heads of width 2; ``lead`` puts one shared row before each.
+    q_valid = Rows([3, 1, 2]).padded()[1]
+    lead_valid = Rows([2, 0, 3]).padded(1)[1]
+    cls_valid = np.ones((3, 1), dtype=bool)
     return [
         ("add", T.add, [_t(rng, 3, 4), _t(rng, 3, 4)]),
         ("add_broadcast", T.add, [_t(rng, 3, 4), _t(rng, 4)]),
@@ -61,6 +70,16 @@ def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
         ("clamp_min", lambda a: T.clamp_min(a, 0.0), [_off_kink(rng, 3, 4)]),
         ("matmul", T.matmul, [_t(rng, 3, 5), _t(rng, 5, 2)]),
         ("matmul_batched", T.matmul, [_t(rng, 2, 3, 5), _t(rng, 5, 2)]),
+        ("matmul_bias", lambda a, b, bias: T.matmul(a, b, bias=bias),
+         [_t(rng, 2, 3, 5), _t(rng, 5, 2), _t(rng, 2)]),
+        ("attention_core", lambda q, k, v: T.attention(q, k, v, q_valid, q_valid, 2),
+         [_t(rng, 6, 4), _t(rng, 6, 4), _t(rng, 6, 4)]),
+        ("attention_core_lead",
+         lambda q, k, v, kl, vl: T.attention(q, k, v, q_valid, lead_valid, 2, (kl, vl)),
+         [_t(rng, 6, 4), _t(rng, 5, 4), _t(rng, 5, 4), _t(rng, 1, 4), _t(rng, 1, 4)]),
+        ("attention_core_cls_only",
+         lambda q, k, v, kl, vl: T.attention(q, k, v, cls_valid, lead_valid, 2, (kl, vl)),
+         [_t(rng, 3, 4), _t(rng, 5, 4), _t(rng, 5, 4), _t(rng, 1, 4), _t(rng, 1, 4)]),
         ("bmm", T.bmm, [_t(rng, 2, 3, 4), _t(rng, 2, 4, 2)]),
         ("transpose", T.transpose, [_t(rng, 3, 4)]),
         ("permute", lambda a: T.permute(a, (2, 0, 1)), [_t(rng, 2, 3, 4)]),

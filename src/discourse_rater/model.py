@@ -22,9 +22,8 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
-                     Rows, add_positional, bilstm_encode, dropout_keep,
-                     encoder_block, mlp_head, param_array, xavier_uniform,
-                     zeros_param)
+                     Rows, add_positional, bilstm_encode, encoder_block,
+                     mlp_head, param_array, xavier_uniform, zeros_param)
 from .data import AUDIO_DIM, TEXT_DIM, VIDEO_DIM, SegmentFeatures
 from .errors import (ConfigError, DataError, FormatError, NumericsError,
                      ShapeError, UsageError)
@@ -331,7 +330,7 @@ def _prepared_stream(model: FusionModel, segments: Sequence[SegmentFeatures], ma
     features, rows, positions, padded = _packed(segments, masks, modality)
     raw = Tensor(features)
     if modality == "audio" and model.audio_in_w is not None:
-        raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
+        raw = T.matmul(raw, model.audio_in_w, bias=model.audio_in_b)
     return add_positional(raw, model.config.positional, positions), rows, padded
 
 
@@ -343,18 +342,26 @@ def _dropout_keeps(stack: Sequence[EncoderBlockParams], rows: Rows, padded: int,
     order, the attention site and then the FFN site, ``padded`` full rows
     each, of which the example keeps its first ``rows.lengths[i]``.  That is
     the order in which running the examples one at a time on padded rows
-    draws them, so a batch trains as its examples did alone.
+    draws them, so a batch trains as its examples did alone.  Each draw
+    fills one reused float64 buffer, and the scales of the kept rows are
+    written straight into the site, as ``blocks.dropout_keep`` computes them.
     """
+    dtype = T.current_dtype()
     shape = (rows.total, MODEL_DIM)
-    keeps = [None if block.dropout_rate <= 0.0 else
-             (np.empty(shape, dtype=T.current_dtype()), np.empty(shape, dtype=T.current_dtype()))
+    keeps = [None if block.dropout_rate <= 0.0 else (np.empty(shape, dtype=dtype),
+                                                       np.empty(shape, dtype=dtype))
              for block in stack]
+    if rng is None and any(keep is not None for keep in keeps):
+        raise UsageError("dropout in training mode needs an rng")
+    uniform = np.empty((padded, MODEL_DIM))
     for start, length in zip(rows.starts, rows.lengths):
         for block, keep in zip(stack, keeps):
             if keep is not None:
+                rate = block.dropout_rate
                 for site in keep:
-                    drawn = dropout_keep(rng, (padded, MODEL_DIM), block.dropout_rate)
-                    site[start:start + length] = drawn[:length]
+                    rng.random(out=uniform)
+                    np.multiply(uniform[:length] >= rate, dtype.type(1.0 / (1.0 - rate)),
+                                out=site[start:start + length])
     return keeps
 
 

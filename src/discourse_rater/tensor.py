@@ -23,6 +23,12 @@ any other primitive by one copy.  Elsewhere a first gradient that its
 primitive has just computed becomes ``.grad`` as it is, and one that passes
 through unchanged or as a view (add, sub, reshape, concat, permute,
 transpose) is copied, so no two tensors ever share a gradient array.
+
+A node keeps only what its backward reads.  :func:`matmul` adds an optional
+bias into its fresh GEMM output, so a projection holds one array, not two.
+:func:`attention` is the whole multi-head core of a block in one node: it
+keeps Q, Kᵀ and V in head-major layout and the softmax weights ``P``, and
+none of the gathers, head splits, scores or masks it passes through.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ import numpy as np
 from .errors import NumericsError, ShapeError, UsageError
 
 _DTYPE: type = np.float32
+# Finite stand-in for -inf in attention scores: exp(x - max) underflows to
+# exactly 0.0, so masked positions get exactly zero weight while the softmax
+# inputs stay finite.
+NEG_FILL = -1e30
 _GRAD_ENABLED: bool = True
 
 
@@ -385,13 +395,15 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 # -- shape primitives --------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``[..., K] @ [K, N] -> [..., N]``.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``[..., K] @ [K, N] (+ bias[N]) -> [..., N]``.
 
     A left operand of rank 3 or more is flattened to ``[rows, K]``, so a
     whole batch is one GEMM forward and one for the weight gradient.  A
     first weight gradient of a right operand with a ``grad_slot`` is that
-    GEMM's output, written in the slot.
+    GEMM's output, written in the slot.  A ``bias`` is added in place to
+    the GEMM's fresh output, so the node keeps one array where ``matmul``
+    then ``add`` keep two; its gradient is the same reduction ``add`` makes.
     """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim != 2:
@@ -403,11 +415,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}"
         )
+    if bias is not None and bias.data.shape != b.data.shape[1:]:
+        raise ShapeError(f"matmul bias must be {b.data.shape[1:]}, got {bias.data.shape}")
     rows = a.data.reshape(-1, a.data.shape[-1])
-    data = (rows @ b.data).reshape(a.data.shape[:-1] + b.data.shape[1:])
+    data = rows @ b.data
+    if bias is not None:
+        data += bias.data
+    data = data.reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def backward(g):
         g_rows = g.reshape(rows.shape[0], -1)
+        if bias is not None and bias.requires_grad:
+            _accum(bias, _unbroadcast(g, bias.data.shape), owned=True)
         if a.requires_grad:
             _accum(a, (g_rows @ b.data.T).reshape(a.data.shape), owned=True)
         if b.requires_grad:
@@ -416,7 +435,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             else:
                 _accum(b, rows.T @ g_rows, owned=True)
 
-    return _op(data, (a, b), backward)
+    return _op(data, (a, b) if bias is None else (a, b, bias), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -470,7 +489,25 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def take(a: Tensor, key) -> Tensor:
-    """Basic (int/slice) indexing; duplicates in fancy keys are not supported."""
+    """Indexing by ints, slices and integer arrays that name each position once.
+
+    The gradient is written back by assignment, so a key that names a
+    position twice would keep only one of its gradients; such a key raises
+    ``UsageError``, and a gather that repeats rows is ``embedding_lookup``.
+    An integer array must be the key's only array, after ints and slices
+    alone, so that the axis it indexes is known.
+    """
+    parts = key if isinstance(key, tuple) else (key,)
+    arrays = [(axis, np.asarray(part)) for axis, part in enumerate(parts)
+              if isinstance(part, (list, np.ndarray))]
+    if any(index.dtype.kind in "iu" for _, index in arrays):
+        (axis, index), *others = arrays
+        if others or any(part is None or part is Ellipsis for part in parts[:axis]):
+            raise UsageError("take accepts one integer array, after ints and slices "
+                             "alone; gather with embedding_lookup")
+        if np.unique(index % a.data.shape[axis]).size != index.size:
+            raise UsageError("take key repeats a position, whose gradients would not "
+                             "add up; gather repeated rows with embedding_lookup")
     data = a.data[key]
     if np.isscalar(data) or data.ndim == 0:
         data = np.asarray(data, dtype=a.data.dtype)
@@ -576,6 +613,98 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             _accum(a, inv * term, owned=True)
 
     return _op(data, (a, gain, bias), backward)
+
+
+def _to_heads(packed: np.ndarray, valid: np.ndarray, n_heads: int,
+              lead: np.ndarray | None = None, keys: bool = False) -> np.ndarray:
+    """Packed rows ``[rows, D]`` into a zero-padded head-major array.
+
+    ``valid`` ``[B, L]`` marks where the rows sit, sequence after sequence;
+    with ``lead``, ``[n, D]`` rows shared by every sequence, its first ``n``
+    columns are theirs.  Returns ``[B * H, L, D / H]``, or ``[B * H, D / H,
+    L]`` with ``keys``, in C order.
+    """
+    batch, width = valid.shape
+    head_dim = packed.shape[-1] // n_heads
+    out = np.zeros((batch, n_heads) + ((head_dim, width) if keys else (width, head_dim)),
+                   dtype=packed.dtype)
+    slots = out.transpose((0, 3, 1, 2) if keys else (0, 2, 1, 3))      # [B, L, H, dh]
+    n_lead = 0
+    if lead is not None:
+        n_lead = lead.shape[0]
+        slots[:, :n_lead] = lead.reshape(n_lead, n_heads, head_dim)
+    slots[:, n_lead:][valid[:, n_lead:]] = packed.reshape(-1, n_heads, head_dim)
+    return out.reshape((batch * n_heads,) + out.shape[2:])
+
+
+def _from_heads(heads: np.ndarray, valid: np.ndarray, n_heads: int, n_lead: int = 0,
+                keys: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The inverse gather of ``_to_heads``: the packed rows ``[rows, D]``,
+    and the ``[n_lead, D]`` lead rows summed over the batch (None without)."""
+    batch, width = valid.shape
+    split = heads.reshape((batch, n_heads) + heads.shape[1:])
+    slots = split.transpose((0, 3, 1, 2) if keys else (0, 2, 1, 3))    # [B, L, H, dh]
+    model_dim = n_heads * slots.shape[-1]
+    packed = slots[:, n_lead:][valid[:, n_lead:]].reshape(-1, model_dim)
+    if not n_lead:
+        return packed, None
+    return packed, slots[:, :n_lead].reshape(batch, n_lead, model_dim).sum(axis=0)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, q_valid: np.ndarray, kv_valid: np.ndarray,
+              num_heads: int, lead: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention of packed rows, as one node.
+
+    ``q`` holds packed query rows ``[rows, D]`` and ``q_valid`` ``[B, Lq]``
+    marks where they sit in the padded batch, each sequence's a prefix of
+    its row, as ``blocks.Rows.padded`` lays them out.  ``k`` and ``v`` hold
+    the packed key and value rows that ``kv_valid`` ``[B, Lk]`` places
+    likewise; ``lead``, a key and a value tensor of ``[n, D]`` rows, leads
+    every sequence, in the first ``n`` columns of ``kv_valid``.  Each
+    sequence attends within its own keys: padded slots hold zeros and get
+    exactly zero weight.  Returns the packed outputs ``[rows, D]``.
+
+    The node keeps only Q, Kᵀ and V in head-major layout and the weights
+    ``P``; its backward is ``dV = Pᵀ dO``, ``dP = dO Vᵀ``, ``dS = P ⊙ (dP −
+    rowsum(dP ⊙ P))``, masked and scaled, then ``dQ = dS K`` and ``dKᵀ =
+    Qᵀ dS``, scattered back to packed rows; a lead row sums its gradient
+    over the batch.  Non-finite scores raise ``NumericsError``.
+    """
+    lead_k, lead_v = (None, None) if lead is None else (lead[0].data, lead[1].data)
+    n_lead = 0 if lead is None else lead_k.shape[0]
+    qh = _to_heads(q.data, q_valid, num_heads)                              # [BH, Lq, dh]
+    kh = _to_heads(k.data, kv_valid, num_heads, lead_k, keys=True)         # [BH, dh, Lk]
+    vh = _to_heads(v.data, kv_valid, num_heads, lead_v)                    # [BH, Lk, dh]
+    scale = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=qh.dtype)
+    p = qh @ kh
+    p *= scale
+    fill = None
+    if not kv_valid.all():
+        fill = np.repeat(~kv_valid, num_heads, axis=0)[:, None, :]
+        np.copyto(p, NEG_FILL, where=fill)
+    if not np.isfinite(p).all():
+        raise NumericsError("attention softmax input contains non-finite values")
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    data, _ = _from_heads(p @ vh, q_valid, num_heads)
+
+    def backward(g):
+        d_out = _to_heads(g, q_valid, num_heads)
+        dv, dv_lead = _from_heads(p.swapaxes(-1, -2) @ d_out, kv_valid, num_heads, n_lead)
+        ds = d_out @ vh.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        if fill is not None:
+            np.copyto(ds, 0.0, where=fill)
+        ds *= scale
+        dq, _ = _from_heads(ds @ kh.swapaxes(-1, -2), q_valid, num_heads)
+        dk, dk_lead = _from_heads(qh.swapaxes(-1, -2) @ ds, kv_valid, num_heads, n_lead,
+                                  keys=True)
+        for t, grad in zip((q, k, v) + (lead or ()), (dq, dk, dv, dk_lead, dv_lead)):
+            _accum(t, grad, owned=True)
+
+    return _op(data, (q, k, v) + (lead or ()), backward)
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:

@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library's model code, and fuzzing helpers."""
 
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -121,6 +123,68 @@ def fusion_oracle(model, seg, masks=None, rng=None):
                                  keep=keep)
     return {component: mlp_head(text[0:1], head, mode=config.head_mode)
             for component, head in model.heads.items()}
+
+
+def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
+                     context_cls=None, cls_only=False):
+    """``blocks.multi_head_attention`` as a chain of single-purpose primitives.
+
+    The reference for the fused ``tensor.attention`` core: each projection
+    is a ``matmul`` then an ``add``; Q, K and V are each gathered into
+    ``[B, L_max, model_dim]`` from their rows and a zero row by
+    ``embedding_lookup``; heads are split and merged by ``reshape`` and
+    ``permute``; the scores and the weighted sum are ``bmm``s, scaled by
+    ``mul``, masked by ``masked_fill`` and normalised by ``softmax``; a
+    ``take`` keeps the real query rows.  Same arguments and result.
+    """
+    from discourse_rater import tensor as T
+    from discourse_rater.blocks import Rows
+    from discourse_rater.tensor import Tensor
+
+    rows = Rows([x.shape[0]]) if rows is None else rows
+    source, source_rows, lead = x, rows, None
+    if context is not None:
+        source = context
+        source_rows = Rows([context.shape[0]]) if context_rows is None else context_rows
+        if context_cls is not None:
+            lead = context_cls.reshape((1, params.context_dim))
+    kv_index, kv_valid = source_rows.padded(0 if lead is None else 1)
+    zero = Tensor(np.zeros((1, params.model_dim)))
+
+    def padded(w, b):
+        parts = [T.matmul(source, w) + b, zero]
+        if lead is not None:
+            parts.insert(0, T.matmul(lead, w) + b)
+        return T.embedding_lookup(T.concat(parts), kv_index)
+
+    keys, values = padded(params.wk, params.bk), padded(params.wv, params.bv)
+    batch = len(rows)
+    if cls_only:
+        queries = (T.matmul(T.take(x, rows.starts), params.wq) + params.bq) \
+            .reshape((batch, 1, params.model_dim))
+    else:
+        q_index, q_valid = rows.padded()
+        queries = T.embedding_lookup(T.concat([T.matmul(x, params.wq) + params.bq, zero]),
+                                     q_index)
+    n_q = queries.shape[1]
+    n_heads = params.num_heads
+    head_dim = params.model_dim // n_heads
+
+    def split_heads(h, axes):
+        heads = T.permute(h.reshape((batch, h.shape[1], n_heads, head_dim)), (0, 2) + axes)
+        return heads.reshape((batch * n_heads,) + heads.shape[2:])
+
+    scores = T.bmm(split_heads(queries, (1, 3)), split_heads(keys, (3, 1))) \
+        * (1.0 / math.sqrt(head_dim))
+    if not kv_valid.all():
+        scores = T.masked_fill(scores, np.repeat(~kv_valid, n_heads, axis=0)[:, None, :],
+                               T.NEG_FILL)
+    attn = T.softmax(scores, axis=-1)
+    per_head = T.bmm(attn, split_heads(values, (1, 3))).reshape((batch, n_heads, n_q, head_dim))
+    merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch * n_q, params.model_dim))
+    if not cls_only:
+        merged = T.take(merged, np.flatnonzero(q_valid))
+    return T.matmul(merged, params.wo) + params.bo
 
 
 # Any value ``json.loads`` can return, nested at most a few levels.

@@ -7,8 +7,9 @@ from discourse_rater.blocks import (AttentionParams, BiLstmParams,
                                     add_positional, bilstm_encode,
                                     encoder_block, mlp_head,
                                     multi_head_attention, sinusoid_table)
-from discourse_rater.errors import ShapeError, UsageError
+from discourse_rater.errors import NumericsError, ShapeError, UsageError
 from discourse_rater.tensor import Tensor
+from helpers import attention_oracle
 
 
 def small_attention(rng, model_dim=24, context_dim=32, num_heads=4):
@@ -101,6 +102,68 @@ class TestMultiHeadAttention:
 
             report = T.grad_check(fn, tensors, tol=1e-5, name="attention")
         assert report.passed, report
+
+
+# Packed query lengths, context lengths (None: self-attention), whether a
+# shared CLS row leads each context, and ``cls_only``.
+ORACLE_CASES = {
+    "self_uneven": ([5, 2, 4], None, False, False),
+    "cross_with_lead": ([3, 1, 2], [4, 0, 2], True, False),
+    "cls_only": ([5, 2, 4], None, False, True),
+    "no_padding": ([3, 3], [2, 2], False, False),
+    "nine_sequences_with_lead": ([3, 1, 2, 4, 5, 1, 2, 3, 2], [4, 0, 2, 3, 1, 1, 5, 2, 2],
+                                True, False),
+}
+
+
+class TestFusedAttention:
+    """``multi_head_attention`` runs its core as one ``tensor.attention``
+    node; it must give the outputs and gradients of the primitive chain it
+    replaced, bit for bit."""
+
+    @staticmethod
+    def run(fn, params, inputs, kwargs, weights):
+        for t in inputs + list(params.parameters().values()):
+            t.grad = None
+        out = fn(inputs[0], params, **kwargs)
+        (out * Tensor(weights)).sum().backward()
+        grads = [t.grad.copy() for t in inputs + list(params.parameters().values())]
+        return out.data, grads
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_the_primitive_chain_bitwise(self, case, dtype):
+        lengths, context_lengths, lead, cls_only = ORACLE_CASES[case]
+        with T.precision(dtype):
+            rng = np.random.default_rng(8)
+            params = small_attention(rng, context_dim=24 if context_lengths is None else 32)
+            for p in params.parameters().values():
+                p.data = rng.standard_normal(p.shape).astype(p.data.dtype)
+            rows = Rows(lengths)
+            inputs = [Tensor(rng.standard_normal((rows.total, 24)), requires_grad=True)]
+            kwargs = {"rows": rows, "cls_only": cls_only}
+            if context_lengths is not None:
+                kwargs["context_rows"] = Rows(context_lengths)
+                kwargs["context"] = Tensor(rng.standard_normal((sum(context_lengths), 32)),
+                                           requires_grad=True)
+                inputs.append(kwargs["context"])
+            if lead:
+                kwargs["context_cls"] = Tensor(rng.standard_normal(32), requires_grad=True)
+                inputs.append(kwargs["context_cls"])
+            weights = rng.standard_normal((len(lengths) if cls_only else rows.total, 24))
+            fused, fused_grads = self.run(multi_head_attention, params, inputs, kwargs, weights)
+            chain, chain_grads = self.run(attention_oracle, params, inputs, kwargs, weights)
+        assert fused.dtype == np.dtype(dtype)
+        assert np.array_equal(fused, chain)
+        for got, want in zip(fused_grads, chain_grads, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_non_finite_scores_raise_numerics_error(self, rng):
+        params = small_attention(rng, context_dim=24)
+        x = rng.standard_normal((3, 24))
+        x[1, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NumericsError, match="softmax"):
+            multi_head_attention(Tensor(x), params)
 
 
 class TestEncoderBlock:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import strategies as st
 from discourse_rater import tensor as T
 from discourse_rater.data import Example
 from discourse_rater.errors import (ConfigError, DataError, DiscourseRaterError, FormatError,
-                                    NumericsError, ShapeError)
-from discourse_rater.model import (FusionModel, ModelConfig, _build, build_model,
-                                   forward, load_model, modality_label,
-                                   parse_modalities, save_model)
+                                    NumericsError, ShapeError, UsageError)
+from discourse_rater.blocks import Rows, dropout_keep
+from discourse_rater.model import (MODEL_DIM, FusionModel, ModelConfig, _build,
+                                   _dropout_keeps, build_model, forward, load_model,
+                                   modality_label, parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.train import AdamW, collate_batch
 from helpers import EDITS, edited, fusion_oracle, make_segment
@@ -287,6 +289,31 @@ class TestBatchedForward:
         with pytest.raises(NumericsError, match="segment 's1': non-finite") as err:
             forward(model, segments)
         assert "'s0'" not in str(err.value) and "'s2'" not in str(err.value)
+
+
+class TestDropoutKeeps:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_in_place_draws_match_dropout_keep_bitwise(self, dtype):
+        # 5 examples x 5 dropping blocks x 2 sites = 50 draws; one block keeps all.
+        stack = [SimpleNamespace(dropout_rate=rate) for rate in (0.1, 0.0, 0.3, 0.5, 0.25, 0.1)]
+        rows, padded = Rows([4, 1, 6, 3, 2]), 7
+        with T.precision(dtype):
+            rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
+            keeps = _dropout_keeps(stack, rows, padded, rng)
+            for start, length in zip(rows.starts, rows.lengths):
+                for block, keep in zip(stack, keeps):
+                    assert (keep is None) == (block.dropout_rate == 0.0)
+                    for site in keep or ():
+                        drawn = dropout_keep(reference_rng, (padded, MODEL_DIM),
+                                             block.dropout_rate)
+                        assert site.dtype == np.dtype(dtype)
+                        assert np.array_equal(site[start:start + length], drawn[:length])
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_an_rng_is_needed_only_with_dropout(self):
+        assert _dropout_keeps([SimpleNamespace(dropout_rate=0.0)], Rows([2]), 2, None) == [None]
+        with pytest.raises(UsageError, match="rng"):
+            _dropout_keeps([SimpleNamespace(dropout_rate=0.1)], Rows([2]), 2, None)
 
 
 class TestLstmBaseline:

@@ -3,7 +3,11 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from discourse_rater import tensor as T
+from discourse_rater.tensor import Tensor
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -48,3 +52,16 @@ class TestBenchPairsSummary:
                                              "change": int(side == "change")}
         assert summary["segments_per_s"]["change_better_in"] == "10/10"
         assert summary["segments_per_s"]["gain_rule_met"] is False
+
+
+class TestStepMemoryBreakdown:
+    def test_each_base_array_counts_once_under_its_maker(self):
+        x = Tensor(np.ones((2, 3)))                               # a constant leaf: 24 bytes
+        gain = Tensor(np.ones(3), requires_grad=True)             # parameters are left out
+        bias = Tensor(np.zeros(3), requires_grad=True)
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        normed = T.layer_norm(x, gain, bias)                      # 24, plus xhat 24 and inv 8
+        hidden = T.matmul(normed, w)                              # 16; holds a view of normed
+        loss = hidden.reshape((4,)).sum()                         # the reshape is a view; 4
+        by_primitive = load_script("step_memory").graph_bytes_by_primitive(loss)
+        assert by_primitive == {"leaf": 24, "layer_norm": 56, "matmul": 16, "tsum": 4}

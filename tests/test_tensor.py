@@ -37,6 +37,57 @@ class TestMatmul:
         assert report.passed, report
 
 
+class TestMatmulBias:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("left", [(5, 4), (2, 3, 4)])
+    def test_matches_matmul_then_add_bitwise(self, dtype, left):
+        with T.precision(dtype):
+            rng = np.random.default_rng(21)
+            a = Tensor(rng.standard_normal(left), requires_grad=True)
+            w = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
+            b = Tensor(rng.standard_normal(6), requires_grad=True)
+            weights = Tensor(rng.standard_normal(left[:-1] + (6,)))
+            results = []
+            for fn in (lambda: T.matmul(a, w, bias=b), lambda: T.matmul(a, w) + b):
+                for t in (a, w, b):
+                    t.grad = None
+                out = fn()
+                (out * weights).sum().backward()
+                results.append([out.data] + [t.grad for t in (a, w, b)])
+        for fused, chained in zip(*results, strict=True):
+            assert fused.dtype == np.dtype(dtype) and np.array_equal(fused, chained)
+
+    def test_bias_must_match_the_output_width(self):
+        with pytest.raises(ShapeError, match=r"bias must be \(3,\)"):
+            T.matmul(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3))), bias=Tensor(np.ones(4)))
+
+
+class TestTake:
+    def test_repeated_rows_rejected_for_embedding_lookup(self):
+        a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        with pytest.raises(UsageError, match="embedding_lookup"):
+            T.take(a, [0, 0, 2])
+        with pytest.raises(UsageError, match="embedding_lookup"):
+            T.take(a, np.asarray([1, -3]))  # -3 names row 1 of 4 again
+        with pytest.raises(UsageError, match="one integer array"):
+            T.take(a, ([0, 1], [1, 2]))
+
+    def test_repeated_rows_sum_their_gradients_in_embedding_lookup(self):
+        a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        weights = Tensor(np.asarray([1.0, 10.0, 100.0])[:, None] * np.ones((1, 3)))
+        (T.embedding_lookup(a, [0, 0, 2]) * weights).sum().backward()
+        assert np.array_equal(a.grad[:, 0], [11.0, 0.0, 100.0, 0.0])
+
+    def test_distinct_rows_take_their_own_gradients(self):
+        a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        weights = Tensor(np.asarray([1.0, 10.0, 100.0])[:, None] * np.ones((1, 3)))
+        (T.take(a, np.asarray([3, 0, -2])) * weights).sum().backward()
+        assert np.array_equal(a.grad[:, 0], [10.0, 0.0, 100.0, 1.0])
+        b = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        (T.take(b, (slice(None), [2, 0])) * Tensor(np.ones((3, 2)))).sum().backward()
+        assert np.array_equal(b.grad[0], [1.0, 0.0, 1.0, 0.0])
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = T.softmax(Tensor([0.0, 0.0, 0.0]))

@@ -111,8 +111,8 @@ def graph_bytes_by_primitive(loss) -> dict:
             seen.add(id(node))
             stack.append((node, True))
             stack.extend((parent, False) for parent in node._parents)
-    params = {id(_base(n.data)) for n in nodes if n._backward is None and n.requires_grad}
-    counted, out = set(params), {}
+    counted = {id(_base(n.data)) for n in nodes if n._backward is None and n.requires_grad}
+    out = {}
 
     def count(array, key):
         base = _base(array)

@@ -672,6 +672,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_valid: np.ndarray, kv_valid: np
     """
     lead_k, lead_v = (None, None) if lead is None else (lead[0].data, lead[1].data)
     n_lead = 0 if lead is None else lead_k.shape[0]
+    if (q.data.shape[-1] % num_heads or k.data.shape != v.data.shape
+            or q.data.shape != (q_valid.sum(), k.data.shape[-1])
+            or k.data.shape[0] != kv_valid[:, n_lead:].sum()):
+        raise ShapeError(f"attention over {num_heads} heads needs query rows {q.data.shape}, "
+                         f"key rows {k.data.shape} and value rows {v.data.shape} that fill "
+                         f"layouts {q_valid.shape} and {kv_valid.shape}")
     qh = _to_heads(q.data, q_valid, num_heads)                              # [BH, Lq, dh]
     kh = _to_heads(k.data, kv_valid, num_heads, lead_k, keys=True)         # [BH, dh, Lk]
     vh = _to_heads(v.data, kv_valid, num_heads, lead_v)                    # [BH, Lk, dh]

@@ -62,6 +62,19 @@ class TestMatmulBias:
             T.matmul(Tensor(np.ones((2, 4))), Tensor(np.ones((4, 3))), bias=Tensor(np.ones(4)))
 
 
+class TestAttention:
+    def test_rows_that_do_not_fill_their_layout_rejected(self):
+        valid = np.asarray([[True, True], [True, False]])
+        rows = Tensor(np.ones((3, 4)), requires_grad=True)
+        assert T.attention(rows, rows, rows, valid, valid, 2).shape == (3, 4)
+        with pytest.raises(ShapeError, match="attention over 2 heads"):
+            T.attention(Tensor(np.ones((2, 4))), rows, rows, valid, valid, 2)
+        with pytest.raises(ShapeError, match="attention over 3 heads"):
+            T.attention(rows, rows, rows, valid, valid, 3)
+        with pytest.raises(ShapeError, match="value rows"):
+            T.attention(rows, rows, Tensor(np.ones((2, 4))), valid, valid, 2)
+
+
 class TestTake:
     def test_repeated_rows_rejected_for_embedding_lookup(self):
         a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)

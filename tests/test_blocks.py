@@ -105,7 +105,9 @@ class TestMultiHeadAttention:
 
 
 # Packed query lengths, context lengths (None: self-attention), whether a
-# shared CLS row leads each context, and ``cls_only``.
+# shared CLS row leads each context, and ``cls_only``.  Nine sequences sum
+# nine rows into the lead row's gradient, a length at which numpy's pairwise
+# summation would reorder a sum along a contiguous axis.
 ORACLE_CASES = {
     "self_uneven": ([5, 2, 4], None, False, False),
     "cross_with_lead": ([3, 1, 2], [4, 0, 2], True, False),

@@ -9,10 +9,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from discourse_rater import tensor as T
+from discourse_rater.blocks import Rows, dropout_keep
 from discourse_rater.data import Example
 from discourse_rater.errors import (ConfigError, DataError, DiscourseRaterError, FormatError,
                                     NumericsError, ShapeError, UsageError)
-from discourse_rater.blocks import Rows, dropout_keep
 from discourse_rater.model import (MODEL_DIM, FusionModel, ModelConfig, _build,
                                    _dropout_keeps, build_model, forward, load_model,
                                    modality_label, parse_modalities, save_model)

@@ -455,12 +455,12 @@ def bilstm_encode(seq: Tensor, params: BiLstmParams) -> Tensor:
 # -- position encodings ---------------------------------------------------------
 
 
-def sinusoid_table(length: int, dim: int, base: float = 10000.0) -> np.ndarray:
+def sinusoid_table(length: int, dim: int) -> np.ndarray:
     """Standard sinusoidal position encodings, shape [length, dim]."""
     table = np.zeros((length, dim))
     pos = np.arange(length, dtype=np.float64)[:, None]
     idx = np.arange(0, dim, 2, dtype=np.float64)[None, :]
-    angles = pos / np.power(base, idx / dim)
+    angles = pos / np.power(10000.0, idx / dim)
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles[:, : dim // 2])
     return table

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .data import (JSON_NAMES, Dataset, DatasetManifest, SynthConfig,
                    json_type, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
 from .harness import GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
-from .metrics import pearson_r, significance_stars
+from .metrics import irr_leave_one_rater_out, pearson_r, significance_stars
 from .model import ModelConfig, save_model
 from .objective import COMPONENT_TITLES, COMPONENTS, RATINGS
 from .train import TrainConfig
@@ -298,10 +299,10 @@ def _report_text(report) -> str:
 
 def cmd_train(args) -> int:
     resolved = _resolve(args, *_SETTINGS["train"])
+    model_config, train_config = _model_config(resolved), _train_config(resolved)
     dataset = Dataset.load(resolved["data"])
-    train_config = _train_config(resolved)
     model, history = fit_model(dataset, dataset.manifest.teacher_ids(),
-                               _model_config(resolved), train_config, train_config.seed)
+                               model_config, train_config, train_config.seed)
 
     _write_outputs(resolved, {"history.txt": history.table(),
                               "history.json": history.to_dict()})
@@ -335,15 +336,32 @@ _SETTINGS = {
 }
 
 
+def _human_irr(manifest: DatasetManifest, components: Sequence[str]) -> dict:
+    """Leave-one-rater-out QWK of the human raters for each component."""
+    return {
+        "scale": ("raters' 4-point integer scores; the model's QWK is on "
+                  "7 half-point rating classes"),
+        "components": {c: dataclasses.asdict(irr_leave_one_rater_out(manifest.rater_records, c))
+                       for c in components},
+    }
+
+
 def cmd_cv(args) -> int:
+    """Nested CV; ``report.json`` adds the human raters' reliability
+    (``human_irr``) when the manifest holds rater records."""
     resolved = _resolve(args, *_SETTINGS["cv"])
+    model_config, train_config = _model_config(resolved), _train_config(resolved)
     dataset = Dataset.load(resolved["data"])
-    result = run_nested_cv(dataset, _model_config(resolved), _train_config(resolved),
+    human_irr = (_human_irr(dataset.manifest, model_config.head_components)
+                 if dataset.manifest.rater_records else None)
+    result = run_nested_cv(dataset, model_config, train_config,
                            grid=_grid(resolved), seed=resolved["seed"],
                            jobs=resolved["jobs"])
 
     report_doc = result.report.to_dict()
     report_doc["best_grid_points"] = [p.label() for p in result.best_points]
+    if human_irr is not None:
+        report_doc["human_irr"] = human_irr
     text = _report_text(result.report)
     _write_outputs(resolved, {"report.json": report_doc, "report.txt": text})
     _write_predictions(Path(resolved["out"]) / "predictions.csv", result.predictions)
@@ -353,9 +371,10 @@ def cmd_cv(args) -> int:
 
 def cmd_ablate(args) -> int:
     resolved = _resolve(args, *_SETTINGS["ablate"])
+    model_config, train_config = _model_config(resolved), _train_config(resolved)
     dataset = Dataset.load(resolved["data"])
-    result = run_ablation(dataset, resolved["axes"], _model_config(resolved),
-                          _train_config(resolved), grid=_grid(resolved),
+    result = run_ablation(dataset, resolved["axes"], model_config,
+                          train_config, grid=_grid(resolved),
                           seed=resolved["seed"], jobs=resolved["jobs"])
 
     table = result.table()

@@ -19,7 +19,7 @@ import math
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -284,66 +284,6 @@ def segment_boundaries(lesson_duration_s: float) -> list[tuple[float, float]]:
     return bounds
 
 
-def aggregate_words_to_utterances(word_embs: np.ndarray,
-                                  utterance_spans: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Mean word embeddings within each utterance span.
-
-    Spans are half-open [start, end) index ranges that must partition the
-    word rows in order.
-    """
-    word_embs = np.asarray(word_embs)
-    cursor = 0
-    rows = []
-    for start, end in utterance_spans:
-        if start != cursor:
-            raise DataError(f"utterance spans must tile the words; gap/overlap at {start}")
-        if end <= start:
-            raise DataError(f"empty utterance span [{start}, {end})")
-        rows.append(word_embs[start:end].mean(axis=0))
-        cursor = end
-    if cursor != word_embs.shape[0]:
-        raise DataError(f"utterance spans cover {cursor} of {word_embs.shape[0]} words")
-    return np.stack(rows).astype(word_embs.dtype)
-
-
-def aggregate_to_chunks(frame_embs: np.ndarray, rate_hz: float,
-                        window_s: float = CHUNK_S) -> np.ndarray:
-    """Mean frame embeddings over non-overlapping windows of ``window_s``.
-
-    The final partial window is kept as long as it holds at least one frame,
-    so the chunk count is ceil(frames / (rate * window)).
-    """
-    frame_embs = np.asarray(frame_embs)
-    if frame_embs.ndim != 2 or frame_embs.shape[0] < 1:
-        raise DataError(f"frame embeddings must be a nonempty [F, d] array, got {frame_embs.shape}")
-    per_window = rate_hz * window_s
-    if per_window <= 0:
-        raise UsageError("rate_hz and window_s must be positive")
-    n_frames = frame_embs.shape[0]
-    n_chunks = int(np.ceil(n_frames / per_window))
-    rows = []
-    for k in range(n_chunks):
-        lo = int(np.floor(k * per_window))
-        hi = min(int(np.floor((k + 1) * per_window)), n_frames)
-        rows.append(frame_embs[lo:hi].mean(axis=0))
-    return np.stack(rows).astype(frame_embs.dtype)
-
-
-def average_rater_scores(rater_records: Iterable[RaterRecord],
-                         segment_id: str, component: str) -> float:
-    """Mean of the two integer rater scores for a segment/component."""
-    scores = [int(r.score) for r in rater_records
-              if r.segment_id == segment_id and r.component == component]
-    if len(scores) != 2:
-        raise DataError(
-            f"segment {segment_id}/{component}: expected exactly 2 ratings, got {len(scores)}"
-        )
-    for s in scores:
-        if not 1 <= s <= 4:
-            raise DataError(f"segment {segment_id}/{component}: score {s} outside 1..4")
-    return (scores[0] + scores[1]) / 2.0
-
-
 def classroom_aggregate(per_segment_scores: Mapping[str, float],
                         manifest: DatasetManifest) -> dict[str, float]:
     """Mean over segments within each lesson, then over lessons per teacher."""
@@ -375,7 +315,7 @@ def write_feature_file(path: str | Path, seg: SegmentFeatures) -> None:
 
 
 def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = "",
-                      lesson_id: str = "", duration_s: float = SEGMENT_S) -> SegmentFeatures:
+                      lesson_id: str = "") -> SegmentFeatures:
     """Read a "DFX1" file; malformed input raises with the failing byte offset.
 
     A file that cannot be read is ``DataError``: the manifest names a file
@@ -408,7 +348,7 @@ def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = 
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes", offset=offset)
     return SegmentFeatures(segment_id=segment_id, teacher_id=teacher_id,
                            lesson_id=lesson_id, text=arrays[0], audio=arrays[1],
-                           video=arrays[2], duration_s=duration_s)
+                           video=arrays[2])
 
 
 # -- dataset containers ------------------------------------------------------------
@@ -439,13 +379,9 @@ class Dataset:
             features[seg.segment_id] = feats
         return cls(manifest=manifest, features=features)
 
-    def examples(self, segment_ids: Sequence[str] | None = None) -> list[Example]:
-        wanted = None if segment_ids is None else set(segment_ids)
-        out = []
-        for seg in self.manifest.segments:
-            if wanted is None or seg.segment_id in wanted:
-                out.append(Example(self.features[seg.segment_id], dict(seg.labels)))
-        return out
+    def examples(self) -> list[Example]:
+        return [Example(self.features[s.segment_id], dict(s.labels))
+                for s in self.manifest.segments]
 
     def examples_for_teachers(self, teacher_ids: Iterable[str]) -> list[Example]:
         teachers = set(teacher_ids)
@@ -488,6 +424,8 @@ class SynthConfig:
     def validate(self) -> None:
         if self.n_teachers < 1 or self.segments_per_teacher < 1:
             raise UsageError("need at least one teacher and one segment per teacher")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.label_correlation <= 1.0:
             raise UsageError("label_correlation must lie in [0, 1]")
         for name, pair in (("text_len", self.text_len), ("chunk_len", self.chunk_len)):

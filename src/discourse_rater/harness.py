@@ -216,7 +216,9 @@ def _run_job(job: _TrainEvalJob):
 
 
 def _map_jobs(dataset: Dataset, jobs_list: list[_TrainEvalJob], jobs: int):
-    if jobs <= 1:
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
         _init_worker(dataset)
         results = [_run_job(job) for job in jobs_list]
     else:

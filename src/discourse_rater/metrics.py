@@ -4,9 +4,6 @@ Quadratic weighted kappa (QWK) is the primary metric: chance-corrected
 agreement with (i - j)^2 penalties, computed from a confusion matrix of class
 indices.  Model-vs-label agreement uses the 7 half-point rating classes;
 rater-vs-rater reliability uses the raw 4-point integer scale.
-
-``classroom_aggregate`` lives in ``data``, whose synthetic generator draws
-student outcomes from it, and is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .data import RaterRecord, classroom_aggregate  # noqa: F401  (re-exported)
+from .data import RaterRecord
 from .errors import DataError, UsageError
 
 

@@ -56,10 +56,6 @@ def parse_modalities(spec: str | Sequence[str]) -> tuple[str, ...]:
     return tuple(m for m in MODALITIES if m in names)
 
 
-def modality_label(modalities: Sequence[str]) -> str:
-    return "+".join(m[0].upper() for m in MODALITIES if m in modalities)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture switches; the hyperparameter grid constrains M to 1..5."""
@@ -100,6 +96,8 @@ class ModelConfig:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def head_mode(self) -> str:

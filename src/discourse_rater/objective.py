@@ -145,16 +145,11 @@ def l1_loss(preds: Tensor, label_ratings: Sequence[float],
     return (diff * w).sum() * (1.0 / len(ratings))
 
 
-def multitask_total(losses: Mapping[str, Tensor],
-                    mu: Mapping[str, float] | None = None) -> Tensor:
-    """Weighted sum of per-component losses; every task weighs 1 by default."""
+def multitask_total(losses: Mapping[str, Tensor]) -> Tensor:
+    """Sum of per-component losses; every task weighs 1."""
     if not losses:
         raise UsageError("multitask_total needs at least one component loss")
     total: Tensor | None = None
-    for component, loss in losses.items():
-        weight = 1.0 if mu is None else float(mu.get(component, 1.0))
-        if weight < 0:
-            raise UsageError(f"task weight for {component!r} must be >= 0")
-        term = loss * weight
-        total = term if total is None else total + term
+    for loss in losses.values():
+        total = loss if total is None else total + loss
     return total

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Example, SegmentFeatures
-from .errors import NumericsError, TrainingError, UsageError
+from .errors import ConfigError, NumericsError, TrainingError, UsageError
 from .model import FusionModel, ModelConfig, forward
 from .objective import (RATINGS, class_weights, l1_loss, multitask_total,
                         oll_loss, rating_to_index, round_to_rating,
@@ -34,23 +34,31 @@ from .tensor import Tensor
 
 # Evaluation and prediction run padded groups of at most this many examples.
 EVAL_GROUP = 8
-# Elements per piece of the flat-buffer passes in AdamW and gradient clipping.
+# Elements per piece of AdamW's in-place passes over the flat buffers.
 CHUNK = 1 << 16
 
 
 @dataclass
 class TrainConfig:
+    """The settings of one training run; each out-of-range value is ``ConfigError``."""
+
     lr: float = 1e-4
     batch_size: int = 8
     max_epochs: int = 200
-    plateau_patience: int = 5
-    early_stop_patience: int = 15
     val_fraction: float = 0.2
-    weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    grad_clip: float | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.max_epochs < 1:
+            raise ConfigError(f"max_epochs must be at least 1, got {self.max_epochs}")
+        if not 0.0 < self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction must lie in (0, 1), got {self.val_fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 class AdamW:
@@ -185,10 +193,9 @@ class PlateauScheduler:
     best seen loss) and on each halving.
     """
 
-    def __init__(self, optimizer: AdamW, patience: int = 5, factor: float = 0.5):
+    def __init__(self, optimizer: AdamW, patience: int = 5):
         self.optimizer = optimizer
         self.patience = patience
-        self.factor = factor
         self.best = math.inf
         self.stale = 0
 
@@ -199,7 +206,7 @@ class PlateauScheduler:
             return False
         self.stale += 1
         if self.stale >= self.patience:
-            self.optimizer.lr *= self.factor
+            self.optimizer.lr *= 0.5
             self.stale = 0
             return True
         return False
@@ -386,14 +393,12 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     moves the parameters into one), so on return every ``p.data`` of the
     model is a view of it.  Each step sets every ``.grad`` to None, and
     backward writes each parameter's gradient straight into its slot of the
-    flat gradient.  Gradient clipping is one norm and one in-place scale of
-    the flat gradient.  ``loss.backward()``
-    consumes the step's graph, so the ``loss`` kept until the next step
-    holds only its value and the next forward pass runs with no graph of
-    the previous step alive.  The best-validation
-    parameters are restored before returning: each improving epoch before
-    the last epoch that can run keeps one copy of the flat array, and the
-    restore copies it back in place.
+    flat gradient.  ``loss.backward()`` consumes the step's graph, so the
+    ``loss`` kept until the next step holds only its value and the next
+    forward pass runs with no graph of the previous step alive.  The
+    best-validation parameters are restored before returning: each
+    improving epoch before the last epoch that can run keeps one copy of the
+    flat array, and the restore copies it back in place.
     """
     if not train_examples or not val_examples:
         raise UsageError("train and validation sets must both be nonempty")
@@ -402,10 +407,9 @@ def train(model: FusionModel, train_examples: Sequence[Example],
         weights = component_weights(train_examples, model.config.head_components)
 
     rng = np.random.default_rng(config.seed)
-    optimizer = AdamW(model.parameters(), lr=config.lr, weight_decay=config.weight_decay,
-                      betas=config.betas, eps=config.eps)
-    scheduler = PlateauScheduler(optimizer, patience=config.plateau_patience)
-    stopper = EarlyStopper(patience=config.early_stop_patience)
+    optimizer = AdamW(model.parameters(), lr=config.lr)
+    scheduler = PlateauScheduler(optimizer)
+    stopper = EarlyStopper()
     history = TrainHistory()
     best_state: np.ndarray | None = None
 
@@ -420,8 +424,6 @@ def train(model: FusionModel, train_examples: Sequence[Example],
                 optimizer.zero_grad()
                 loss = batch_loss(model, batch, weights, training=True, rng=rng)
                 loss.backward()
-                if config.grad_clip is not None:
-                    _clip_gradients(optimizer.flat_gradient(), config.grad_clip)
                 optimizer.step()
                 epoch_losses.append(float(loss.data))
             train_loss = float(np.mean(epoch_losses))
@@ -447,19 +449,6 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     history.best_epoch = stopper.best_epoch
     history.best_val_loss = stopper.best
     return history
-
-
-def _clip_gradients(grad: np.ndarray, max_norm: float) -> None:
-    """Scale the flat gradient in place so its L2 norm is at most ``max_norm``.
-
-    The squared norm adds up the dot products of ``CHUNK``-element pieces as
-    Python floats; one float32 dot product over 16M elements is off by about
-    3e-5 relative.
-    """
-    norm = math.sqrt(sum(float(np.dot(piece, piece))
-                         for piece in (grad[i:i + CHUNK] for i in range(0, grad.size, CHUNK))))
-    if norm > max_norm:
-        grad *= max_norm / norm
 
 
 def predict(model: FusionModel, examples: Sequence[Example]) -> dict[str, dict[str, float]]:

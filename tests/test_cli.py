@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from discourse_rater.cli import (_CV_DEFAULTS, _SETTINGS, _grid, _read_predictio
 from discourse_rater.data import DatasetManifest
 from discourse_rater.errors import DiscourseRaterError
 from discourse_rater.harness import BATCH_GRID, LR_GRID, GridPoint, default_grid
+from discourse_rater.metrics import irr_leave_one_rater_out
 from discourse_rater.model import load_model
 from helpers import JSON_VALUES
 
@@ -160,6 +163,30 @@ def test_data_directory_without_manifest_is_usage_error(tmp_path, capsys, comman
     assert f"cannot read dataset manifest {manifest}" in capsys.readouterr().err
 
 
+OUT_OF_RANGE = [
+    (["train", "--batch-size", 0], "batch_size"),
+    (["train", "--batch-size", -3], "batch_size"),
+    (["train", "--max-epochs", 0], "max_epochs"),
+    (["train", "--val-fraction", 7], "val_fraction"),
+    (["train", "--val-fraction", -1], "val_fraction"),
+    (["train", "--lr", -1], "lr"),
+    (["train", "--seed", -1], "seed"),
+    (["synth", "--seed", -1], "seed"),
+    (["cv", "--jobs", 0], "jobs"),
+    (["ablate", "--jobs", 0], "jobs"),
+]
+
+
+@pytest.mark.parametrize("argv,setting", OUT_OF_RANGE,
+                         ids=[" ".join(map(str, argv)) for argv, _ in OUT_OF_RANGE])
+def test_out_of_range_setting_is_usage_error(dataset_dir, tmp_path, capsys, argv, setting):
+    command, *flags = argv
+    data = [] if command == "synth" else ["--data", dataset_dir]
+    assert run_cli(command, *data, "--out", tmp_path / "out", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and re.search(rf"\b{setting}\b", err), err
+
+
 class TestTrainCommand:
     def test_writes_history_and_checkpoint(self, dataset_dir, tmp_path):
         out = tmp_path / "run"
@@ -190,6 +217,23 @@ class TestCvCommand:
         with open(out / "predictions.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 12 * 3
+
+    def test_report_carries_human_irr_when_the_manifest_has_rater_records(self, dataset_dir,
+                                                                          tmp_path):
+        out = tmp_path / "cv"
+        assert run_cli(*self.cv_args(dataset_dir, out)) == 0
+        records = DatasetManifest.load(dataset_dir / "manifest.json").rater_records
+        expected = {c: dataclasses.asdict(irr_leave_one_rater_out(records, c))
+                    for c in ("nature", "questioning", "explanations")}
+        human_irr = json.loads((out / "report.json").read_text())["human_irr"]
+        assert human_irr["components"] == expected
+        assert "4-point" in human_irr["scale"] and "7 half-point" in human_irr["scale"]
+
+        doc = json.loads((dataset_dir / "manifest.json").read_text())
+        doc["rater_records"] = []
+        (dataset_dir / "manifest.json").write_text(json.dumps(doc))
+        assert run_cli(*self.cv_args(dataset_dir, tmp_path / "cv_unrated")) == 0
+        assert "human_irr" not in json.loads((tmp_path / "cv_unrated" / "report.json").read_text())
 
     def test_rerun_from_resolved_config_reproduces_outputs(self, dataset_dir, tmp_path):
         first = tmp_path / "cv1"

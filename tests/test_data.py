@@ -7,12 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from discourse_rater.data import (AUDIO_DIM, TEXT_DIM, VIDEO_DIM, Dataset,
-                                  DatasetManifest, RaterRecord, SegmentFeatures,
-                                  SynthConfig, aggregate_to_chunks,
-                                  aggregate_words_to_utterances,
-                                  average_rater_scores, generate_synthetic,
-                                  read_feature_file, segment_boundaries,
-                                  uniform_signal, write_feature_file)
+                                  DatasetManifest, SegmentFeatures,
+                                  SynthConfig, classroom_aggregate,
+                                  generate_synthetic, read_feature_file,
+                                  segment_boundaries, uniform_signal,
+                                  write_feature_file)
 from discourse_rater.errors import DataError, DiscourseRaterError, FormatError
 from discourse_rater.objective import COMPONENTS, RATINGS
 from helpers import EDITS, JSON_VALUES, edited, json_paths, linear_readout_qwk
@@ -46,84 +45,6 @@ class TestSegmentBoundaries:
             assert end_a == start_b
         for start, end in bounds:
             assert end > start
-
-
-class TestWordAggregation:
-    def test_single_span_is_column_mean(self, rng):
-        words = rng.standard_normal((6, 4))
-        out = aggregate_words_to_utterances(words, [(0, 6)])
-        assert np.allclose(out, words.mean(axis=0, keepdims=True))
-
-    def test_single_word_span_unchanged(self, rng):
-        words = rng.standard_normal((3, 4))
-        out = aggregate_words_to_utterances(words, [(0, 1), (1, 3)])
-        assert np.allclose(out[0], words[0])
-
-    def test_hand_computed_mean(self):
-        words = np.asarray([[1.0, 3.0], [3.0, 5.0]])
-        out = aggregate_words_to_utterances(words, [(0, 2)])
-        assert np.array_equal(out, [[2.0, 4.0]])
-
-    def test_empty_span_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_words_to_utterances(np.zeros((3, 2)), [(0, 0), (0, 3)])
-
-    def test_gap_or_overlap_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_words_to_utterances(np.zeros((4, 2)), [(0, 2), (3, 4)])
-        with pytest.raises(DataError):
-            aggregate_words_to_utterances(np.zeros((4, 2)), [(0, 3), (2, 4)])
-
-    def test_scaling_commutes(self, rng):
-        words = rng.standard_normal((5, 3))
-        spans = [(0, 2), (2, 5)]
-        assert np.allclose(aggregate_words_to_utterances(3.0 * words, spans),
-                           3.0 * aggregate_words_to_utterances(words, spans))
-
-
-class TestChunkAggregation:
-    def test_partial_final_window_kept(self, rng):
-        frames = rng.standard_normal((25, 4))
-        chunks = aggregate_to_chunks(frames, rate_hz=1.0)
-        assert chunks.shape == (3, 4)
-        assert np.allclose(chunks[0], frames[:10].mean(axis=0))
-        assert np.allclose(chunks[2], frames[20:].mean(axis=0))
-
-    def test_constant_input_preserved(self):
-        frames = np.full((17, 3), 2.5)
-        assert np.allclose(aggregate_to_chunks(frames, 1.0), 2.5)
-
-    @given(st.integers(1, 120), st.sampled_from([0.5, 1.0, 2.0, 25.0]))
-    @settings(max_examples=60, deadline=None)
-    def test_chunk_count_formula(self, n_frames, rate):
-        frames = np.ones((n_frames, 2))
-        chunks = aggregate_to_chunks(frames, rate)
-        assert chunks.shape[0] == int(np.ceil(n_frames / (rate * 10.0)))
-
-    def test_scaling_commutes(self, rng):
-        frames = rng.standard_normal((23, 3))
-        assert np.allclose(aggregate_to_chunks(0.5 * frames, 1.0),
-                           0.5 * aggregate_to_chunks(frames, 1.0))
-
-
-class TestRaterAverages:
-    def make_records(self, a, b):
-        return [RaterRecord("seg1", "r1", "nature", a),
-                RaterRecord("seg1", "r2", "nature", b)]
-
-    def test_half_point(self):
-        assert average_rater_scores(self.make_records(3, 4), "seg1", "nature") == 3.5
-
-    def test_integer(self):
-        assert average_rater_scores(self.make_records(2, 2), "seg1", "nature") == 2.0
-
-    def test_wide_disagreement(self):
-        assert average_rater_scores(self.make_records(1, 4), "seg1", "nature") == 2.5
-
-    def test_wrong_count_rejected(self):
-        records = self.make_records(1, 4)[:1]
-        with pytest.raises(DataError):
-            average_rater_scores(records, "seg1", "nature")
 
 
 def make_segment(rng, seg_id="s1", text_len=3, chunk_len=4):
@@ -249,11 +170,14 @@ class TestSyntheticGenerator:
 
     def test_two_rater_records_whose_mean_is_the_label(self):
         dataset = generate_synthetic(small_synth())
+        scores: dict[tuple[str, str], list[int]] = {}
+        for rec in dataset.manifest.rater_records:
+            scores.setdefault((rec.segment_id, rec.component), []).append(rec.score)
         for seg in dataset.manifest.segments:
             for component in COMPONENTS:
-                avg = average_rater_scores(dataset.manifest.rater_records,
-                                           seg.segment_id, component)
-                assert avg == seg.labels[component]
+                pair = scores[(seg.segment_id, component)]
+                assert len(pair) == 2 and all(1 <= s <= 4 for s in pair)
+                assert (pair[0] + pair[1]) / 2.0 == seg.labels[component]
 
     def test_full_correlation_makes_labels_identical(self):
         dataset = generate_synthetic(small_synth(label_correlation=1.0,
@@ -311,7 +235,7 @@ class TestSyntheticGenerator:
         dataset = generate_synthetic(small_synth(n_teachers=10,
                                                  students_per_teacher=5,
                                                  outcome_noise_sd=0.01, seed=3))
-        from discourse_rater.metrics import classroom_aggregate, pearson_r
+        from discourse_rater.metrics import pearson_r
 
         scores = {s.segment_id: s.labels["nature"] for s in dataset.manifest.segments}
         per_teacher = classroom_aggregate(scores, dataset.manifest)
@@ -376,4 +300,17 @@ class TestManifestErrors:
         manifest = DatasetManifest.from_json(text)
         with pytest.raises(DataError, match=f"segment {doc['segments'][2]['segment_id']}: "
                                             "label 'nature'"):
+            manifest.validate()
+
+    def test_wrong_rater_count_rejected(self):
+        manifest = generate_synthetic(small_synth()).manifest
+        dropped = manifest.rater_records.pop(4)
+        with pytest.raises(DataError, match=f"segment {dropped.segment_id}: expected 2 "
+                                            f"raters for {dropped.component}, found 1"):
+            manifest.validate()
+
+    def test_rater_score_outside_the_scale_rejected(self):
+        manifest = generate_synthetic(small_synth()).manifest
+        manifest.rater_records[3].score = 5
+        with pytest.raises(DataError, match="rater score 5 outside 1..4"):
             manifest.validate()

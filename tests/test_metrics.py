@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from discourse_rater.data import (DatasetManifest, RaterRecord, SegmentRecord)
+from discourse_rater.data import (DatasetManifest, RaterRecord, SegmentRecord,
+                                  classroom_aggregate)
 from discourse_rater.errors import DataError, UsageError
-from discourse_rater.metrics import (classroom_aggregate, confusion_matrix,
-                                     fold_summary, irr_leave_one_rater_out,
-                                     pearson_r, qwk, qwk_from_confusion,
-                                     significance_stars, summarize_folds)
+from discourse_rater.metrics import (confusion_matrix, fold_summary,
+                                     irr_leave_one_rater_out, pearson_r, qwk,
+                                     qwk_from_confusion, significance_stars,
+                                     summarize_folds)
 
 
 def brute_force_qwk(counts):

@@ -15,7 +15,7 @@ from discourse_rater.errors import (ConfigError, DataError, DiscourseRaterError,
                                     NumericsError, ShapeError, UsageError)
 from discourse_rater.model import (MODEL_DIM, FusionModel, ModelConfig, _build,
                                    _dropout_keeps, build_model, forward, load_model,
-                                   modality_label, parse_modalities, save_model)
+                                   parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.train import AdamW, collate_batch
 from helpers import EDITS, edited, fusion_oracle, make_segment
@@ -26,7 +26,6 @@ class TestModelConfig:
         assert parse_modalities("T+A") == ("text", "audio")
         assert parse_modalities("v") == ("video",)
         assert parse_modalities(("audio", "text")) == ("text", "audio")
-        assert modality_label(("text", "audio")) == "T+A"
 
     def test_unknown_modality_rejected(self):
         with pytest.raises(ConfigError):

@@ -31,6 +31,7 @@ from . import tensor as T
 from .blocks import (AttentionParams, BiLstmParams, EncoderBlockParams,
                      HeadParams, Rows, bilstm_encode, encoder_block, mlp_head,
                      multi_head_attention)
+from .errors import UsageError
 from .objective import l1_loss, oll_loss, weighted_ce_loss
 from .tensor import GradCheckReport, Tensor
 
@@ -177,6 +178,8 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
 
 def run_gradient_checks(tol: float = 1e-5, seed: int = 0) -> list[GradCheckReport]:
     """Run the full catalog in float64; returns one report per entry."""
+    if seed < 0:
+        raise UsageError(f"seed must be non-negative, got {seed}")
     reports = []
     with T.precision("float64"):
         rng = np.random.default_rng(seed)

@@ -198,20 +198,22 @@ class DatasetManifest:
                     raise DataError(f"student {rec.student_id}: field {name!r} must be a "
                                     f"finite number")
         if self.rater_records:
-            counts: dict[tuple[str, str], set[str]] = {}
+            # Exactly two records from two distinct raters, as
+            # ``metrics.irr_leave_one_rater_out`` pairs them.
+            raters: dict[tuple[str, str], list[str]] = {}
             for rec in self.rater_records:
                 if rec.component not in COMPONENTS:
                     raise DataError(f"unknown component {rec.component!r} in rater records")
                 if not 1 <= int(rec.score) <= 4:
                     raise DataError(f"rater score {rec.score} outside 1..4")
-                counts.setdefault((rec.segment_id, rec.component), set()).add(rec.rater_id)
+                raters.setdefault((rec.segment_id, rec.component), []).append(rec.rater_id)
             for seg in self.segments:
                 for component in COMPONENTS:
-                    raters = counts.get((seg.segment_id, component), set())
-                    if len(raters) != 2:
+                    ids = raters.get((seg.segment_id, component), [])
+                    if len(ids) != 2 or ids[0] == ids[1]:
                         raise DataError(
                             f"segment {seg.segment_id}: expected 2 raters for "
-                            f"{component}, found {len(raters)}"
+                            f"{component}, found {len(set(ids))} in {len(ids)} records"
                         )
 
     def to_json(self) -> str:

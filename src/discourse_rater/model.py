@@ -25,8 +25,7 @@ from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
                      Rows, add_positional, bilstm_encode, encoder_block,
                      mlp_head, param_array, xavier_uniform, zeros_param)
 from .data import AUDIO_DIM, TEXT_DIM, VIDEO_DIM, SegmentFeatures
-from .errors import (ConfigError, DataError, FormatError, NumericsError,
-                     ShapeError, UsageError)
+from .errors import ConfigError, DataError, FormatError, NumericsError, UsageError
 from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
 
@@ -252,34 +251,27 @@ def _check_inputs(config: ModelConfig, seg: SegmentFeatures) -> None:
 
 def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
             training: bool = False, rng: np.random.Generator | None = None,
-            masks: Sequence[Mapping[str, np.ndarray] | None] | None = None,
             ) -> dict[str, Tensor]:
-    """Map a padded batch of segments to per-component outputs.
+    """Map a batch of segments, each with its own lengths, to per-component outputs.
 
-    ``segments`` share one length per modality, as ``train.collate_batch``
-    pads them, and ``masks`` holds one dict per segment marking its valid
-    rows, a prefix (None, or a None entry, when a segment has no padding).
     Classification heads return ``[B, 7]`` probabilities; the regression
     variant returns ``[B, 1]`` unbounded scores.
 
     Attention configurations run the batch at once through the fusion stack
-    on packed rows: the real rows of every segment, gathered once from the
-    padded input, back to back.  Every row-wise layer sees only those rows;
-    the attention core alone pads, per block.  The LSTM baseline encodes
-    segment by segment and batches only the heads.
+    on packed rows: the rows of every segment, back to back.  Every
+    row-wise layer sees only those rows; the attention core alone pads, per
+    block, to the longest segment.  The LSTM baseline encodes segment by
+    segment and batches only the heads.
     When the stack raises ``NumericsError`` and a segment holds a non-finite
     feature, ``DataError`` names each such segment and modality instead.
     """
-    if masks is None:
-        masks = [None] * len(segments)
     for seg in segments:
         _check_inputs(model.config, seg)
     try:
         if model.config.encoder == "lstm":
-            pooled = T.concat([_lstm_pooled(model, seg, seg_masks)
-                               for seg, seg_masks in zip(segments, masks)], axis=0)
+            pooled = T.concat([_lstm_pooled(model, seg) for seg in segments], axis=0)
         else:
-            pooled = _attention_pooled(model, segments, masks, training, rng)
+            pooled = _attention_pooled(model, segments, training, rng)
         outputs = {
             component: mlp_head(pooled, head, mode=model.config.head_mode)
             for component, head in model.heads.items()
@@ -301,31 +293,20 @@ def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
     return outputs
 
 
-def _packed(segments: Sequence[SegmentFeatures], masks, modality: str) -> tuple[np.ndarray, Rows, np.ndarray, int]:
-    """The real rows of one modality, gathered once from the padded batch.
-
-    Returns the rows ``[rows, width]`` segment after segment, their layout,
-    each row's position in its segment and the padded length.
-    """
+def _packed(segments: Sequence[SegmentFeatures], modality: str) -> tuple[np.ndarray, Rows, np.ndarray, int]:
+    """The rows ``[rows, width]`` of one modality, segment after segment,
+    their layout, each row's position in its segment and the longest
+    segment's length, to which the attention core and dropout pad."""
     arrays = [seg.modality(modality) for seg in segments]
-    lengths = sorted({arr.shape[0] for arr in arrays})
-    if len(lengths) != 1:
-        raise ShapeError(f"{modality} sequences of one batch differ in length {lengths}; "
-                         f"pad them to one length (train.collate_batch)")
-    valid = np.ones((len(arrays), lengths[0]), dtype=bool)
-    for row, seg_masks in zip(valid, masks):
-        if seg_masks is not None and seg_masks.get(modality) is not None:
-            row[:] = seg_masks[modality]
-    rows = Rows(valid.sum(axis=1))
-    if (valid != (np.arange(lengths[0]) < rows.lengths[:, None])).any():
-        raise ShapeError(f"{modality} masks must mark a prefix of each segment's rows")
-    return np.stack(arrays)[valid], rows, np.nonzero(valid)[1], lengths[0]
+    rows = Rows([arr.shape[0] for arr in arrays])
+    positions = np.concatenate([np.arange(n) for n in rows.lengths])
+    return np.concatenate(arrays), rows, positions, int(rows.lengths.max())
 
 
-def _prepared_stream(model: FusionModel, segments: Sequence[SegmentFeatures], masks,
+def _prepared_stream(model: FusionModel, segments: Sequence[SegmentFeatures],
                      modality: str) -> tuple[Tensor, Rows, int]:
     """Packed rows with positional encodings, their layout and the padded length."""
-    features, rows, positions, padded = _packed(segments, masks, modality)
+    features, rows, positions, padded = _packed(segments, modality)
     raw = Tensor(features)
     if modality == "audio" and model.audio_in_w is not None:
         raw = T.matmul(raw, model.audio_in_w, bias=model.audio_in_b)
@@ -363,7 +344,7 @@ def _dropout_keeps(stack: Sequence[EncoderBlockParams], rows: Rows, padded: int,
     return keeps
 
 
-def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures], masks,
+def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
                       training: bool, rng: np.random.Generator | None) -> Tensor:
     """The CLS rows ``[B, d]`` after the fusion stack, run on packed rows.
 
@@ -374,12 +355,12 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures], m
     config = model.config
     fused = len(config.modalities) > 1
     query = "text" if fused else config.modalities[0]
-    stream, feature_rows, padded = _prepared_stream(model, segments, masks, query)
+    stream, feature_rows, padded = _prepared_stream(model, segments, query)
     index, valid = feature_rows.padded(lead=1)
     cls_row = model.cls[query].reshape((1, MODEL_DIM))
     text = T.embedding_lookup(T.concat([cls_row, stream]), index[valid])
     rows = Rows(feature_rows.lengths + 1)
-    contexts = {modality: _prepared_stream(model, segments, masks, modality)[:2]
+    contexts = {modality: _prepared_stream(model, segments, modality)[:2]
                 for modality in ("audio", "video") if fused and modality in config.modalities}
     stack = [(block, modality)
              for module in model.modules
@@ -397,16 +378,10 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures], m
     return text
 
 
-def _lstm_pooled(model: FusionModel, seg: SegmentFeatures,
-                 masks: Mapping[str, np.ndarray] | None) -> Tensor:
+def _lstm_pooled(model: FusionModel, seg: SegmentFeatures) -> Tensor:
     """One ``[1, 2 * (text + audio width)]`` row of final BiLSTM states."""
-    parts = []
-    for modality in ("text", "audio"):
-        arr = seg.modality(modality)
-        if masks is not None and masks.get(modality) is not None:
-            arr = arr[np.asarray(masks[modality], dtype=bool)]
-        parts.append(bilstm_encode(Tensor(arr), model.lstms[modality]))
-    pooled = T.concat(parts, axis=0)
+    pooled = T.concat([bilstm_encode(Tensor(seg.modality(modality)), model.lstms[modality])
+                       for modality in ("text", "audio")], axis=0)
     return pooled.reshape((1, pooled.shape[0]))
 
 

@@ -28,7 +28,7 @@ A node keeps only what its backward reads.  :func:`matmul` adds an optional
 bias into its fresh GEMM output, so a projection holds one array, not two.
 :func:`attention` is the whole multi-head core of a block in one node: it
 keeps Q, Kᵀ and V in head-major layout and the softmax weights ``P``, and
-none of the gathers, head splits, scores or masks it passes through.
+none of the gathers, head splits, scores or validity arrays it passes through.
 """
 
 from __future__ import annotations

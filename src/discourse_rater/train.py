@@ -1,15 +1,14 @@
 """Optimization loop: AdamW, plateau halving, early stopping, batched forward.
 
-Each training step pads its batch to one length per modality
-(``collate_batch``) and runs it through a single ``forward`` call, which
-gathers the real rows out of the padding once and runs the fusion stack on
-those packed rows, so padding costs no compute outside the attention core.
-Evaluation and prediction do the same under ``no_grad`` for groups of at
-most ``EVAL_GROUP`` examples of similar length, and return results in input
-order.
+Each training step runs its batch through a single ``forward`` call, which
+takes every segment as it is, with its own lengths, and runs the fusion
+stack on their rows back to back; only the attention core pads, to the
+longest segment of the batch.  Evaluation and prediction do the same under
+``no_grad`` for groups of at most ``EVAL_GROUP`` examples of similar
+length, and return results in input order.
 
 One training run is single-threaded and fully determined by its seed: the
-per-epoch shuffle, dropout masks, and parameter init all flow from it.  The
+per-epoch shuffle, dropout draws, and parameter init all flow from it.  The
 run monitors the total multi-task validation loss, halves the learning rate
 after five epochs without improvement, stops after fifteen, and restores the
 best parameters before returning.
@@ -32,7 +31,7 @@ from .objective import (RATINGS, class_weights, l1_loss, multitask_total,
                         weighted_ce_loss)
 from .tensor import Tensor
 
-# Evaluation and prediction run padded groups of at most this many examples.
+# Evaluation and prediction run groups of at most this many examples.
 EVAL_GROUP = 8
 # Elements per piece of AdamW's in-place passes over the flat buffers.
 CHUNK = 1 << 16
@@ -267,40 +266,15 @@ class TrainHistory:
 # -- batching -----------------------------------------------------------------
 
 
-def pad_example(example: Example, lengths: Mapping[str, int]) -> tuple[SegmentFeatures, dict[str, np.ndarray]]:
-    """Zero-pad each modality to the requested length; masks mark real rows."""
-    feats = example.features
-    padded = {}
-    masks = {}
-    for modality in ("text", "audio", "video"):
-        arr = feats.modality(modality)
-        target = lengths.get(modality, arr.shape[0])
-        if target < arr.shape[0]:
-            raise UsageError(f"cannot pad {modality} below its length")
-        pad_rows = target - arr.shape[0]
-        if pad_rows and arr.shape[0] > 0:
-            arr = np.concatenate([arr, np.zeros((pad_rows, arr.shape[1]), dtype=arr.dtype)])
-        padded[modality] = arr
-        masks[modality] = np.arange(arr.shape[0]) < (target - pad_rows) \
-            if arr.shape[0] else np.ones(0, dtype=bool)
-    seg = SegmentFeatures(segment_id=feats.segment_id, teacher_id=feats.teacher_id,
-                          lesson_id=feats.lesson_id, text=padded["text"],
-                          audio=padded["audio"], video=padded["video"],
-                          duration_s=feats.duration_s)
-    return seg, masks
+def collate_batch(examples: Sequence[Example]) -> tuple[list[SegmentFeatures], list[dict[str, float]]]:
+    """The segments and the labels of a batch, each in example order.
 
-
-def collate_batch(examples: Sequence[Example]) -> list[tuple[SegmentFeatures, dict[str, np.ndarray], dict[str, float]]]:
-    """Pad every modality to the batch maximum and attach validity masks."""
-    lengths = {
-        modality: max(ex.features.modality(modality).shape[0] for ex in examples)
-        for modality in ("text", "audio", "video")
-    }
-    out = []
-    for ex in examples:
-        seg, masks = pad_example(ex, lengths)
-        out.append((seg, masks, ex.labels))
-    return out
+    Nothing is padded or copied: ``forward`` takes each segment with its own
+    lengths.  The function stays, under this name, because
+    ``perfbench/tracer.py`` times every call of it and raises ``LookupError``
+    when it is missing.
+    """
+    return [ex.features for ex in examples], [ex.labels for ex in examples]
 
 
 # -- loss assembly ---------------------------------------------------------------
@@ -308,13 +282,13 @@ def collate_batch(examples: Sequence[Example]) -> list[tuple[SegmentFeatures, di
 
 def batch_loss(model: FusionModel, batch, weights: Mapping[str, np.ndarray] | None,
                training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Total multi-task loss for one padded batch (averaged over samples).
+    """Total multi-task loss for one ``collate_batch`` batch (averaged over samples).
 
     The whole batch goes through one ``forward`` call.
     """
-    outputs = forward(model, [seg for seg, _, _ in batch], training=training, rng=rng,
-                      masks=[masks for _, masks, _ in batch])
-    return _loss(model.config, outputs, [labels for _, _, labels in batch], weights)
+    segments, labels = batch
+    return _loss(model.config, forward(model, segments, training=training, rng=rng),
+                 labels, weights)
 
 
 def _loss(config: ModelConfig, outputs: Mapping[str, Tensor], labels: Sequence[Mapping[str, float]],
@@ -337,8 +311,8 @@ def _loss(config: ModelConfig, outputs: Mapping[str, Tensor], labels: Sequence[M
 def _grouped_outputs(model: FusionModel, examples: Sequence[Example]) -> dict[str, np.ndarray]:
     """Head outputs ``[N, k]`` per component, rows in input order.
 
-    Examples run in padded groups of at most ``EVAL_GROUP``, sorted by
-    sequence lengths so that a group pads little.  Call under ``no_grad``.
+    Examples run in groups of at most ``EVAL_GROUP``, sorted by sequence
+    lengths so that the attention core pads little.  Call under ``no_grad``.
     """
     modalities = model.config.modalities
     order = sorted(range(len(examples)),
@@ -346,9 +320,7 @@ def _grouped_outputs(model: FusionModel, examples: Sequence[Example]) -> dict[st
     out: dict[str, np.ndarray] = {}
     for start in range(0, len(order), EVAL_GROUP):
         rows = order[start:start + EVAL_GROUP]
-        batch = collate_batch([examples[i] for i in rows])
-        outputs = forward(model, [seg for seg, _, _ in batch],
-                          masks=[masks for _, masks, _ in batch])
+        outputs = forward(model, [examples[i].features for i in rows])
         for component, value in outputs.items():
             if component not in out:
                 out[component] = np.empty((len(examples), value.shape[1]), value.data.dtype)

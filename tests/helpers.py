@@ -75,17 +75,24 @@ def make_segment(rng, seg_id="s1", teacher="t1", lesson="l1",
     )
 
 
-def fusion_oracle(model, seg, masks=None, rng=None):
-    """Per-segment head outputs ``[1, k]`` from single-sequence blocks on the
-    real rows.
+def longest_query(model, segments):
+    """The length to which ``model.forward`` pads a batch's query stream,
+    over which each segment draws its dropout."""
+    config = model.config
+    query = "text" if len(config.modalities) > 1 else config.modalities[0]
+    return max(seg.modality(query).shape[0] for seg in segments)
+
+
+def fusion_oracle(model, seg, padded=None, rng=None):
+    """Per-segment head outputs ``[1, k]`` from single-sequence blocks.
 
     The reference for the packed ``model.forward``: positional encoding,
-    then CLS, then every encoder block of the stack on the real rows of this
-    one segment (``masks`` marks them in a padded segment), with each context
-    CLS prepended as an ordinary context row; then row 0, then the heads.
-    With ``rng`` the blocks run in training mode: each block draws both
-    dropout sites over all rows of the padded segment, as a batch does, and
-    keeps those of the real rows.
+    then CLS, then every encoder block of the stack on the rows of this one
+    segment, with each context CLS prepended as an ordinary context row;
+    then row 0, then the heads.  With ``rng`` the blocks run in training
+    mode: each block draws both dropout sites over ``padded + 1`` rows, where
+    ``padded`` is the longest query length of the batch (by default this
+    segment's), as a batch does, and keeps those of the segment's rows.
     """
     from discourse_rater import tensor as T
     from discourse_rater.blocks import add_positional, dropout_keep, encoder_block, mlp_head
@@ -96,8 +103,6 @@ def fusion_oracle(model, seg, masks=None, rng=None):
 
     def stream(modality):
         rows = seg.modality(modality)
-        if masks is not None:
-            rows = rows[masks[modality]]
         raw = Tensor(rows)
         if modality == "audio" and model.audio_in_w is not None:
             raw = T.matmul(raw, model.audio_in_w) + model.audio_in_b
@@ -106,7 +111,7 @@ def fusion_oracle(model, seg, masks=None, rng=None):
 
     query = "text" if fused else config.modalities[0]
     text = stream(query)
-    padded_rows = seg.modality(query).shape[0] + 1
+    padded_rows = (seg.modality(query).shape[0] if padded is None else padded) + 1
     for module in model.modules:
         for block, modality in ((module.cross_audio, "audio"),
                                 (module.cross_video, "video"),

@@ -163,6 +163,19 @@ def test_data_directory_without_manifest_is_usage_error(tmp_path, capsys, comman
     assert f"cannot read dataset manifest {manifest}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_repeated_rater_record_fails_before_training(dataset_dir, tmp_path, capsys, command):
+    path = dataset_dir / "manifest.json"
+    doc = json.loads(path.read_text())
+    doc["rater_records"].append(doc["rater_records"][0])
+    path.write_text(json.dumps(doc))
+    assert run_cli(command, "--data", dataset_dir, "--out", tmp_path / "out",
+                   "--max-epochs", 1) == 1
+    err = capsys.readouterr().err
+    assert "expected 2 raters" in err and "found 2 in 3 records" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 OUT_OF_RANGE = [
     (["train", "--batch-size", 0], "batch_size"),
     (["train", "--batch-size", -3], "batch_size"),
@@ -172,6 +185,7 @@ OUT_OF_RANGE = [
     (["train", "--lr", -1], "lr"),
     (["train", "--seed", -1], "seed"),
     (["synth", "--seed", -1], "seed"),
+    (["gradcheck", "--seed", -1], "seed"),
     (["cv", "--jobs", 0], "jobs"),
     (["ablate", "--jobs", 0], "jobs"),
 ]
@@ -181,8 +195,9 @@ OUT_OF_RANGE = [
                          ids=[" ".join(map(str, argv)) for argv, _ in OUT_OF_RANGE])
 def test_out_of_range_setting_is_usage_error(dataset_dir, tmp_path, capsys, argv, setting):
     command, *flags = argv
-    data = [] if command == "synth" else ["--data", dataset_dir]
-    assert run_cli(command, *data, "--out", tmp_path / "out", *flags) == 2
+    paths = {"synth": ["--out", tmp_path / "out"], "gradcheck": []}.get(
+        command, ["--data", dataset_dir, "--out", tmp_path / "out"])
+    assert run_cli(command, *paths, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and re.search(rf"\b{setting}\b", err), err
 

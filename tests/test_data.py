@@ -309,6 +309,18 @@ class TestManifestErrors:
                                             f"raters for {dropped.component}, found 1"):
             manifest.validate()
 
+    def test_repeated_rater_record_rejected_on_load(self, tmp_path):
+        generate_synthetic(small_synth(), tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        first = doc["rater_records"][0]
+        doc["rater_records"].append(dict(first))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"segment {first['segment_id']}: expected 2 "
+                                            f"raters for {first['component']}, found 2 in "
+                                            f"3 records"):
+            Dataset.load(tmp_path)
+
     def test_rater_score_outside_the_scale_rejected(self):
         manifest = generate_synthetic(small_synth()).manifest
         manifest.rater_records[3].score = 5

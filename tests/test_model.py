@@ -9,16 +9,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from discourse_rater import tensor as T
-from discourse_rater.blocks import Rows, dropout_keep
-from discourse_rater.data import Example
+from discourse_rater.blocks import Rows, bilstm_encode, dropout_keep, mlp_head
 from discourse_rater.errors import (ConfigError, DataError, DiscourseRaterError, FormatError,
-                                    NumericsError, ShapeError, UsageError)
+                                    NumericsError, UsageError)
 from discourse_rater.model import (MODEL_DIM, FusionModel, ModelConfig, _build,
                                    _dropout_keeps, build_model, forward, load_model,
                                    parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
-from discourse_rater.train import AdamW, collate_batch
-from helpers import EDITS, edited, fusion_oracle, make_segment
+from discourse_rater.train import AdamW
+from helpers import EDITS, edited, fusion_oracle, longest_query, make_segment
 
 
 class TestModelConfig:
@@ -192,10 +191,6 @@ class TestForward:
                            forward(multi, [seg])["nature"].data)
 
 
-def labelled(segments):
-    return [Example(seg, {c: 2.5 for c in COMPONENTS}) for seg in segments]
-
-
 def uneven_segments(rng, lengths=((2, 4), (5, 2), (3, 6))):
     return [make_segment(rng, seg_id=f"s{i}", text_len=t, chunk_len=c)
             for i, (t, c) in enumerate(lengths)]
@@ -210,13 +205,11 @@ class TestBatchedForward:
         dict(modalities="T+A+V", fusion_modules=2),
         dict(modalities="T", fusion_modules=1, loss="l1"),
     ], ids=["T", "A", "T+A+V-M2", "T-l1"])
-    def test_padded_batch_matches_each_segment_alone(self, rng, config):
+    def test_uneven_unpadded_batch_matches_each_segment_alone(self, rng, config):
         with T.precision("float64"):
             model = build_model(ModelConfig(seed=3, **config))
             segments = uneven_segments(rng)
-            batch = collate_batch(labelled(segments))
-            out = forward(model, [seg for seg, _, _ in batch],
-                          masks=[masks for _, masks, _ in batch])
+            out = forward(model, segments)
             for row, seg in enumerate(segments):
                 alone = fusion_oracle(model, seg)
                 for component, value in alone.items():
@@ -234,12 +227,12 @@ class TestBatchedForward:
         # dropout from a generator of the same seed, example by example.
         with T.precision("float64"):
             model = build_model(ModelConfig(seed=3, dropout=0.3, **config))
-            batch = collate_batch(labelled(uneven_segments(rng)))
+            segments = uneven_segments(rng)
+            padded = longest_query(model, segments)
             batched_rng, example_rng = np.random.default_rng(5), np.random.default_rng(5)
-            out = forward(model, [seg for seg, _, _ in batch], training=True,
-                          rng=batched_rng, masks=[masks for _, masks, _ in batch])
-            for row, (seg, masks, _) in enumerate(batch):
-                alone = fusion_oracle(model, seg, masks, rng=example_rng)
+            out = forward(model, segments, training=True, rng=batched_rng)
+            for row, seg in enumerate(segments):
+                alone = fusion_oracle(model, seg, padded, rng=example_rng)
                 for component, value in alone.items():
                     assert np.abs(out[component].data[row] - value.data).max() < 1e-12
 
@@ -247,20 +240,31 @@ class TestBatchedForward:
         with T.precision("float64"):
             model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=2,
                                             dropout=0.3, seed=4))
-            batch = collate_batch(labelled(uneven_segments(rng)))
+            segments = uneven_segments(rng)
+            padded = longest_query(model, segments)
             batched_rng, example_rng = np.random.default_rng(7), np.random.default_rng(7)
-            out = forward(model, [seg for seg, _, _ in batch], training=True,
-                          rng=batched_rng, masks=[masks for _, masks, _ in batch])
-            for row, (seg, masks, _) in enumerate(batch):
-                alone = fusion_oracle(model, seg, masks, rng=example_rng)
+            out = forward(model, segments, training=True, rng=batched_rng)
+            for row, seg in enumerate(segments):
+                alone = fusion_oracle(model, seg, padded, rng=example_rng)
                 for component, value in alone.items():
                     assert np.abs(out[component].data[row] - value.data).max() < 1e-12
             assert batched_rng.random() == example_rng.random()
 
-    def test_unpadded_batch_of_uneven_segments_rejected(self, rng):
-        model = build_model(ModelConfig(modalities="T", seed=1))
-        with pytest.raises(ShapeError, match="collate_batch"):
-            forward(model, uneven_segments(rng))
+    def test_uneven_lstm_batch_equals_heads_over_each_segment_alone(self, rng):
+        # The BiLSTM encodes each segment on all of its own rows and nothing
+        # else; the heads then run once over the batch.
+        model = build_model(ModelConfig(modalities="T+A", encoder="lstm", seed=1))
+        segments = uneven_segments(rng, lengths=((2, 4), (4, 2), (3, 3)))
+        out = forward(model, segments)
+
+        def states(seg):
+            row = T.concat([bilstm_encode(T.Tensor(seg.modality(m)), model.lstms[m])
+                            for m in ("text", "audio")])
+            return row.reshape((1, row.shape[0]))
+
+        pooled = T.concat([states(seg) for seg in segments], axis=0)
+        for component, head in model.heads.items():
+            assert np.array_equal(out[component].data, mlp_head(pooled, head).data)
 
     def test_non_finite_feature_names_its_segment_and_modality(self, rng):
         model = build_model(ModelConfig(modalities="T+A", seed=1))

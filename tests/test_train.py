@@ -11,9 +11,8 @@ from discourse_rater.tensor import Tensor
 from discourse_rater.train import (CHUNK, AdamW, EarlyStopper,
                                    PlateauScheduler, TrainConfig, batch_loss,
                                    collate_batch, component_weights,
-                                   evaluation_loss, pad_example, predict,
-                                   train)
-from helpers import fusion_oracle, make_segment
+                                   evaluation_loss, predict, train)
+from helpers import fusion_oracle, longest_query, make_segment
 
 
 class TestAdamW:
@@ -317,74 +316,9 @@ class TestEarlyStopper:
 
 
 class TestPadding:
-    def test_padded_forward_matches_unpadded_float64(self, rng):
-        # In float64 the only difference left is ~1e-16 BLAS reassociation,
-        # so agreement at 1e-12 shows the padded rows contribute nothing.
-        from discourse_rater.data import Example
-
-        with T.precision("float64"):
-            model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=1, seed=1))
-            seg = make_segment(rng, text_len=3, chunk_len=4)
-            example = Example(seg, {c: 2.0 for c in COMPONENTS})
-            padded_seg, masks = pad_example(example, {"text": 7, "audio": 9, "video": 9})
-            base = forward(model, [seg])
-            padded = forward(model, [padded_seg], masks=[masks])
-            for component in base:
-                assert np.abs(base[component].data - padded[component].data).max() < 1e-12
-
-    def test_padded_forward_matches_unpadded_float32(self, rng):
-        from discourse_rater.data import Example
-
-        model = build_model(ModelConfig(modalities="T+A+V", fusion_modules=1, seed=1))
-        seg = make_segment(rng, text_len=3, chunk_len=4)
-        example = Example(seg, {c: 2.0 for c in COMPONENTS})
-        padded_seg, masks = pad_example(example, {"text": 7, "audio": 9, "video": 9})
-        base = forward(model, [seg])
-        padded = forward(model, [padded_seg], masks=[masks])
-        for component in base:
-            assert np.abs(base[component].data - padded[component].data).max() < 2e-6
-
-    def test_padded_forward_matches_unpadded_lstm(self, rng):
-        from discourse_rater.data import Example
-
-        model = build_model(ModelConfig(modalities="T+A", encoder="lstm", seed=1))
-        seg = make_segment(rng, text_len=2, chunk_len=3)
-        example = Example(seg, {c: 2.0 for c in COMPONENTS})
-        padded_seg, masks = pad_example(example, {"text": 4, "audio": 5, "video": 5})
-        base = forward(model, [seg])
-        padded = forward(model, [padded_seg], masks=[masks])
-        for component in base:
-            assert np.abs(base[component].data - padded[component].data).max() == 0.0
-
-    def test_padding_rows_contribute_zero_gradient(self, rng):
-        from discourse_rater.data import Example
-        from discourse_rater.objective import oll_loss
-
-        with T.precision("float64"):
-            model = build_model(ModelConfig(modalities="T+A", fusion_modules=1, seed=2))
-            seg = make_segment(rng, text_len=3, chunk_len=3)
-            example = Example(seg, {c: 2.0 for c in COMPONENTS})
-            padded_seg, masks = pad_example(example, {"text": 6, "audio": 6, "video": 6})
-            out = forward(model, [padded_seg], masks=[masks])
-            loss = oll_loss(out["nature"], [4])
-            loss.backward()
-            grads = {name: (t.grad.copy() if t.grad is not None else None)
-                     for name, t in model.parameters().items()}
-
-            for t in model.parameters().values():
-                t.grad = None
-            out2 = forward(model, [seg])
-            loss2 = oll_loss(out2["nature"], [4])
-            loss2.backward()
-            for name, t in model.parameters().items():
-                if grads[name] is None:
-                    assert t.grad is None or np.abs(t.grad).max() == 0.0
-                else:
-                    assert np.abs(grads[name] - t.grad).max() < 1e-12, name
-
     def test_batch_loss_gradients_match_per_example_gradients(self, rng):
-        # One forward over the padded batch against the oracle run on each
-        # unpadded segment alone, losses averaged by hand.
+        # One forward over the uneven batch against the oracle run on each
+        # segment alone, losses averaged by hand.
         from discourse_rater.data import Example
         from discourse_rater.objective import oll_loss, rating_to_index
 
@@ -415,8 +349,9 @@ class TestPadding:
                 assert np.abs(batched[name] - t.grad).max() < 1e-12, name
 
     def test_training_step_gradients_match_per_example_gradients(self, rng):
-        # A training step on packed rows against the oracle run on each padded
-        # segment with its own dropout draws, in the batch's example order.
+        # A training step on packed rows against the oracle run on each
+        # segment with its own dropout draws over the batch's padded length,
+        # in the batch's example order.
         from discourse_rater.data import Example
         from discourse_rater.objective import oll_loss, rating_to_index
 
@@ -429,22 +364,22 @@ class TestPadding:
                                                           (1.5, 3.0, 4.0)))]
             weights = component_weights(examples, COMPONENTS)
             params = model.parameters()
-            batch = collate_batch(examples)
 
-            batch_loss(model, batch, weights, training=True,
+            batch_loss(model, collate_batch(examples), weights, training=True,
                        rng=np.random.default_rng(9)).backward()
             batched = {name: t.grad for name, t in params.items()}
 
             for t in params.values():
                 t.grad = None
             example_rng = np.random.default_rng(9)
+            padded = longest_query(model, [ex.features for ex in examples])
             total = None
-            for seg, masks, labels in batch:
-                for component, probs in fusion_oracle(model, seg, masks,
+            for ex in examples:
+                for component, probs in fusion_oracle(model, ex.features, padded,
                                                       rng=example_rng).items():
                     term = oll_loss(probs,
-                                    [rating_to_index(labels[component])],
-                                    weights[component]) * (1.0 / len(batch))
+                                    [rating_to_index(ex.labels[component])],
+                                    weights[component]) * (1.0 / len(examples))
                     total = term if total is None else total + term
             total.backward()
             for name, t in params.items():
@@ -517,18 +452,6 @@ class TestPadding:
             for ex, out in zip(examples, alone):
                 assert predicted[ex.features.segment_id] == {
                     c: RATINGS[int(np.argmax(out[c].data))] for c in COMPONENTS}
-
-    def test_collate_pads_to_batch_max(self, rng):
-        from discourse_rater.data import Example
-
-        examples = [Example(make_segment(rng, seg_id=f"s{i}", text_len=2 + i,
-                                         chunk_len=3 + i),
-                            {c: 2.0 for c in COMPONENTS}) for i in range(3)]
-        batch = collate_batch(examples)
-        for seg, masks, _ in batch:
-            assert seg.text.shape[0] == 4
-            assert seg.audio.shape[0] == 5
-        assert batch[0][1]["text"].sum() == 2  # only the real rows are valid
 
 
 def toy_dataset(seed=21, teachers=6):

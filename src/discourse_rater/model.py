@@ -265,6 +265,8 @@ def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
     When the stack raises ``NumericsError`` and a segment holds a non-finite
     feature, ``DataError`` names each such segment and modality instead.
     """
+    if not segments:
+        raise UsageError("forward needs at least one segment")
     for seg in segments:
         _check_inputs(model.config, seg)
     try:

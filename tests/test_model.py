@@ -266,6 +266,12 @@ class TestBatchedForward:
         for component, head in model.heads.items():
             assert np.array_equal(out[component].data, mlp_head(pooled, head).data)
 
+    @pytest.mark.parametrize("encoder,modalities", [("attention", "T"), ("lstm", "T+A")])
+    def test_empty_batch_is_usage_error(self, encoder, modalities):
+        model = build_model(ModelConfig(modalities=modalities, encoder=encoder, seed=1))
+        with pytest.raises(UsageError, match="at least one segment"):
+            forward(model, [])
+
     def test_non_finite_feature_names_its_segment_and_modality(self, rng):
         model = build_model(ModelConfig(modalities="T+A", seed=1))
         segments = uneven_segments(rng, lengths=((2, 3), (2, 3)))

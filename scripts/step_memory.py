@@ -157,7 +157,7 @@ def main(argv=None) -> int:
     results = {side: measure(Path(path)) for side, path in zip(("parent", "change"), args)}
     lengths = results["parent"]["lengths"]
     print(f"train_long seed {SEED}, longest batch of {BATCH}, T+A+V, M=1, float32; "
-          f"padded lengths {lengths}")
+          f"longest lengths {lengths}")
     print(f"{'side':<8s}" + "".join(f"{name + ' MB':>18s}" for name in FIGURES)
           + f"{'loss':>14s}")
     for side, figures in results.items():

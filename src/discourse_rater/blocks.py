@@ -94,8 +94,8 @@ class Rows:
     """Where ``B`` sequences sit in one packed ``[rows, d]`` array.
 
     Sequence ``i`` holds rows ``starts[i] : starts[i] + lengths[i]``, and no
-    row is padding.  Only the attention core needs a padded view, which
-    :meth:`padded` describes.
+    row is padding, in any layer: the attention core too runs each
+    sequence on its own rows.
     """
 
     def __init__(self, lengths):
@@ -105,22 +105,6 @@ class Rows:
 
     def __len__(self) -> int:
         return len(self.lengths)
-
-    def padded(self, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Gather index and validity, both ``[B, lead + max length]``.
-
-        The gather source holds ``lead`` rows shared by every sequence, then
-        the packed rows, then one zero row that every padded slot reads.
-        """
-        width = int(self.lengths.max(initial=0))
-        valid = np.arange(width) < self.lengths[:, None]
-        index = np.where(valid, lead + self.starts[:, None] + np.arange(width),
-                         lead + self.total)
-        if lead:
-            shared = np.broadcast_to(np.arange(lead), (len(self), lead))
-            index = np.concatenate([shared, index], axis=1)
-            valid = np.concatenate([np.ones((len(self), lead), dtype=bool), valid], axis=1)
-        return index, valid
 
 
 # -- attention ---------------------------------------------------------------
@@ -188,13 +172,15 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
     context_dim]`` rows that ``context_rows`` lays out (one sequence when
     None), each sequence led by ``context_cls`` when given.  That
     ``[context_dim]`` row is projected once and shared, so no context row
-    needs a gradient.  Each sequence attends within its own keys only.
+    needs a gradient.  Each sequence attends within its own keys only, and
+    a sequence with no key at all raises ``UsageError``.
 
     The Q, K, V and output projections run on the packed rows, each one
     GEMM with its bias; the core between them is one ``tensor.attention``
-    node, which alone pads.  Returns the packed outputs ``[rows,
-    model_dim]``, or with ``cls_only`` the first row of each sequence alone
-    (``[B, model_dim]``), the only queries then projected.
+    node, which runs each sequence on its own rows.  Returns the packed
+    outputs ``[rows, model_dim]``, or with ``cls_only`` the first row of
+    each sequence alone (``[B, model_dim]``), the only queries then
+    projected.
     """
     rows = Rows([x.shape[0]]) if rows is None else rows
     if x.ndim != 2 or x.shape != (rows.total, params.model_dim):
@@ -214,17 +200,15 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
             cls_row = context_cls.reshape((1, params.context_dim))
             lead = (T.matmul(cls_row, params.wk, bias=params.bk),
                     T.matmul(cls_row, params.wv, bias=params.bv))
-    _, kv_valid = source_rows.padded(0 if lead is None else 1)
-    if not kv_valid.any(axis=-1).all():
-        raise UsageError("attention needs at least one valid context position")
     keys = T.matmul(source, params.wk, bias=params.bk)
     values = T.matmul(source, params.wv, bias=params.bv)
     if cls_only:
-        queries, q_valid = T.take(x, rows.starts), np.ones((len(rows), 1), dtype=bool)
+        queries, q_lengths = T.take(x, rows.starts), np.ones(len(rows), dtype=np.int64)
     else:
-        queries, q_valid = x, rows.padded()[1]
+        queries, q_lengths = x, rows.lengths
     queries = T.matmul(queries, params.wq, bias=params.bq)
-    attended = T.attention(queries, keys, values, q_valid, kv_valid, params.num_heads, lead)
+    attended = T.attention(queries, keys, values, q_lengths, source_rows.lengths,
+                           params.num_heads, lead)
     return T.matmul(attended, params.wo, bias=params.bo)
 
 
@@ -290,8 +274,7 @@ def encoder_block(x: Tensor, params: EncoderBlockParams, *,
 
     ``x`` holds packed rows ``[rows, d]``: the sequences ``rows`` lays out
     (one sequence when None), back to back with no padding, each starting
-    with its CLS row.  LN1, LN2, the Q/K/V/O projections, the FFN, dropout
-    and the residuals run on those rows alone; only the attention core pads
+    with its CLS row.  Every layer runs on those rows alone, nothing padded
     (see :func:`multi_head_attention`, which also describes ``context``,
     ``context_rows`` and ``context_cls``).  Self-attention when ``context``
     is None, cross-attention with text as the query otherwise.
@@ -466,10 +449,23 @@ def sinusoid_table(length: int, dim: int) -> np.ndarray:
     return table
 
 
+# One sinusoid table per (width, dtype), as long as the longest sequence yet.
+_POSITION_TABLES: dict[tuple[int, np.dtype], np.ndarray] = {}
+
+
 def add_positional(seq: Tensor, enabled: bool, positions: np.ndarray) -> Tensor:
     """Add the sinusoid table to packed ``[rows, d]`` rows, row ``j`` at
-    ``positions[j]``, its position in its own sequence."""
+    ``positions[j]``, its position in its own sequence.
+
+    The table is built once per width and float width and rebuilt longer
+    when a later position needs it; a row of ``sinusoid_table`` does not
+    depend on the table's length, so the rows added are the same.
+    """
     if not enabled:
         return seq
-    width = int(positions.max(initial=-1)) + 1
-    return seq + Tensor(sinusoid_table(width, seq.shape[-1])[positions])
+    key = (seq.shape[-1], T.current_dtype())
+    length = int(positions.max(initial=-1)) + 1
+    table = _POSITION_TABLES.get(key)
+    if table is None or table.shape[0] < length:
+        table = _POSITION_TABLES[key] = sinusoid_table(length, key[0]).astype(key[1])
+    return seq + Tensor(table[positions])

@@ -53,9 +53,7 @@ def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
     mask = np.asarray([True, False, True, True])
     # Packed sequences of 3, 1 and 2 query rows against 2, 0 and 3 context
     # rows, two heads of width 2; ``lead`` puts one shared row before each.
-    q_valid = Rows([3, 1, 2]).padded()[1]
-    lead_valid = Rows([2, 0, 3]).padded(1)[1]
-    cls_valid = np.ones((3, 1), dtype=bool)
+    q_lengths, context_lengths, cls_lengths = [3, 1, 2], [2, 0, 3], [1, 1, 1]
     return [
         ("add", T.add, [_t(rng, 3, 4), _t(rng, 3, 4)]),
         ("add_broadcast", T.add, [_t(rng, 3, 4), _t(rng, 4)]),
@@ -73,13 +71,15 @@ def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
         ("matmul_batched", T.matmul, [_t(rng, 2, 3, 5), _t(rng, 5, 2)]),
         ("matmul_bias", lambda a, b, bias: T.matmul(a, b, bias=bias),
          [_t(rng, 2, 3, 5), _t(rng, 5, 2), _t(rng, 2)]),
-        ("attention_core", lambda q, k, v: T.attention(q, k, v, q_valid, q_valid, 2),
+        ("attention_core", lambda q, k, v: T.attention(q, k, v, q_lengths, q_lengths, 2),
          [_t(rng, 6, 4), _t(rng, 6, 4), _t(rng, 6, 4)]),
         ("attention_core_lead",
-         lambda q, k, v, kl, vl: T.attention(q, k, v, q_valid, lead_valid, 2, (kl, vl)),
+         lambda q, k, v, kl, vl: T.attention(q, k, v, q_lengths, context_lengths, 2,
+                                             (kl, vl)),
          [_t(rng, 6, 4), _t(rng, 5, 4), _t(rng, 5, 4), _t(rng, 1, 4), _t(rng, 1, 4)]),
         ("attention_core_cls_only",
-         lambda q, k, v, kl, vl: T.attention(q, k, v, cls_valid, lead_valid, 2, (kl, vl)),
+         lambda q, k, v, kl, vl: T.attention(q, k, v, cls_lengths, context_lengths, 2,
+                                             (kl, vl)),
          [_t(rng, 3, 4), _t(rng, 5, 4), _t(rng, 5, 4), _t(rng, 1, 4), _t(rng, 1, 4)]),
         ("bmm", T.bmm, [_t(rng, 2, 3, 4), _t(rng, 2, 4, 2)]),
         ("transpose", T.transpose, [_t(rng, 3, 4)]),

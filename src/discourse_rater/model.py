@@ -258,10 +258,10 @@ def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
     variant returns ``[B, 1]`` unbounded scores.
 
     Attention configurations run the batch at once through the fusion stack
-    on packed rows: the rows of every segment, back to back.  Every
-    row-wise layer sees only those rows; the attention core alone pads, per
-    block, to the longest segment.  The LSTM baseline encodes segment by
-    segment and batches only the heads.
+    on packed rows: the rows of every segment, back to back.  Every layer
+    sees only those rows, and the attention core runs each segment on its
+    own.  The LSTM baseline encodes segment by segment and batches only the
+    heads.
     When the stack raises ``NumericsError`` and a segment holds a non-finite
     feature, ``DataError`` names each such segment and modality instead.
     """
@@ -298,7 +298,8 @@ def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
 def _packed(segments: Sequence[SegmentFeatures], modality: str) -> tuple[np.ndarray, Rows, np.ndarray, int]:
     """The rows ``[rows, width]`` of one modality, segment after segment,
     their layout, each row's position in its segment and the longest
-    segment's length, to which the attention core and dropout pad."""
+    segment's length, over which each segment draws its dropout (see
+    ``_dropout_keeps``)."""
     arrays = [seg.modality(modality) for seg in segments]
     rows = Rows([arr.shape[0] for arr in arrays])
     positions = np.concatenate([np.arange(n) for n in rows.lengths])
@@ -307,12 +308,12 @@ def _packed(segments: Sequence[SegmentFeatures], modality: str) -> tuple[np.ndar
 
 def _prepared_stream(model: FusionModel, segments: Sequence[SegmentFeatures],
                      modality: str) -> tuple[Tensor, Rows, int]:
-    """Packed rows with positional encodings, their layout and the padded length."""
-    features, rows, positions, padded = _packed(segments, modality)
+    """Packed rows with positional encodings, their layout and the longest length."""
+    features, rows, positions, longest = _packed(segments, modality)
     raw = Tensor(features)
     if modality == "audio" and model.audio_in_w is not None:
         raw = T.matmul(raw, model.audio_in_w, bias=model.audio_in_b)
-    return add_positional(raw, model.config.positional, positions), rows, padded
+    return add_positional(raw, model.config.positional, positions), rows, longest
 
 
 def _dropout_keeps(stack: Sequence[EncoderBlockParams], rows: Rows, padded: int,
@@ -357,11 +358,14 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
     config = model.config
     fused = len(config.modalities) > 1
     query = "text" if fused else config.modalities[0]
-    stream, feature_rows, padded = _prepared_stream(model, segments, query)
-    index, valid = feature_rows.padded(lead=1)
-    cls_row = model.cls[query].reshape((1, MODEL_DIM))
-    text = T.embedding_lookup(T.concat([cls_row, stream]), index[valid])
+    stream, feature_rows, longest = _prepared_stream(model, segments, query)
     rows = Rows(feature_rows.lengths + 1)
+    # Row 0 of the source is the CLS row and row j + 1 stream row j, so the
+    # row at position p of segment i reads source row p - i, its first row 0.
+    index = np.arange(rows.total) - np.repeat(np.arange(len(rows)), rows.lengths)
+    index[rows.starts] = 0
+    cls_row = model.cls[query].reshape((1, MODEL_DIM))
+    text = T.embedding_lookup(T.concat([cls_row, stream]), index)
     contexts = {modality: _prepared_stream(model, segments, modality)[:2]
                 for modality in ("audio", "video") if fused and modality in config.modalities}
     stack = [(block, modality)
@@ -369,7 +373,7 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
              for modality, block in (("audio", module.cross_audio),
                                      ("video", module.cross_video), (None, module.self_attn))
              if block is not None]
-    keeps = _dropout_keeps([block for block, _ in stack], rows, padded + 1, rng) if training \
+    keeps = _dropout_keeps([block for block, _ in stack], rows, longest + 1, rng) if training \
         else [None] * len(stack)
     for i, ((block, modality), keep) in enumerate(zip(stack, keeps)):
         context, context_rows = contexts.get(modality, (None, None))

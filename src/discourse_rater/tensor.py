@@ -27,8 +27,9 @@ transpose) is copied, so no two tensors ever share a gradient array.
 A node keeps only what its backward reads.  :func:`matmul` adds an optional
 bias into its fresh GEMM output, so a projection holds one array, not two.
 :func:`attention` is the whole multi-head core of a block in one node: it
-keeps Q, Kᵀ and V in head-major layout and the softmax weights ``P``, and
-none of the gathers, head splits, scores or validity arrays it passes through.
+runs each sequence on its own rows, pads nothing, and keeps only each
+sequence's softmax weights ``P``; its backward reads Q, K and V from its
+inputs.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ import numpy as np
 from .errors import NumericsError, ShapeError, UsageError
 
 _DTYPE: type = np.float32
-# Finite stand-in for -inf in attention scores: exp(x - max) underflows to
-# exactly 0.0, so masked positions get exactly zero weight while the softmax
-# inputs stay finite.
-NEG_FILL = -1e30
 _GRAD_ENABLED: bool = True
 
 
@@ -615,99 +612,84 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _op(data, (a, gain, bias), backward)
 
 
-def _to_heads(packed: np.ndarray, valid: np.ndarray, n_heads: int,
-              lead: np.ndarray | None = None, keys: bool = False) -> np.ndarray:
-    """Packed rows ``[rows, D]`` into a zero-padded head-major array.
-
-    ``valid`` ``[B, L]`` marks where the rows sit, sequence after sequence;
-    with ``lead``, ``[n, D]`` rows shared by every sequence, its first ``n``
-    columns are theirs.  Returns ``[B * H, L, D / H]``, or ``[B * H, D / H,
-    L]`` with ``keys``, in C order.
-    """
-    batch, width = valid.shape
-    head_dim = packed.shape[-1] // n_heads
-    out = np.zeros((batch, n_heads) + ((head_dim, width) if keys else (width, head_dim)),
-                   dtype=packed.dtype)
-    slots = out.transpose((0, 3, 1, 2) if keys else (0, 2, 1, 3))      # [B, L, H, dh]
-    n_lead = 0
-    if lead is not None:
-        n_lead = lead.shape[0]
-        slots[:, :n_lead] = lead.reshape(n_lead, n_heads, head_dim)
-    slots[:, n_lead:][valid[:, n_lead:]] = packed.reshape(-1, n_heads, head_dim)
-    return out.reshape((batch * n_heads,) + out.shape[2:])
-
-
-def _from_heads(heads: np.ndarray, valid: np.ndarray, n_heads: int, n_lead: int = 0,
-                keys: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """The inverse gather of ``_to_heads``: the packed rows ``[rows, D]``,
-    and the ``[n_lead, D]`` lead rows summed over the batch (None without)."""
-    batch, width = valid.shape
-    split = heads.reshape((batch, n_heads) + heads.shape[1:])
-    slots = split.transpose((0, 3, 1, 2) if keys else (0, 2, 1, 3))    # [B, L, H, dh]
-    model_dim = n_heads * slots.shape[-1]
-    packed = slots[:, n_lead:][valid[:, n_lead:]].reshape(-1, model_dim)
-    if not n_lead:
-        return packed, None
-    return packed, slots[:, :n_lead].reshape(batch, n_lead, model_dim).sum(axis=0)
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, q_valid: np.ndarray, kv_valid: np.ndarray,
-              num_heads: int, lead: tuple[Tensor, Tensor] | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, q_lengths, kv_lengths, num_heads: int,
+              lead: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Multi-head scaled dot-product attention of packed rows, as one node.
 
-    ``q`` holds packed query rows ``[rows, D]`` and ``q_valid`` ``[B, Lq]``
-    marks where they sit in the padded batch, each sequence's a prefix of
-    its row, as ``blocks.Rows.padded`` lays them out.  ``k`` and ``v`` hold
-    the packed key and value rows that ``kv_valid`` ``[B, Lk]`` places
-    likewise; ``lead``, a key and a value tensor of ``[n, D]`` rows, leads
-    every sequence, in the first ``n`` columns of ``kv_valid``.  Each
-    sequence attends within its own keys: padded slots hold zeros and get
-    exactly zero weight.  Returns the packed outputs ``[rows, D]``.
+    ``q`` holds the query rows ``[rows, D]`` of ``B`` sequences back to back,
+    ``q_lengths[i]`` rows each; ``k`` and ``v`` hold their key and value
+    rows, ``kv_lengths[i]`` each, likewise.  ``lead``, a key and a value
+    tensor of ``[n, D]`` rows, leads every sequence's keys and values.  Each
+    sequence attends within its own keys, on its own rows: nothing is
+    padded.  Returns the packed outputs ``[rows, D]``.
 
-    The node keeps only Q, Kᵀ and V in head-major layout and the weights
-    ``P``; its backward is ``dV = Pᵀ dO``, ``dP = dO Vᵀ``, ``dS = P ⊙ (dP −
-    rowsum(dP ⊙ P))``, masked and scaled, then ``dQ = dS K`` and ``dKᵀ =
-    Qᵀ dS``, scattered back to packed rows; a lead row sums its gradient
-    over the batch.  Non-finite scores raise ``NumericsError``.
+    Per sequence, Q, K and V are head-major views of the packed rows (a
+    lead joins K and V by one copy), and the weights ``P`` ``[H, Lq, Lk]``
+    are all the node keeps; its backward reads Q, K and V from the inputs
+    again.  It is ``dV = Pᵀ dO``, ``dP = dO Vᵀ``, ``dS = P ⊙ (dP −
+    rowsum(dP ⊙ P))``, scaled, then ``dQ = dS K`` and ``dK = dSᵀ Q``; a
+    lead row sums its gradients in sequence order.  Non-finite scores raise
+    ``NumericsError``; a sequence with no key raises ``UsageError``.
     """
-    lead_k, lead_v = (None, None) if lead is None else (lead[0].data, lead[1].data)
-    n_lead = 0 if lead is None else lead_k.shape[0]
+    q_lengths = np.asarray(q_lengths, dtype=np.int64).reshape(-1)
+    kv_lengths = np.asarray(kv_lengths, dtype=np.int64).reshape(-1)
+    n_lead = 0 if lead is None else lead[0].data.shape[0]
     if (q.data.shape[-1] % num_heads or k.data.shape != v.data.shape
-            or q.data.shape != (q_valid.sum(), k.data.shape[-1])
-            or k.data.shape[0] != kv_valid[:, n_lead:].sum()):
+            or q_lengths.shape != kv_lengths.shape
+            or q.data.shape != (q_lengths.sum(), k.data.shape[-1])
+            or k.data.shape[0] != kv_lengths.sum()):
         raise ShapeError(f"attention over {num_heads} heads needs query rows {q.data.shape}, "
                          f"key rows {k.data.shape} and value rows {v.data.shape} that fill "
-                         f"layouts {q_valid.shape} and {kv_valid.shape}")
-    qh = _to_heads(q.data, q_valid, num_heads)                              # [BH, Lq, dh]
-    kh = _to_heads(k.data, kv_valid, num_heads, lead_k, keys=True)         # [BH, dh, Lk]
-    vh = _to_heads(v.data, kv_valid, num_heads, lead_v)                    # [BH, Lk, dh]
-    scale = np.asarray(1.0 / math.sqrt(qh.shape[-1]), dtype=qh.dtype)
-    p = qh @ kh
-    p *= scale
-    fill = None
-    if not kv_valid.all():
-        fill = np.repeat(~kv_valid, num_heads, axis=0)[:, None, :]
-        np.copyto(p, NEG_FILL, where=fill)
-    if not np.isfinite(p).all():
-        raise NumericsError("attention softmax input contains non-finite values")
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    data, _ = _from_heads(p @ vh, q_valid, num_heads)
+                         f"lengths {q_lengths.tolist()} and {kv_lengths.tolist()}")
+    if not n_lead and not kv_lengths.all():
+        raise UsageError(f"attention needs at least one key per sequence; sequence "
+                         f"{int(np.argmin(kv_lengths))} has none")
+    head_dim = q.data.shape[-1] // num_heads
+    q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
+    spans = list(zip(q_ends - q_lengths, q_ends, kv_ends - kv_lengths, kv_ends))
+    scale = np.asarray(1.0 / math.sqrt(head_dim), dtype=q.data.dtype)
+    lead_k, lead_v = (None, None) if lead is None else lead
+
+    def heads(rows: np.ndarray) -> np.ndarray:
+        """``[L, D]`` rows as a head-major ``[H, L, dh]`` view."""
+        return rows.reshape(rows.shape[0], num_heads, head_dim).transpose(1, 0, 2)
+
+    def joined(rows: np.ndarray, shared: Tensor | None) -> np.ndarray:
+        return heads(rows if shared is None else np.concatenate([shared.data, rows]))
+
+    data = np.empty_like(q.data)
+    probs = []
+    for qa, qb, ka, kb in spans:
+        p = heads(q.data[qa:qb]) @ joined(k.data[ka:kb], lead_k).transpose(0, 2, 1)
+        p *= scale
+        if not np.isfinite(p).all():
+            raise NumericsError("attention softmax input contains non-finite values")
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        np.matmul(p, joined(v.data[ka:kb], lead_v), out=heads(data[qa:qb]))
+        probs.append(p)
 
     def backward(g):
-        d_out = _to_heads(g, q_valid, num_heads)
-        dv, dv_lead = _from_heads(p.swapaxes(-1, -2) @ d_out, kv_valid, num_heads, n_lead)
-        ds = d_out @ vh.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        if fill is not None:
-            np.copyto(ds, 0.0, where=fill)
-        ds *= scale
-        dq, _ = _from_heads(ds @ kh.swapaxes(-1, -2), q_valid, num_heads)
-        dk, dk_lead = _from_heads(qh.swapaxes(-1, -2) @ ds, kv_valid, num_heads, n_lead,
-                                  keys=True)
-        for t, grad in zip((q, k, v) + (lead or ()), (dq, dk, dv, dk_lead, dv_lead)):
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        d_lead = [np.zeros_like(t.data) for t in lead or ()]
+        for (qa, qb, ka, kb), p in zip(spans, probs):
+            d_out = heads(g[qa:qb])
+            ds = d_out @ joined(v.data[ka:kb], lead_v).transpose(0, 2, 1)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            np.matmul(ds, joined(k.data[ka:kb], lead_k), out=heads(dq[qa:qb]))
+            for site, (left, right, rows) in enumerate(((ds, heads(q.data[qa:qb]), dk),
+                                                        (p, d_out, dv))):
+                if lead is None:
+                    np.matmul(left.transpose(0, 2, 1), right, out=heads(rows[ka:kb]))
+                else:
+                    grad = left.transpose(0, 2, 1) @ right
+                    heads(rows[ka:kb])[...] = grad[:, n_lead:]
+                    lead_rows = heads(d_lead[site])
+                    lead_rows += grad[:, :n_lead]
+        for t, grad in zip((q, k, v) + (lead or ()), [dq, dk, dv] + d_lead):
             _accum(t, grad, owned=True)
 
     return _op(data, (q, k, v) + (lead or ()), backward)

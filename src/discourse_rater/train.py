@@ -2,8 +2,8 @@
 
 Each training step runs its batch through a single ``forward`` call, which
 takes every segment as it is, with its own lengths, and runs the fusion
-stack on their rows back to back; only the attention core pads, to the
-longest segment of the batch.  Evaluation and prediction do the same under
+stack on their rows back to back; nothing is padded, the attention core
+included.  Evaluation and prediction do the same under
 ``no_grad`` for groups of at most ``EVAL_GROUP`` examples of similar
 length, and return results in input order.
 
@@ -312,7 +312,9 @@ def _grouped_outputs(model: FusionModel, examples: Sequence[Example]) -> dict[st
     """Head outputs ``[N, k]`` per component, rows in input order.
 
     Examples run in groups of at most ``EVAL_GROUP``, sorted by sequence
-    lengths so that the attention core pads little.  Call under ``no_grad``.
+    lengths.  Nothing is padded, so the sort saves no work; it fixes which
+    examples share a group, because a GEMM's rounding can depend on the
+    rows it runs with.  Call under ``no_grad``.
     """
     modalities = model.config.modalities
     order = sorted(range(len(examples)),

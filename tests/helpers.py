@@ -130,6 +130,28 @@ def fusion_oracle(model, seg, padded=None, rng=None):
             for component, head in model.heads.items()}
 
 
+# Finite stand-in for -inf in padded attention scores: exp(x - max)
+# underflows to exactly 0.0, so a padded key gets exactly zero weight.
+NEG_FILL = -1e30
+
+
+def padded_layout(lengths, lead=0):
+    """Gather index and validity, both ``[B, lead + max length]``, of packed
+    sequences of ``lengths`` rows in a zero-padded batch.
+
+    The gather source holds ``lead`` rows shared by every sequence, then the
+    packed rows, then one zero row that every padded slot reads.
+    """
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths) - lengths
+    width = int(lengths.max(initial=0))
+    valid = np.arange(width) < lengths[:, None]
+    index = np.where(valid, lead + starts[:, None] + np.arange(width), lead + lengths.sum())
+    shared = np.broadcast_to(np.arange(lead), (len(lengths), lead))
+    return (np.concatenate([shared, index], axis=1),
+            np.concatenate([np.ones((len(lengths), lead), dtype=bool), valid], axis=1))
+
+
 def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
                      context_cls=None, cls_only=False):
     """``blocks.multi_head_attention`` as a chain of single-purpose primitives.
@@ -153,7 +175,7 @@ def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
         source_rows = Rows([context.shape[0]]) if context_rows is None else context_rows
         if context_cls is not None:
             lead = context_cls.reshape((1, params.context_dim))
-    kv_index, kv_valid = source_rows.padded(0 if lead is None else 1)
+    kv_index, kv_valid = padded_layout(source_rows.lengths, 0 if lead is None else 1)
     zero = Tensor(np.zeros((1, params.model_dim)))
 
     def padded(w, b):
@@ -168,7 +190,7 @@ def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
         queries = (T.matmul(T.take(x, rows.starts), params.wq) + params.bq) \
             .reshape((batch, 1, params.model_dim))
     else:
-        q_index, q_valid = rows.padded()
+        q_index, q_valid = padded_layout(rows.lengths)
         queries = T.embedding_lookup(T.concat([T.matmul(x, params.wq) + params.bq, zero]),
                                      q_index)
     n_q = queries.shape[1]
@@ -183,7 +205,7 @@ def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
         * (1.0 / math.sqrt(head_dim))
     if not kv_valid.all():
         scores = T.masked_fill(scores, np.repeat(~kv_valid, n_heads, axis=0)[:, None, :],
-                               T.NEG_FILL)
+                               NEG_FILL)
     attn = T.softmax(scores, axis=-1)
     per_head = T.bmm(attn, split_heads(values, (1, 3))).reshape((batch, n_heads, n_q, head_dim))
     merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch * n_q, params.model_dim))

@@ -118,10 +118,19 @@ ORACLE_CASES = {
 }
 
 
+# Cases in which the unpadded core sums exactly as the padded chain does.
+# In the others a padded softmax row sums more terms (zeros, but numpy's
+# pairwise summation groups them differently), and the lead gradients of
+# nine sequences are summed in sequence order, not by numpy's reduction.
+BITWISE_CASES = ("self_uneven", "cross_with_lead", "no_padding")
+ROUNDING = {"float32": 1e-5, "float64": 1e-12}
+
+
 class TestFusedAttention:
     """``multi_head_attention`` runs its core as one ``tensor.attention``
-    node; it must give the outputs and gradients of the primitive chain it
-    replaced, bit for bit."""
+    node on each sequence's own rows; it must give the outputs and
+    gradients of the padded primitive chain it replaced, within rounding,
+    and bit for bit in the cases that sum alike."""
 
     @staticmethod
     def run(fn, params, inputs, kwargs, weights):
@@ -134,7 +143,7 @@ class TestFusedAttention:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_matches_the_primitive_chain_bitwise(self, case, dtype):
+    def test_matches_the_primitive_chain_within_rounding(self, case, dtype):
         lengths, context_lengths, lead, cls_only = ORACLE_CASES[case]
         with T.precision(dtype):
             rng = np.random.default_rng(8)
@@ -156,9 +165,17 @@ class TestFusedAttention:
             fused, fused_grads = self.run(multi_head_attention, params, inputs, kwargs, weights)
             chain, chain_grads = self.run(attention_oracle, params, inputs, kwargs, weights)
         assert fused.dtype == np.dtype(dtype)
-        assert np.array_equal(fused, chain)
-        for got, want in zip(fused_grads, chain_grads, strict=True):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # Rounding is measured against the largest value of the case's
+        # arrays, not each array's own: the key-bias gradient is zero
+        # analytically, so its entries are noise left by rounding the other
+        # gradients (~1e-14 in float64), and against themselves read ~1.
+        scale = max(np.abs(want).max() for want in [chain] + chain_grads)
+        for got, want in zip([fused] + fused_grads, [chain] + chain_grads, strict=True):
+            assert got.dtype == want.dtype
+            if case in BITWISE_CASES:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= ROUNDING[dtype] * scale
 
     def test_non_finite_scores_raise_numerics_error(self, rng):
         params = small_attention(rng, context_dim=24)
@@ -430,6 +447,25 @@ class TestSequenceUtilities:
         out = add_positional(seq, True, positions)
         table = sinusoid_table(3, 8).astype(np.float32)
         assert np.allclose(out.data, seq.data + table[positions])
+
+    def test_table_rows_do_not_depend_on_its_length(self):
+        for dim in (8, 768, 1024):
+            longest = sinusoid_table(400, dim)
+            for length in (1, 7, 173, 399):
+                assert np.array_equal(sinusoid_table(length, dim), longest[:length])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_kept_table_adds_the_rows_of_a_fresh_one_bitwise(self, dtype):
+        # Longest positions 4, then 150 (the table grows), then 30 (it does not).
+        rng = np.random.default_rng(6)
+        with T.precision(dtype):
+            for longest in (4, 150, 30):
+                positions = np.concatenate([np.arange(longest + 1), np.arange(3)])
+                seq = Tensor(rng.standard_normal((positions.size, 20)))
+                out = add_positional(seq, True, positions)
+                fresh = seq.data + Tensor(sinusoid_table(longest + 1, 20)[positions]).data
+                assert out.data.dtype == np.dtype(dtype)
+                assert np.array_equal(out.data, fresh)
 
 
 class TestXavierUniform:

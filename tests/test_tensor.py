@@ -64,15 +64,58 @@ class TestMatmulBias:
 
 class TestAttention:
     def test_rows_that_do_not_fill_their_layout_rejected(self):
-        valid = np.asarray([[True, True], [True, False]])
+        lengths = [2, 1]
         rows = Tensor(np.ones((3, 4)), requires_grad=True)
-        assert T.attention(rows, rows, rows, valid, valid, 2).shape == (3, 4)
+        assert T.attention(rows, rows, rows, lengths, lengths, 2).shape == (3, 4)
         with pytest.raises(ShapeError, match="attention over 2 heads"):
-            T.attention(Tensor(np.ones((2, 4))), rows, rows, valid, valid, 2)
+            T.attention(Tensor(np.ones((2, 4))), rows, rows, lengths, lengths, 2)
         with pytest.raises(ShapeError, match="attention over 3 heads"):
-            T.attention(rows, rows, rows, valid, valid, 3)
+            T.attention(rows, rows, rows, lengths, lengths, 3)
         with pytest.raises(ShapeError, match="value rows"):
-            T.attention(rows, rows, Tensor(np.ones((2, 4))), valid, valid, 2)
+            T.attention(rows, rows, Tensor(np.ones((2, 4))), lengths, lengths, 2)
+        with pytest.raises(ShapeError, match="lengths"):
+            T.attention(rows, rows, rows, lengths, [2, 1, 0], 2)
+
+    def test_query_sequence_without_keys_rejected(self):
+        q, kv = Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))
+        with pytest.raises(UsageError, match="sequence 1 has none"):
+            T.attention(q, kv, kv, [2, 1], [2, 0], 2)
+        lead = (Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))))
+        assert T.attention(q, kv, kv, [2, 1], [2, 0], 2, lead).shape == (3, 4)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_only"])
+    def test_uneven_batch_equals_each_sequence_alone_bitwise(self, dtype, cls_only):
+        # Sequences of 3, 1, 4 and 2 query rows (one each with ``cls_only``)
+        # against 2, 0, 3 and 5 context rows behind a shared lead row; the
+        # lead's gradients are those of the sequences alone, summed in order.
+        q_lengths = [1, 1, 1, 1] if cls_only else [3, 1, 4, 2]
+        kv_lengths = [2, 0, 3, 5]
+        with T.precision(dtype):
+            rng = np.random.default_rng(12)
+            q = Tensor(rng.standard_normal((sum(q_lengths), 8)), requires_grad=True)
+            k, v = (Tensor(rng.standard_normal((sum(kv_lengths), 8)), requires_grad=True)
+                    for _ in range(2))
+            lead = tuple(Tensor(rng.standard_normal((1, 8)), requires_grad=True)
+                         for _ in range(2))
+            weights = Tensor(rng.standard_normal(q.shape))
+            out = T.attention(q, k, v, q_lengths, kv_lengths, 2, lead)
+            (out * weights).sum().backward()
+            batch = [out.data] + [t.grad for t in (q, k, v) + lead]
+            q_ends, kv_ends = np.cumsum(q_lengths), np.cumsum(kv_lengths)
+            pieces, lead_grads = [], [None, None]
+            for qb, kb, lq, lk in zip(q_ends, kv_ends, q_lengths, kv_lengths):
+                own = [Tensor(t.data[end - n:end], requires_grad=True)
+                       for t, end, n in ((q, qb, lq), (k, kb, lk), (v, kb, lk))]
+                own_lead = tuple(Tensor(t.data, requires_grad=True) for t in lead)
+                alone = T.attention(*own, [lq], [lk], 2, own_lead)
+                (alone * Tensor(weights.data[qb - lq:qb])).sum().backward()
+                pieces.append([alone.data] + [t.grad for t in own])
+                lead_grads = [t.grad if total is None else total + t.grad
+                              for total, t in zip(lead_grads, own_lead)]
+        expected = [np.concatenate(parts) for parts in zip(*pieces)] + lead_grads
+        for got, want in zip(batch, expected, strict=True):
+            assert got.dtype == np.dtype(dtype) and np.array_equal(got, want)
 
 
 class TestTake:

@@ -143,7 +143,7 @@ class TestFusedAttention:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_matches_the_primitive_chain_within_rounding(self, case, dtype):
+    def test_matches_primitive_chain_to_rounding(self, case, dtype):
         lengths, context_lengths, lead, cls_only = ORACLE_CASES[case]
         with T.precision(dtype):
             rng = np.random.default_rng(8)

@@ -86,11 +86,11 @@ class TestAttention:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("cls_only", [False, True], ids=["all_rows", "cls_only"])
     def test_uneven_batch_equals_each_sequence_alone_bitwise(self, dtype, cls_only):
-        # Sequences of 3, 1, 4 and 2 query rows (one each with ``cls_only``)
-        # against 2, 0, 3 and 5 context rows behind a shared lead row; the
-        # lead's gradients are those of the sequences alone, summed in order.
-        q_lengths = [1, 1, 1, 1] if cls_only else [3, 1, 4, 2]
-        kv_lengths = [2, 0, 3, 5]
+        # Nine sequences of 1 to 5 query rows (one each with ``cls_only``)
+        # against 0 to 5 context rows behind a shared lead row; the lead's
+        # gradients are those of the sequences alone, summed in order.
+        kv_lengths = [2, 0, 3, 5, 1, 1, 4, 2, 2]
+        q_lengths = [1] * 9 if cls_only else [3, 1, 4, 2, 5, 1, 2, 3, 2]
         with T.precision(dtype):
             rng = np.random.default_rng(12)
             q = Tensor(rng.standard_normal((sum(q_lengths), 8)), requires_grad=True)

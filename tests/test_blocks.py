@@ -73,7 +73,7 @@ class TestMultiHeadAttention:
         params = small_attention(rng)
         q = Tensor(rng.standard_normal((2, 24)))
         kv = Tensor(rng.standard_normal((3, 32)))
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="sequence 1 has none"):
             multi_head_attention(q, params, rows=Rows([1, 1]), context=kv,
                                  context_rows=Rows([3, 0]))
 

@@ -9,10 +9,11 @@ with the checkout's ``src`` and ``perfbench`` first on ``sys.path``, the
 script builds one fixed, paper-shaped training batch: the ``train_long``
 dataset at seed 1, its longest batch of 8 training segments (the batch that
 ``train_long`` warms up on), a T+A+V model with one fusion module, float32,
-dropout on, and ``AdamW`` constructed first so that backward writes the
-parameter gradients into its preallocated flat buffer, as in ``train.train``.  It then runs one
-``batch_loss`` and one ``backward`` under tracemalloc, which sees every numpy
-array, and prints per side, in MB of 2**20 bytes:
+dropout on, and ``AdamW`` constructed first, as in ``train.train``, so that
+backward writes the parameter gradients into their preallocated flat
+buffer.  It then runs one ``batch_loss`` and one ``backward`` under
+tracemalloc, which sees every numpy array, and prints per side, in MB of
+2**20 bytes:
 
 - ``graph``: memory held after the forward pass, that is, the graph;
 - ``backward_peak``: the highest memory held while backward ran;
@@ -58,7 +59,8 @@ fit, _ = workload.split(dataset)
 fit.sort(key=lambda ex: -ex.features.text.shape[0] - ex.features.audio.shape[0])
 examples = fit[:{BATCH}]
 rater = model.build_model(workload.model_config())
-optimizer = train.AdamW(rater.parameters())
+# In an older checkout the model has no arena and AdamW takes the parameter dict.
+optimizer = train.AdamW(rater if hasattr(rater, "arena") else rater.parameters())
 weights = train.component_weights(fit, rater.config.head_components)
 batch = train.collate_batch(examples)
 rng = np.random.default_rng({SEED})

@@ -19,27 +19,31 @@ from .errors import ShapeError, UsageError
 from .tensor import Tensor
 
 class ParamArena:
-    """One flat buffer in the current float width that parameters are
-    carved from, one view each, in the order they are made."""
+    """Two flat buffers of one size in the current float width: ``buffer``
+    holds the parameters' values and ``grad`` their gradients.  Each
+    parameter is carved from both at the same offset, in the order made."""
 
     def __init__(self, size: int):
         self.buffer = np.empty(size, dtype=T.current_dtype())
+        self.grad = np.empty(size, dtype=T.current_dtype())
         self.used = 0
 
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        stop = self.used + math.prod(shape)
+    def take(self, shape: tuple[int, ...]) -> Tensor:
+        start, stop = self.used, self.used + math.prod(shape)
         if stop > self.buffer.size:
             raise UsageError(f"parameter arena of {self.buffer.size} values is full")
-        view = self.buffer[self.used:stop].reshape(shape)
         self.used = stop
-        return view
+        param = Tensor(self.buffer[start:stop].reshape(shape), requires_grad=True)
+        param.grad_slot = self.grad[start:stop].reshape(shape)
+        return param
 
 
-def param_array(shape: tuple[int, ...], arena: ParamArena | None) -> np.ndarray:
-    """An uninitialised parameter array in the current float width: the next
-    view of ``arena``, or an array of its own when that is None."""
+def param_array(shape: tuple[int, ...], arena: ParamArena | None) -> Tensor:
+    """An uninitialised parameter in the current float width: the next
+    value and gradient slot of ``arena``, or an array of its own and no
+    slot when that is None."""
     if arena is None:
-        return np.empty(shape, dtype=T.current_dtype())
+        return Tensor(np.empty(shape, dtype=T.current_dtype()), requires_grad=True)
     return arena.take(shape)
 
 
@@ -54,25 +58,25 @@ def xavier_uniform(rng: np.random.Generator | None, fan_in: int, fan_out: int,
     With ``rng`` None the array is left uninitialised and nothing is drawn,
     for a caller that fills every value itself (``model.load_model``).
     """
-    out = param_array((fan_in, fan_out), arena)
+    param = param_array((fan_in, fan_out), arena)
     if rng is not None:
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         values = rng.random((fan_in, fan_out))
         values *= bound - (-bound)
-        np.add(values, -bound, out=out, casting="same_kind")
-    return Tensor(out, requires_grad=True)
+        np.add(values, -bound, out=param.data, casting="same_kind")
+    return param
 
 
 def zeros_param(*shape: int, arena: ParamArena | None = None) -> Tensor:
-    out = param_array(shape, arena)
-    out.fill(0)
-    return Tensor(out, requires_grad=True)
+    param = param_array(shape, arena)
+    param.data.fill(0)
+    return param
 
 
 def ones_param(*shape: int, arena: ParamArena | None = None) -> Tensor:
-    out = param_array(shape, arena)
-    out.fill(1)
-    return Tensor(out, requires_grad=True)
+    param = param_array(shape, arena)
+    param.data.fill(1)
+    return param
 
 
 def dropout_keep(rng: np.random.Generator | None, shape: tuple[int, ...],

@@ -29,9 +29,9 @@ from .data import (JSON_NAMES, Dataset, DatasetManifest, SynthConfig,
                    classroom_aggregate, fits_json_type, generate_synthetic,
                    json_type, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
-from .harness import GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
+from .harness import AXES, GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
 from .metrics import irr_leave_one_rater_out, pearson_r, significance_stars
-from .model import ModelConfig, save_model
+from .model import ENCODERS, LOSSES, TASKS, ModelConfig, save_model
 from .objective import COMPONENT_TITLES, COMPONENTS, RATINGS
 from .train import TrainConfig
 
@@ -86,12 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--data", type=Path, help="dataset root directory")
         cmd.add_argument("--out", type=Path)
         cmd.add_argument("--modalities", help="e.g. T, T+A, T+A+V")
-        cmd.add_argument("--encoder", choices=["attention", "lstm"])
+        cmd.add_argument("--encoder", choices=ENCODERS)
         cmd.add_argument("--m", type=int, dest="fusion_modules",
                          help="number of fusion modules")
-        cmd.add_argument("--task", choices=["multi", "single"])
+        cmd.add_argument("--task", choices=TASKS)
         cmd.add_argument("--component", choices=list(COMPONENTS))
-        cmd.add_argument("--loss", choices=["oll", "ce", "l1"])
+        cmd.add_argument("--loss", choices=LOSSES)
         cmd.add_argument("--no-positional", action="store_true", default=None)
         cmd.add_argument("--dropout", type=float)
         cmd.add_argument("--lr", type=float)
@@ -105,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--grid-m", type=int, nargs="+")
             cmd.add_argument("--jobs", type=int)
         if name == "ablate":
-            cmd.add_argument("--axes", nargs="+",
-                             choices=["modality", "encoder", "task", "loss"])
+            cmd.add_argument("--axes", nargs="+", choices=AXES)
         cmd.set_defaults(handler=handler)
 
     corr = sub.add_parser("correlate",

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import DataError, FormatError, UsageError
-from .objective import COMPONENTS, RATINGS, rating_to_index
+from .objective import COMPONENTS, rating_to_index, round_to_rating
 
 TEXT_DIM = 768
 AUDIO_DIM = 1024
@@ -36,7 +36,7 @@ CHUNK_S = 10.0
 
 FEATURE_MAGIC = b"DFX1"
 
-_MODALITY_DIMS = {"text": TEXT_DIM, "audio": AUDIO_DIM, "video": VIDEO_DIM}
+MODALITY_DIMS = {"text": TEXT_DIM, "audio": AUDIO_DIM, "video": VIDEO_DIM}
 
 JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}
 
@@ -91,7 +91,7 @@ class SegmentFeatures:
             raise UsageError(f"unknown modality {name!r}") from None
 
     def validate(self) -> None:
-        for name, dim in _MODALITY_DIMS.items():
+        for name, dim in MODALITY_DIMS.items():
             arr = self.modality(name)
             if arr.ndim != 2:
                 raise DataError(f"segment {self.segment_id}: {name} must be 2-D")
@@ -198,10 +198,13 @@ class DatasetManifest:
                     raise DataError(f"student {rec.student_id}: field {name!r} must be a "
                                     f"finite number")
         if self.rater_records:
-            # Exactly two records from two distinct raters, as
+            # Exactly two records from two distinct raters for each segment
+            # and component, and none for another segment, as
             # ``metrics.irr_leave_one_rater_out`` pairs them.
             raters: dict[tuple[str, str], list[str]] = {}
             for rec in self.rater_records:
+                if rec.segment_id not in seen_ids:
+                    raise DataError(f"rater record for unknown segment {rec.segment_id!r}")
                 if rec.component not in COMPONENTS:
                     raise DataError(f"unknown component {rec.component!r} in rater records")
                 if not 1 <= int(rec.score) <= 4:
@@ -333,7 +336,7 @@ def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = 
         raise FormatError(f"{path}: bad magic {raw[:4]!r}", offset=0)
     offset = 4
     arrays = []
-    for name, dim in _MODALITY_DIMS.items():
+    for name, dim in MODALITY_DIMS.items():
         if len(raw) < offset + 8:
             raise FormatError(f"{path}: truncated {name} header", offset=offset)
         rows, cols = struct.unpack_from("<II", raw, offset)
@@ -396,7 +399,7 @@ class Dataset:
 
 def uniform_signal(strength: float) -> dict[str, dict[str, float]]:
     """Same planted-signal strength for every (modality, component) pair."""
-    return {m: {c: float(strength) for c in COMPONENTS} for m in _MODALITY_DIMS}
+    return {m: {c: float(strength) for c in COMPONENTS} for m in MODALITY_DIMS}
 
 
 @dataclass
@@ -435,17 +438,13 @@ class SynthConfig:
                 raise UsageError(f"{name} must be (min, max) with 0 <= min <= max, "
                                  f"got {tuple(pair)}")
         for modality, per_component in self.signal_strength.items():
-            if modality not in _MODALITY_DIMS:
+            if modality not in MODALITY_DIMS:
                 raise UsageError(f"unknown modality {modality!r} in signal_strength")
             for component, value in per_component.items():
                 if component not in COMPONENTS:
                     raise UsageError(f"unknown component {component!r} in signal_strength")
                 if not 0.0 <= value <= 1.0:
                     raise UsageError("signal strengths must lie in [0, 1]")
-
-
-def _nearest_rating(value: float) -> float:
-    return RATINGS[int(np.argmin([abs(value - r) for r in RATINGS]))]
 
 
 def _correlated_latents(rng: np.random.Generator, rho: float) -> dict[str, float]:
@@ -476,7 +475,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path | None = None) -> D
 
     directions = {
         m: {c: _unit_vector(rng, dim) for c in COMPONENTS}
-        for m, dim in _MODALITY_DIMS.items()
+        for m, dim in MODALITY_DIMS.items()
     }
     teacher_effects = [_correlated_latents(rng, cfg.label_correlation)
                        for _ in range(cfg.n_teachers)]
@@ -501,7 +500,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path | None = None) -> D
 
             labels: dict[str, float] = {}
             for c in COMPONENTS:
-                nearest = _nearest_rating(quality[c])
+                nearest = round_to_rating(quality[c])
                 base_low, base_high = np.floor(nearest), np.ceil(nearest)
                 score_a = _noisy_score(base_low, cfg.rater_noise_sd, rng)
                 score_b = _noisy_score(base_high, cfg.rater_noise_sd, rng)
@@ -512,7 +511,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path | None = None) -> D
             text_len = int(rng.integers(cfg.text_len[0], cfg.text_len[1] + 1))
             chunk_len = int(rng.integers(cfg.chunk_len[0], cfg.chunk_len[1] + 1))
             arrays = {}
-            for modality, dim in _MODALITY_DIMS.items():
+            for modality, dim in MODALITY_DIMS.items():
                 length = text_len if modality == "text" else chunk_len
                 base = cfg.noise_sd * rng.standard_normal((length, dim))
                 for c in COMPONENTS:

@@ -33,7 +33,6 @@ from .train import TrainConfig, TrainHistory, predict, train
 
 LR_GRID = (1e-4, 1e-5)
 BATCH_GRID = (8, 16, 32)
-FUSION_GRID = FUSION_MODULE_GRID
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,8 @@ class GridPoint:
             raise UsageError(f"lr {self.lr} outside the tuning grid {LR_GRID}")
         if self.batch_size not in BATCH_GRID:
             raise UsageError(f"batch size {self.batch_size} outside {BATCH_GRID}")
-        if self.fusion_modules not in FUSION_GRID:
-            raise UsageError(f"fusion modules {self.fusion_modules} outside {FUSION_GRID}")
+        if self.fusion_modules not in FUSION_MODULE_GRID:
+            raise UsageError(f"fusion modules {self.fusion_modules} outside {FUSION_MODULE_GRID}")
 
     def label(self) -> str:
         return f"lr={self.lr:g},batch={self.batch_size},M={self.fusion_modules}"
@@ -72,7 +71,7 @@ class GridPoint:
 
 
 def default_grid(lrs: Iterable[float] = LR_GRID, batch_sizes: Iterable[int] = BATCH_GRID,
-                 fusion_modules: Iterable[int] = FUSION_GRID) -> list[GridPoint]:
+                 fusion_modules: Iterable[int] = FUSION_MODULE_GRID) -> list[GridPoint]:
     """Every combination of the three axes, learning rate outermost."""
     return [GridPoint(lr, batch, m)
             for lr in lrs for batch in batch_sizes for m in fusion_modules]

@@ -8,7 +8,6 @@ rater-vs-rater reliability uses the raw 4-point integer scale.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -97,9 +96,6 @@ def irr_leave_one_rater_out(rater_records: Iterable[RaterRecord], component: str
                 partner = records[1 - ids.index(rater)]
                 own.append(int(mine.score))
                 others.append(int(partner.score))
-        if not own:
-            warnings.warn(f"rater {rater!r} has no rated segments for {component}; skipped")
-            continue
         per_rater[rater] = qwk(own, others, num_classes)
 
     values = list(per_rater.values())

@@ -24,13 +24,15 @@ from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
                      Rows, add_positional, bilstm_encode, encoder_block,
                      mlp_head, param_array, xavier_uniform, zeros_param)
-from .data import AUDIO_DIM, TEXT_DIM, VIDEO_DIM, SegmentFeatures
+from .data import AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, SegmentFeatures
 from .errors import ConfigError, DataError, FormatError, NumericsError, UsageError
 from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
 
 MODALITIES = ("text", "audio", "video")
-MODALITY_DIMS = {"text": TEXT_DIM, "audio": AUDIO_DIM, "video": VIDEO_DIM}
+ENCODERS = ("attention", "lstm")
+TASKS = ("multi", "single")
+LOSSES = ("oll", "ce", "l1")
 MODEL_DIM = 768
 NUM_HEADS = 12
 FUSION_MODULE_GRID = (1, 2, 3, 4, 5)
@@ -73,7 +75,7 @@ class ModelConfig:
         object.__setattr__(self, "modalities", parse_modalities(self.modalities))
         if not self.modalities:
             raise ConfigError("at least one modality is required")
-        if self.encoder not in ("attention", "lstm"):
+        if self.encoder not in ENCODERS:
             raise ConfigError(f"unknown encoder {self.encoder!r}")
         if self.encoder == "attention":
             if len(self.modalities) > 1 and "text" not in self.modalities:
@@ -84,14 +86,14 @@ class ModelConfig:
         else:
             if self.modalities != ("text", "audio"):
                 raise ConfigError("the LSTM baseline is defined for the T+A configuration")
-        if self.task not in ("multi", "single"):
+        if self.task not in TASKS:
             raise ConfigError(f"unknown task mode {self.task!r}")
         if self.task == "single":
             if self.component not in COMPONENTS:
                 raise ConfigError(f"single-task mode needs component from {COMPONENTS}")
         elif self.component is not None:
             raise ConfigError("component is only meaningful in single-task mode")
-        if self.loss not in ("oll", "ce", "l1"):
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
@@ -127,7 +129,8 @@ class FusionModule:
 
 @dataclass
 class FusionModel:
-    """All learnable state for one configuration."""
+    """All learnable state for one configuration; ``arena`` holds every
+    parameter's value and gradient slot when the model is built in one."""
 
     config: ModelConfig
     cls: dict[str, Tensor] = field(default_factory=dict)
@@ -136,6 +139,7 @@ class FusionModel:
     lstms: dict[str, BiLstmParams] = field(default_factory=dict)
     audio_in_w: Tensor | None = None
     audio_in_b: Tensor | None = None
+    arena: ParamArena | None = field(default=None, repr=False, compare=False)
 
     def parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -164,29 +168,31 @@ class FusionModel:
         return sum(t.size for t in self.parameters().values())
 
 
-def _cls_param(rng: np.random.Generator | None, out: np.ndarray) -> Tensor:
-    """A CLS embedding in ``out``, a ``param_array``, drawn from ``rng``."""
+def _cls_param(rng: np.random.Generator | None, param: Tensor) -> Tensor:
+    """``param``, a ``param_array``, filled with a CLS embedding drawn from ``rng``."""
     if rng is not None:
-        out[...] = rng.normal(0.0, 0.02, size=out.size)
-    return Tensor(out, requires_grad=True)
+        param.data[...] = rng.normal(0.0, 0.02, size=param.size)
+    return param
 
 
 def build_model(config: ModelConfig, seed: int | None = None) -> FusionModel:
     """Deterministically initialize all parameters for ``config``.
 
-    Every parameter is a view of one flat buffer, which ``train.AdamW``
-    adopts as its parameter array.
+    Every parameter's value and gradient slot are views of ``model.arena``,
+    whose two buffers ``train.AdamW`` steps.
     """
     return _build_in_arena(config, np.random.default_rng(config.seed if seed is None else seed))
 
 
 def _build_in_arena(config: ModelConfig, rng: np.random.Generator | None) -> FusionModel:
-    """``_build`` into one ``ParamArena``, sized by a build that draws and
-    fills nothing (under a millisecond even for T+A+V, M=2)."""
+    """``_build`` into one ``ParamArena``, kept as ``model.arena`` and sized
+    by a build that draws and fills nothing (under a millisecond even for
+    T+A+V, M=2)."""
     arena = ParamArena(_build(config, None).num_parameters())
     model = _build(config, rng, arena)
     if arena.used != arena.buffer.size:
         raise UsageError(f"parameters used {arena.used} of {arena.buffer.size} arena values")
+    model.arena = arena
     return model
 
 
@@ -195,7 +201,8 @@ def _build(config: ModelConfig, rng: np.random.Generator | None,
     """The parameters of ``config``, drawn from ``rng``; with ``rng`` None the
     random-initialised ones are left uninitialised for ``load_model`` to fill.
     Each parameter is a ``blocks.param_array`` of ``arena``, made in the
-    order that ``FusionModel.parameters`` lists them."""
+    order that ``FusionModel.parameters`` lists them, so the arena's layout
+    is that order."""
     model = FusionModel(config=config)
     mods = config.modalities
 
@@ -207,8 +214,8 @@ def _build(config: ModelConfig, rng: np.random.Generator | None,
         fused = len(mods) > 1
         if fused:
             for modality in mods:
-                cls = param_array((MODALITY_DIMS[modality],), arena)
-                model.cls[modality] = _cls_param(rng, cls)
+                model.cls[modality] = _cls_param(
+                    rng, param_array((MODALITY_DIMS[modality],), arena))
         else:
             only = mods[0]
             # The CLS row comes first in the buffer, as ``parameters`` lists
@@ -414,7 +421,7 @@ def save_model(model: FusionModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> FusionModel:
     """Rebuild a model from a "DFM1" checkpoint, reproducing forward bitwise.
 
-    The model is built without a random init into one flat buffer, as
+    The model is built without a random init into one arena, as
     ``build_model`` builds it; every tensor is then filled from the file.
     Any malformed content raises ``FormatError`` with the byte offset at
     which it was found.

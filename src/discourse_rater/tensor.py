@@ -17,8 +17,9 @@ are freed as soon as they have been used, and a training step's peak memory
 stays close to the size of its forward graph.
 
 A gradient is written where it will be read.  A tensor with a
-``grad_slot`` (a parameter under ``train.AdamW``) takes its first gradient
-of a step in that slot: matmul writes its weight gradient there directly,
+``grad_slot`` (a parameter carved from a ``blocks.ParamArena``, whose
+gradient buffer ``train.AdamW`` steps) takes its first gradient of a step
+in that slot: matmul writes its weight gradient there directly,
 any other primitive by one copy.  Elsewhere a first gradient that its
 primitive has just computed becomes ``.grad`` as it is, and one that passes
 through unchanged or as a view (add, sub, reshape, concat, permute,

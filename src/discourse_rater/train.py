@@ -63,58 +63,39 @@ class TrainConfig:
 class AdamW:
     """Adam with decoupled weight decay (Loshchilov & Hutter, arXiv:1711.05101).
 
-    The parameters live in one contiguous array, ``flat``.  When they tile
-    one buffer exactly, in order, as ``model.build_model`` and
-    ``model.load_model`` build them, that buffer is ``flat`` and nothing is
-    copied; any other dict is copied into a new ``flat``, in the parameters'
-    float width, and each ``p.data`` rebound to its view.  Each parameter's
-    ``grad_slot`` is the matching view of ``flat_grad``, so backward writes a
-    first gradient straight into it (see ``tensor._accum``).  The first and
-    second moments are flat arrays too.
+    It steps ``model.arena``: ``flat`` is its value buffer and ``flat_grad``
+    its gradient buffer, in which each parameter's ``grad_slot`` sits at the
+    offset of its value, so backward writes a first gradient straight into
+    ``flat_grad`` (see ``tensor._accum``).  ``parameters()`` gives the
+    parameters' names.  The first and second moments are flat arrays too.
 
-    ``zero_grad`` sets every ``.grad`` to None.  ``flat_gradient`` copies a
-    ``.grad`` that is not its slot (rebound by a caller, or set before
-    construction) into the slot and zero-fills the slot of a None one, so
-    ``flat_grad`` then holds the whole gradient.  ``step`` does that first,
-    then checks the whole gradient in one pass: when its squared norm is not
-    finite, an exact scan raises ``NumericsError`` naming the first
-    parameter that holds a non-finite value, before anything changes (a
-    finite gradient whose squares overflow passes).  The update then runs in
-    place over ``CHUNK``-element pieces through two preallocated scratch
-    arrays, so no temporary grows with the model.  It performs the same
-    operations in the same order as the per-array form
-    ``m = b1 * m + (1 - b1) * g`` and so on, so its results are bit-identical
-    to that form.
+    ``zero_grad`` sets every ``.grad`` to None.  ``flat_gradient`` zero-fills
+    the slot of each parameter whose ``.grad`` is still None, so
+    ``flat_grad`` then holds the whole gradient; a ``.grad`` that is not its
+    slot raises ``UsageError``.  ``step`` does that first, then checks the
+    whole gradient in one pass: when its squared norm is not finite, an
+    exact scan raises ``NumericsError`` naming the first parameter that
+    holds a non-finite value, before anything changes (a finite gradient
+    whose squares overflow passes).  The update then runs in place over
+    ``CHUNK``-element pieces through two preallocated scratch arrays, so no
+    temporary grows with the model.  It performs the same operations in the
+    same order as the per-array form ``m = b1 * m + (1 - b1) * g`` and so on,
+    so its results are bit-identical to that form.
     """
 
-    def __init__(self, params: Mapping[str, Tensor], lr: float = 1e-4,
+    def __init__(self, model: FusionModel, lr: float = 1e-4,
                  weight_decay: float = 0.01, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
-        self.params = dict(params)
+        self.params = model.parameters()
         self.lr = lr
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        flat = _tiled_buffer(self.params)
-        if flat is None:
-            dtype = np.result_type(*(p.data.dtype for p in self.params.values())) \
-                if self.params else T.current_dtype()
-            flat = np.empty(sum(p.data.size for p in self.params.values()), dtype)
-        size, dtype = flat.size, flat.dtype
-        self.flat = flat
-        self.flat_grad = np.empty(size, dtype)
+        self.flat, self.flat_grad = model.arena.buffer, model.arena.grad
+        size, dtype = self.flat.size, self.flat.dtype
         self._m = np.zeros(size, dtype)
         self._v = np.zeros(size, dtype)
-        self._grads: dict[str, np.ndarray] = {}
-        start = 0
-        for name, p in self.params.items():
-            stop = start + p.data.size
-            if p.data.base is not flat:
-                flat[start:stop] = p.data.reshape(-1)
-                p.data = flat[start:stop].reshape(p.data.shape)
-            p.grad_slot = self._grads[name] = self.flat_grad[start:stop].reshape(p.data.shape)
-            start = stop
         chunk = min(CHUNK, size)
         self._scratch = (np.empty(chunk, dtype), np.empty(chunk, dtype))
 
@@ -125,13 +106,11 @@ class AdamW:
     def flat_gradient(self) -> np.ndarray:
         """``flat_grad`` with every parameter's gradient in its slot."""
         for name, p in self.params.items():
-            slot = self._grads[name]
-            if p.grad is not slot:
-                if p.grad is None:
-                    slot.fill(0)
-                else:
-                    slot[...] = p.grad
-                p.grad = slot
+            if p.grad is None:
+                p.grad_slot.fill(0)
+                p.grad = p.grad_slot
+            elif p.grad is not p.grad_slot:
+                raise UsageError(f"the gradient of parameter {name!r} is not its arena slot")
         return self.flat_grad
 
     def step(self) -> None:
@@ -139,8 +118,8 @@ class AdamW:
         with np.errstate(over="ignore", invalid="ignore"):
             squared_norm = np.dot(g_all, g_all)
         if not np.isfinite(squared_norm):
-            name = next((name for name, grad in self._grads.items()
-                         if not np.isfinite(grad).all()), None)
+            name = next((name for name, p in self.params.items()
+                         if not np.isfinite(p.grad).all()), None)
             if name is not None:
                 raise NumericsError(f"non-finite gradient for parameter {name!r}")
         self.step_count += 1
@@ -168,21 +147,6 @@ class AdamW:
             p -= s1
             s2 *= lr
             p -= s2
-
-
-def _tiled_buffer(params: Mapping[str, Tensor]) -> np.ndarray | None:
-    """The flat buffer that the parameters tile exactly, in their order, or None."""
-    base = next(iter(params.values())).data.base if params else None
-    if not isinstance(base, np.ndarray) or base.ndim != 1 or not base.flags.c_contiguous:
-        return None
-    at = base.__array_interface__["data"][0]
-    for p in params.values():
-        data = p.data
-        if data.base is not base or data.dtype != base.dtype or not data.flags.c_contiguous \
-                or data.__array_interface__["data"][0] != at:
-            return None
-        at += data.nbytes
-    return base if at == base.__array_interface__["data"][0] + base.nbytes else None
 
 
 class PlateauScheduler:
@@ -358,30 +322,28 @@ def component_weights(examples: Sequence[Example],
 
 
 def train(model: FusionModel, train_examples: Sequence[Example],
-          val_examples: Sequence[Example], config: TrainConfig,
-          weights: Mapping[str, np.ndarray] | None = None) -> TrainHistory:
-    """Optimize ``model`` in place and return the epoch history.
+          val_examples: Sequence[Example], config: TrainConfig) -> TrainHistory:
+    """Optimize ``model``, built by ``model.build_model`` or
+    ``model.load_model``, in place and return the epoch history.
 
-    Class weights default to inverse frequencies of the training labels.
-    ``AdamW`` adopts the model's parameter buffer as its flat array (or
-    moves the parameters into one), so on return every ``p.data`` of the
-    model is a view of it.  Each step sets every ``.grad`` to None, and
-    backward writes each parameter's gradient straight into its slot of the
-    flat gradient.  ``loss.backward()`` consumes the step's graph, so the
-    ``loss`` kept until the next step holds only its value and the next
-    forward pass runs with no graph of the previous step alive.  The
-    best-validation parameters are restored before returning: each
-    improving epoch before the last epoch that can run keeps one copy of the
-    flat array, and the restore copies it back in place.
+    The loss weighs each class by its inverse frequency in the training
+    labels.  ``AdamW`` steps the model's arena.  Each step sets every
+    ``.grad`` to None, and backward writes each parameter's gradient
+    straight into its slot of the arena's gradient buffer.
+    ``loss.backward()`` consumes the step's graph, so the ``loss`` kept
+    until the next step holds only its value and the next forward pass runs
+    with no graph of the previous step alive.  The best-validation
+    parameters are restored before returning: each improving epoch before
+    the last epoch that can run keeps one copy of the arena's value buffer,
+    and the restore copies it back in place.
     """
     if not train_examples or not val_examples:
         raise UsageError("train and validation sets must both be nonempty")
     _check_teacher_disjoint(train_examples, val_examples)
-    if weights is None:
-        weights = component_weights(train_examples, model.config.head_components)
+    weights = component_weights(train_examples, model.config.head_components)
 
     rng = np.random.default_rng(config.seed)
-    optimizer = AdamW(model.parameters(), lr=config.lr)
+    optimizer = AdamW(model, lr=config.lr)
     scheduler = PlateauScheduler(optimizer)
     stopper = EarlyStopper()
     history = TrainHistory()

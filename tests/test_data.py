@@ -321,6 +321,17 @@ class TestManifestErrors:
                                             f"3 records"):
             Dataset.load(tmp_path)
 
+    def test_rater_record_for_an_unknown_segment_rejected_on_load(self, tmp_path):
+        # The ghost records pair up like real ones, so only the segment id
+        # gives them away.
+        generate_synthetic(small_synth(), tmp_path)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["rater_records"] += [dict(rec, segment_id="ghost") for rec in doc["rater_records"][:2]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="rater record for unknown segment 'ghost'"):
+            Dataset.load(tmp_path)
+
     def test_rater_score_outside_the_scale_rejected(self):
         manifest = generate_synthetic(small_synth()).manifest
         manifest.rater_records[3].score = 5

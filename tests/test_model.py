@@ -352,10 +352,11 @@ def parameter_digests(model: FusionModel) -> dict[str, tuple]:
             for name, p in model.parameters().items()}
 
 
-def arena_offsets(params) -> list[int] | None:
-    """Each parameter's element offset in the buffer its data views, when the
-    parameters tile that one buffer in order; else None."""
-    arrays = [p.data for p in params.values()]
+def arena_offsets(params, field: str = "data") -> list[int] | None:
+    """Each parameter's element offset in the buffer its ``field`` (``data``
+    or ``grad_slot``) views, when the parameters tile that one buffer in
+    order; else None."""
+    arrays = [getattr(p, field) for p in params.values()]
     base = arrays[0].base
     if base is None or any(a.base is not base for a in arrays):
         return None
@@ -392,10 +393,10 @@ class TestParameterArena:
     def test_optimizer_adopts_the_buffer(self, config):
         model = build_model(config)
         params = model.parameters()
-        buffer = next(iter(params.values())).data.base
+        assert next(iter(params.values())).data.base is model.arena.buffer
         data = {name: p.data for name, p in params.items()}
-        opt = AdamW(params)
-        assert opt.flat is buffer
+        opt = AdamW(model)
+        assert opt.flat is model.arena.buffer and opt.flat_grad is model.arena.grad
         assert all(p.data is data[name] for name, p in params.items())
 
     def test_loaded_model_is_adopted_the_same_way(self, rng, tmp_path):
@@ -407,28 +408,25 @@ class TestParameterArena:
         params = loaded.parameters()
         assert arena_offsets(params) == arena_offsets(model.parameters())
         buffer = next(iter(params.values())).data.base
-        assert AdamW(params).flat is buffer
+        assert AdamW(loaded).flat is buffer
         for name, p in model.parameters().items():
             assert np.array_equal(params[name].data, p.data), name
 
-    @pytest.mark.parametrize("kind", ["separate", "subset", "reordered"])
-    def test_dict_that_does_not_tile_one_buffer_is_copied(self, rng, kind):
-        if kind == "separate":
-            params = {name: T.Tensor(rng.standard_normal(shape), requires_grad=True)
-                      for name, shape in (("a", (3, 4)), ("b", (5,)))}
-        else:
-            params = build_model(ModelConfig(modalities=("text",), seed=3)).parameters()
-            names = list(params)
-            names = names[1:] if kind == "subset" else names[1:] + names[:1]
-            params = {name: params[name] for name in names}
-        before = {name: (p.data, p.data.copy()) for name, p in params.items()}
-        opt = AdamW(params)
-        assert all(opt.flat is not old.base for old, _ in before.values())
-        assert arena_offsets(params) is not None
-        assert next(iter(params.values())).data.base is opt.flat
-        for name, p in params.items():
-            assert p.data is not before[name][0], name
-            assert np.array_equal(p.data, before[name][1]), name
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+    def test_each_gradient_slot_sits_at_its_value_offset(self, config, source, tmp_path):
+        model = build_model(config)
+        if source == "loaded":
+            save_model(model, tmp_path / "model.dfm")
+            del model
+            model = load_model(tmp_path / "model.dfm")
+        params = model.parameters()
+        offsets = arena_offsets(params)
+        assert offsets is not None
+        assert arena_offsets(params, "grad_slot") == offsets
+        assert next(iter(params.values())).grad_slot.base is model.arena.grad
+        assert model.arena.grad.shape == model.arena.buffer.shape
+        assert model.arena.grad.dtype == model.arena.buffer.dtype
 
 
 class TestCheckpoint:

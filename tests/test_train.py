@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from discourse_rater import tensor as T
+from discourse_rater.blocks import ParamArena, param_array
 from discourse_rater.data import SynthConfig, generate_synthetic, uniform_signal
 from discourse_rater.errors import (ConfigError, NumericsError, TrainingError,
                                     UsageError)
@@ -15,45 +18,54 @@ from discourse_rater.train import (CHUNK, AdamW, EarlyStopper,
 from helpers import fusion_oracle, longest_query, make_segment
 
 
-class TestAdamW:
-    def make_param(self, value):
-        return {"w": Tensor(np.asarray(value), requires_grad=True)}
+def carved(values):
+    """Parameters holding ``values``, carved from one ``ParamArena`` in the
+    order given, with the ``parameters()`` and ``arena`` that ``AdamW`` reads."""
+    arena = ParamArena(sum(np.size(value) for value in values.values()))
+    params = {name: param_array(np.shape(value), arena) for name, value in values.items()}
+    for name, value in values.items():
+        params[name].data[...] = value
+    return SimpleNamespace(arena=arena, parameters=lambda: params)
 
+
+class TestAdamW:
     def test_zero_gradient_no_decay_leaves_params(self):
-        params = self.make_param([1.0, -2.0])
-        params["w"].grad = np.zeros(2, dtype=np.float32)
-        opt = AdamW(params, lr=0.1, weight_decay=0.0)
+        model = carved({"w": [1.0, -2.0]})
+        opt = AdamW(model, lr=0.1, weight_decay=0.0)
+        T._accum(model.parameters()["w"], np.zeros(2, dtype=np.float32))
         opt.step()
-        assert np.allclose(params["w"].data, [1.0, -2.0])
+        assert np.allclose(model.parameters()["w"].data, [1.0, -2.0])
 
     def test_zero_gradient_with_decay_shrinks(self):
-        params = self.make_param([1.0, -2.0])
-        start = params["w"].data.copy()
-        opt = AdamW(params, lr=0.1, weight_decay=0.01)
+        model = carved({"w": [1.0, -2.0]})
+        w = model.parameters()["w"]
+        start = w.data.copy()
+        opt = AdamW(model, lr=0.1, weight_decay=0.01)
         for step in range(1, 4):
-            params["w"].grad = np.zeros(2, dtype=np.float32)
+            opt.zero_grad()
+            T._accum(w, np.zeros(2, dtype=np.float32))
             opt.step()
-            assert np.allclose(params["w"].data, start * (1 - 0.1 * 0.01) ** step,
-                               rtol=1e-6)
+            assert np.allclose(w.data, start * (1 - 0.1 * 0.01) ** step, rtol=1e-6)
 
     def test_first_step_is_minus_lr_for_unit_gradient(self):
-        params = self.make_param([1.0])
-        params["w"].grad = np.ones(1, dtype=np.float32)
-        opt = AdamW(params, lr=0.1, weight_decay=0.0)
+        model = carved({"w": [1.0]})
+        opt = AdamW(model, lr=0.1, weight_decay=0.0)
+        T._accum(model.parameters()["w"], np.ones(1, dtype=np.float32))
         opt.step()
-        assert params["w"].data[0] == pytest.approx(0.9, abs=1e-6)
+        assert model.parameters()["w"].data[0] == pytest.approx(0.9, abs=1e-6)
 
     def test_non_finite_gradient_rejected(self):
-        params = self.make_param([1.0])
-        params["w"].grad = np.asarray([np.nan], dtype=np.float32)
-        opt = AdamW(params, lr=0.1)
+        model = carved({"w": [1.0]})
+        opt = AdamW(model, lr=0.1)
+        T._accum(model.parameters()["w"], np.asarray([np.nan], dtype=np.float32))
         with pytest.raises(Exception, match="w"):
             opt.step()
 
     def test_one_step_descends_quadratic_bowl(self):
         target = np.asarray([0.5, -1.5, 2.0], dtype=np.float32)
-        w = Tensor(np.zeros(3), requires_grad=True)
-        opt = AdamW({"w": w}, lr=1e-4, weight_decay=0.0)
+        model = carved({"w": np.zeros(3)})
+        w = model.parameters()["w"]
+        opt = AdamW(model, lr=1e-4, weight_decay=0.0)
 
         def loss_value():
             diff = w - Tensor(target)
@@ -64,6 +76,18 @@ class TestAdamW:
         loss.backward()
         opt.step()
         assert float(loss_value().data) < before
+
+    def test_gradient_that_is_not_its_slot_rejected(self, rng):
+        model = carved({"w": rng.standard_normal(3), "b": np.zeros(2)})
+        params = model.parameters()
+        opt = AdamW(model)
+        before = opt.flat.copy()
+        T._accum(params["w"], np.ones(3, dtype=np.float32))
+        params["b"].grad = np.ones(2, dtype=np.float32)
+        with pytest.raises(UsageError, match="'b'"):
+            opt.step()
+        assert np.array_equal(opt.flat, before)
+        assert opt.step_count == 0
 
 
 def adamw_reference(values, grads_per_step, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
@@ -96,34 +120,30 @@ class TestFlatAdamW:
         # "big" spans two update chunks; its gradient comes in two parts
         # through ``_accum``, as backward writes it: the first into its slot
         # of the flat gradient, the second added there.  "idle" never gets
-        # one, "pre" has one before construction, "rebound" gets a new array
-        # each step and None once.
-        shapes = {"big": (300, 250), "idle": (5,), "pre": (2, 3), "rebound": (4,)}
+        # one, and "small" gets one in one part at every step but the third,
+        # so its slot is zero-filled over an older gradient.
+        shapes = {"big": (300, 250), "idle": (5,), "small": (2, 3)}
         assert np.prod(shapes["big"]) > CHUNK
         with T.precision(dtype):
-            params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
-                      for name, shape in shapes.items()}
+            model = carved({name: rng.standard_normal(shape) for name, shape in shapes.items()})
+            params = model.parameters()
             start = {name: p.data.copy() for name, p in params.items()}
-            grads_per_step = [
-                {name: rng.standard_normal(shape).astype(dtype)
-                 for name, shape in shapes.items() if name not in ("idle", "big")}
-                for _ in range(4)]
+            grads_per_step = [{"small": rng.standard_normal(shapes["small"]).astype(dtype)}
+                              for _ in range(4)]
+            del grads_per_step[2]["small"]
             big_parts = [[rng.standard_normal(shapes["big"]).astype(dtype) for _ in range(2)]
                          for _ in grads_per_step]
             for grads, (first, second) in zip(grads_per_step, big_parts):
                 grads["big"] = first + second
-            grads_per_step[2]["rebound"] = None
-            params["pre"].grad = grads_per_step[0]["pre"].copy()
-            opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+            opt = AdamW(model, lr=1e-2, weight_decay=0.1)
             expected = adamw_reference(start, grads_per_step, lr=1e-2, weight_decay=0.1)
             for step, (grads, parts) in enumerate(zip(grads_per_step, big_parts)):
-                if step:
-                    opt.zero_grad()
-                    T._accum(params["pre"], grads["pre"])
+                opt.zero_grad()
+                if "small" in grads:
+                    T._accum(params["small"], grads["small"])
                 for part in parts:
                     T._accum(params["big"], part)
                 assert np.shares_memory(params["big"].grad, opt.flat_grad)
-                params["rebound"].grad = grads["rebound"]
                 opt.step()
                 for name, p in params.items():
                     assert p.data.dtype == np.dtype(dtype), name
@@ -134,10 +154,11 @@ class TestFlatAdamW:
         # The bad value sits after a parameter that fills more than one
         # chunk, so an update that ran before the check would show.
         with T.precision(dtype):
-            params = {name: Tensor(rng.standard_normal(shape), requires_grad=True)
-                      for name, shape in (("first", (CHUNK + 7,)), ("second", (3, 2)),
-                                          ("third", (4,)))}
-            opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+            model = carved({name: rng.standard_normal(shape)
+                            for name, shape in (("first", (CHUNK + 7,)), ("second", (3, 2)),
+                                                ("third", (4,)))})
+            params = model.parameters()
+            opt = AdamW(model, lr=1e-2, weight_decay=0.1)
             for p in params.values():
                 T._accum(p, rng.standard_normal(p.shape))
             opt.step()
@@ -167,7 +188,7 @@ class TestGradientContract:
 
     def test_grad_is_none_after_construction_and_zero_grad(self):
         model, loss = self.text_model_and_loss()
-        opt = AdamW(model.parameters())
+        opt = AdamW(model)
         assert all(p.grad is None for p in model.parameters().values())
         loss().backward()
         assert any(p.grad is not None for p in model.parameters().values())
@@ -176,7 +197,7 @@ class TestGradientContract:
 
     def test_backward_writes_each_gradient_into_its_flat_slot(self):
         model, loss = self.text_model_and_loss()
-        opt = AdamW(model.parameters())
+        opt = AdamW(model)
         for _ in range(2):
             opt.zero_grad()
             loss().backward()
@@ -195,7 +216,7 @@ class TestGradientContract:
         model, loss = self.text_model_and_loss()
         params = model.parameters()
         start = {name: p.data.copy() for name, p in params.items()}
-        opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+        opt = AdamW(model, lr=1e-2, weight_decay=0.1)
         opt.flat_grad.fill(np.nan)              # what an unwritten slot could hold
         loss().backward()
         unreached = [name for name, p in params.items() if p.grad is None]
@@ -235,11 +256,11 @@ class TestGradientContract:
         # 1e19 squared is 1e38, below the float32 maximum of 3.4e38, so the
         # update itself stays finite; the sum of eleven such squares is not.
         with T.precision("float32"):
-            params = {"w": Tensor(np.linspace(-1.0, 1.0, 8), requires_grad=True),
-                      "b": Tensor(np.zeros(3), requires_grad=True)}
+            model = carved({"w": np.linspace(-1.0, 1.0, 8), "b": np.zeros(3)})
+            params = model.parameters()
             start = {name: p.data.copy() for name, p in params.items()}
             grads = {"w": np.full(8, 1e19, np.float32), "b": np.full(3, -1e19, np.float32)}
-            opt = AdamW(params, lr=1e-2, weight_decay=0.1)
+            opt = AdamW(model, lr=1e-2, weight_decay=0.1)
             with np.errstate(over="ignore"):
                 assert not np.isfinite(np.dot(grads["w"], grads["w"]))
             for name, p in params.items():
@@ -255,7 +276,7 @@ class TestGradientContract:
 
 class TestPlateauScheduler:
     def run_trace(self, losses, lr=1.0, patience=5):
-        opt = AdamW({"w": Tensor(np.zeros(1), requires_grad=True)}, lr=lr)
+        opt = AdamW(carved({"w": np.zeros(1)}), lr=lr)
         sched = PlateauScheduler(opt, patience=patience)
         lrs = []
         for loss in losses:
@@ -562,7 +583,7 @@ class TestTrain:
         model = build_model(ModelConfig(modalities=("text",), seed=5))
         config = TrainConfig(lr=1e-3, batch_size=8, max_epochs=6, seed=5)
         weights = component_weights(train_ex, COMPONENTS)
-        history = train(model, train_ex, val_ex, config, weights=weights)
+        history = train(model, train_ex, val_ex, config)
         recomputed = evaluation_loss(model, val_ex, weights)
         assert recomputed == pytest.approx(history.best_val_loss, abs=1e-6)
 

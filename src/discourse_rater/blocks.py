@@ -21,11 +21,17 @@ from .tensor import Tensor
 class ParamArena:
     """Two flat buffers of one size in the current float width: ``buffer``
     holds the parameters' values and ``grad`` their gradients.  Each
-    parameter is carved from both at the same offset, in the order made."""
+    parameter is carved from both at the same offset, in the order made.
+
+    The two are the rows of one allocation.  A model that never trains
+    leaves ``grad`` untouched, and as part of one block its pages are not
+    handed on alone to a later array the size of ``buffer``; two separate
+    allocations raised the peak RSS of loading and predicting by the
+    model's size.
+    """
 
     def __init__(self, size: int):
-        self.buffer = np.empty(size, dtype=T.current_dtype())
-        self.grad = np.empty(size, dtype=T.current_dtype())
+        self.buffer, self.grad = np.empty((2, size), dtype=T.current_dtype())
         self.used = 0
 
     def take(self, shape: tuple[int, ...]) -> Tensor:

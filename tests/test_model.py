@@ -352,18 +352,17 @@ def parameter_digests(model: FusionModel) -> dict[str, tuple]:
             for name, p in model.parameters().items()}
 
 
-def arena_offsets(params, field: str = "data") -> list[int] | None:
-    """Each parameter's element offset in the buffer its ``field`` (``data``
-    or ``grad_slot``) views, when the parameters tile that one buffer in
-    order; else None."""
+def arena_offsets(params, buffer: np.ndarray, field: str = "data") -> list[int] | None:
+    """Each parameter's element offset in the flat ``buffer``, when the
+    parameters' ``field`` arrays (``data`` or ``grad_slot``) view it and tile
+    it in order; else None."""
     arrays = [getattr(p, field) for p in params.values()]
-    base = arrays[0].base
-    if base is None or any(a.base is not base for a in arrays):
+    if not all(np.shares_memory(a, buffer) and a.flags.c_contiguous for a in arrays):
         return None
-    offsets = [(a.__array_interface__["data"][0] - base.__array_interface__["data"][0])
-               // base.itemsize for a in arrays]
+    origin = buffer.__array_interface__["data"][0]
+    offsets = [(a.__array_interface__["data"][0] - origin) // buffer.itemsize for a in arrays]
     starts = np.cumsum([0] + [a.size for a in arrays])
-    if offsets != list(starts[:-1]) or starts[-1] != base.size:
+    if offsets != list(starts[:-1]) or starts[-1] != buffer.size:
         return None
     return offsets
 
@@ -382,7 +381,7 @@ class TestParameterArena:
     def test_build_equals_a_build_without_arena(self, config, dtype):
         with T.precision(dtype):
             model = build_model(config)
-            assert arena_offsets(model.parameters()) is not None
+            assert arena_offsets(model.parameters(), model.arena.buffer) is not None
             in_arena = parameter_digests(model)
             del model
             alone = _build(config, np.random.default_rng(config.seed))
@@ -393,7 +392,7 @@ class TestParameterArena:
     def test_optimizer_adopts_the_buffer(self, config):
         model = build_model(config)
         params = model.parameters()
-        assert next(iter(params.values())).data.base is model.arena.buffer
+        assert arena_offsets(params, model.arena.buffer) is not None
         data = {name: p.data for name, p in params.items()}
         opt = AdamW(model)
         assert opt.flat is model.arena.buffer and opt.flat_grad is model.arena.grad
@@ -406,9 +405,10 @@ class TestParameterArena:
         save_model(model, tmp_path / "model.dfm")
         loaded = load_model(tmp_path / "model.dfm")
         params = loaded.parameters()
-        assert arena_offsets(params) == arena_offsets(model.parameters())
-        buffer = next(iter(params.values())).data.base
-        assert AdamW(loaded).flat is buffer
+        offsets = arena_offsets(params, loaded.arena.buffer)
+        assert offsets is not None
+        assert offsets == arena_offsets(model.parameters(), model.arena.buffer)
+        assert AdamW(loaded).flat is loaded.arena.buffer
         for name, p in model.parameters().items():
             assert np.array_equal(params[name].data, p.data), name
 
@@ -421,11 +421,12 @@ class TestParameterArena:
             del model
             model = load_model(tmp_path / "model.dfm")
         params = model.parameters()
-        offsets = arena_offsets(params)
+        offsets = arena_offsets(params, model.arena.buffer)
         assert offsets is not None
-        assert arena_offsets(params, "grad_slot") == offsets
-        assert next(iter(params.values())).grad_slot.base is model.arena.grad
+        assert arena_offsets(params, model.arena.grad, "grad_slot") == offsets
         assert model.arena.grad.shape == model.arena.buffer.shape
+        # One allocation holds both (see ``ParamArena``).
+        assert model.arena.grad.base is model.arena.buffer.base is not None
         assert model.arena.grad.dtype == model.arena.buffer.dtype
 
 

@@ -207,7 +207,7 @@ class TestGradientContract:
             origin = opt.flat_grad.__array_interface__["data"][0]
             for name, p in reached.items():
                 assert p.grad is p.grad_slot, name
-                assert p.grad.base is opt.flat_grad, name
+                assert np.shares_memory(p.grad, opt.flat_grad), name
                 assert p.grad.__array_interface__["data"][0] - origin == \
                     p.data.__array_interface__["data"][0] \
                     - opt.flat.__array_interface__["data"][0], name

@@ -20,7 +20,9 @@ A gradient is written where it will be read.  A tensor with a
 ``grad_slot`` (a parameter carved from a ``blocks.ParamArena``, whose
 gradient buffer ``train.AdamW`` steps) takes its first gradient of a step
 in that slot: matmul writes its weight gradient there directly,
-any other primitive by one copy.  Elsewhere a first gradient that its
+any other primitive by one copy.  So ``.grad`` of a parameter of a built or
+loaded model is its arena slot, and the next backward after ``.grad`` is
+reset overwrites it: copy a gradient to keep it.  Elsewhere a first gradient that its
 primitive has just computed becomes ``.grad`` as it is, and one that passes
 through unchanged or as a view (add, sub, reshape, concat, permute,
 transpose) is copied, so no two tensors ever share a gradient array.
@@ -249,7 +251,9 @@ def _consumed(g: np.ndarray) -> None:
 def _accum(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
     """Add ``g`` into ``t.grad``.
 
-    A first gradient is copied into ``t.grad_slot`` when there is one.  Else
+    A first gradient is copied into ``t.grad_slot`` when there is one, and
+    that slot becomes ``t.grad``, so a later first gradient overwrites what
+    an earlier one left there.  Else
     it is adopted as it is when ``owned`` (the caller has just computed it and
     nothing else holds it) and it has ``t.data``'s dtype and shape and, like
     ``t.data``, C order; otherwise it is one copy in ``t.data``'s layout.

@@ -68,6 +68,8 @@ class AdamW:
     offset of its value, so backward writes a first gradient straight into
     ``flat_grad`` (see ``tensor._accum``).  ``parameters()`` gives the
     parameters' names.  The first and second moments are flat arrays too.
+    A model with no arena (not made by ``build_model`` or ``load_model``)
+    raises ``UsageError``.
 
     ``zero_grad`` sets every ``.grad`` to None.  ``flat_gradient`` zero-fills
     the slot of each parameter whose ``.grad`` is still None, so
@@ -86,6 +88,8 @@ class AdamW:
     def __init__(self, model: FusionModel, lr: float = 1e-4,
                  weight_decay: float = 0.01, betas: tuple[float, float] = (0.9, 0.999),
                  eps: float = 1e-8):
+        if model.arena is None:
+            raise UsageError("model has no parameter arena; build it with build_model or load_model")
         self.params = model.parameters()
         self.lr = lr
         self.weight_decay = weight_decay

@@ -367,6 +367,19 @@ def arena_offsets(params, buffer: np.ndarray, field: str = "data") -> list[int] 
     return offsets
 
 
+def assert_slots_at_value_offsets(model) -> list[int]:
+    """Check that the parameters' values tile ``model.arena.buffer`` and each
+    gradient slot sits at its value's offset in ``model.arena.grad``, the
+    two rows of one allocation (see ``ParamArena``); returns the offsets."""
+    params, arena = model.parameters(), model.arena
+    offsets = arena_offsets(params, arena.buffer)
+    assert offsets is not None
+    assert arena_offsets(params, arena.grad, "grad_slot") == offsets
+    assert arena.grad.dtype == arena.buffer.dtype
+    assert arena.grad.base is arena.buffer.base is not None
+    return offsets
+
+
 class TestParameterArena:
     CONFIGS = {
         "T_M1": ModelConfig(modalities=("text",), fusion_modules=1, seed=3),
@@ -381,7 +394,7 @@ class TestParameterArena:
     def test_build_equals_a_build_without_arena(self, config, dtype):
         with T.precision(dtype):
             model = build_model(config)
-            assert arena_offsets(model.parameters(), model.arena.buffer) is not None
+            assert_slots_at_value_offsets(model)
             in_arena = parameter_digests(model)
             del model
             alone = _build(config, np.random.default_rng(config.seed))
@@ -392,7 +405,7 @@ class TestParameterArena:
     def test_optimizer_adopts_the_buffer(self, config):
         model = build_model(config)
         params = model.parameters()
-        assert arena_offsets(params, model.arena.buffer) is not None
+        assert_slots_at_value_offsets(model)
         data = {name: p.data for name, p in params.items()}
         opt = AdamW(model)
         assert opt.flat is model.arena.buffer and opt.flat_grad is model.arena.grad
@@ -405,29 +418,11 @@ class TestParameterArena:
         save_model(model, tmp_path / "model.dfm")
         loaded = load_model(tmp_path / "model.dfm")
         params = loaded.parameters()
-        offsets = arena_offsets(params, loaded.arena.buffer)
-        assert offsets is not None
+        offsets = assert_slots_at_value_offsets(loaded)
         assert offsets == arena_offsets(model.parameters(), model.arena.buffer)
         assert AdamW(loaded).flat is loaded.arena.buffer
         for name, p in model.parameters().items():
             assert np.array_equal(params[name].data, p.data), name
-
-    @pytest.mark.parametrize("source", ["built", "loaded"])
-    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
-    def test_each_gradient_slot_sits_at_its_value_offset(self, config, source, tmp_path):
-        model = build_model(config)
-        if source == "loaded":
-            save_model(model, tmp_path / "model.dfm")
-            del model
-            model = load_model(tmp_path / "model.dfm")
-        params = model.parameters()
-        offsets = arena_offsets(params, model.arena.buffer)
-        assert offsets is not None
-        assert arena_offsets(params, model.arena.grad, "grad_slot") == offsets
-        assert model.arena.grad.shape == model.arena.buffer.shape
-        # One allocation holds both (see ``ParamArena``).
-        assert model.arena.grad.base is model.arena.buffer.base is not None
-        assert model.arena.grad.dtype == model.arena.buffer.dtype
 
 
 class TestCheckpoint:

@@ -88,6 +88,9 @@ class TestAdamW:
             opt.step()
         assert np.array_equal(opt.flat, before)
         assert opt.step_count == 0
+        # A model with no arena has no slots at all.
+        with pytest.raises(UsageError, match="no parameter arena"):
+            AdamW(SimpleNamespace(arena=None, parameters=model.parameters))
 
 
 def adamw_reference(values, grads_per_step, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
@@ -354,7 +357,9 @@ class TestPadding:
 
             batch_loss(model, collate_batch(examples), weights, training=False,
                        rng=None).backward()
-            batched = {name: t.grad for name, t in params.items()}
+            # Copies: each .grad is the parameter's arena slot, which the
+            # oracle's backward below overwrites.
+            batched = {name: t.grad.copy() for name, t in params.items()}
 
             for t in params.values():
                 t.grad = None
@@ -388,7 +393,7 @@ class TestPadding:
 
             batch_loss(model, collate_batch(examples), weights, training=True,
                        rng=np.random.default_rng(9)).backward()
-            batched = {name: t.grad for name, t in params.items()}
+            batched = {name: t.grad.copy() for name, t in params.items()}
 
             for t in params.values():
                 t.grad = None

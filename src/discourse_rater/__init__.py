@@ -21,7 +21,6 @@ from .objective import (COMPONENTS, RATINGS, class_weights, index_to_rating,
                         l1_loss, multitask_total, oll_loss, rating_to_index,
                         round_to_rating, weighted_ce_loss)
 from .tensor import Tensor, grad_check, no_grad, precision, set_dtype
-from .train import (AdamW, EarlyStopper, PlateauScheduler, TrainConfig,
-                    TrainHistory, predict, train)
+from .train import AdamW, TrainConfig, TrainHistory, predict, train
 
 __version__ = "0.1.0"

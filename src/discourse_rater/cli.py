@@ -6,10 +6,12 @@ comparison on one fold plan), ``correlate`` (classroom-level score vs student
 outcomes), and ``gradcheck`` (finite-difference audit of every operation).
 
 Every command but ``gradcheck`` resolves its settings in ``_resolve`` from
-built-in defaults, then an optional JSON config file, then explicit flags, and
-``_write_outputs`` writes them next to its outputs so any run can be
-reproduced from its artifacts.  The grid, the split-then-train step and the
-classroom aggregation are ``harness``'s and ``data``'s, not restated here.
+built-in defaults, then an optional JSON config file, then explicit flags.
+Once its inputs are read, ``_create_out`` makes ``--out`` before any work
+starts, and ``_write_outputs`` writes the settings there next to its outputs
+so any run can be reproduced from its artifacts.  The grid, the
+split-then-train step and the classroom aggregation are ``harness``'s and
+``data``'s, not restated here.
 Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
 
@@ -25,7 +27,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .checks import run_gradient_checks
-from .data import (JSON_NAMES, Dataset, DatasetManifest, SynthConfig,
+from .data import (JSON_NAMES, OUTCOMES, Dataset, DatasetManifest, SynthConfig,
                    classroom_aggregate, fits_json_type, generate_synthetic,
                    json_type, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
@@ -35,7 +37,6 @@ from .model import ENCODERS, LOSSES, TASKS, ModelConfig, save_model
 from .objective import COMPONENT_TITLES, COMPONENTS, RATINGS
 from .train import TrainConfig
 
-OUTCOMES = ("test_score", "interest", "self_efficacy")
 OUTCOME_TITLES = {"test_score": "Test scores", "interest": "Interest",
                   "self_efficacy": "Self-efficacy"}
 
@@ -183,11 +184,23 @@ def _check_json_type(key: str, value, default) -> None:
                          f"not a JSON {json_type(value)}")
 
 
-def _write_outputs(resolved: dict, files: dict[str, str | dict]) -> None:
-    """Write ``run_config.json`` and ``files`` into ``--out``: a string as
-    text, anything else as indented JSON, each with a final newline."""
+def _create_out(resolved: dict) -> Path:
+    """Make the ``--out`` directory; one that cannot be made is ``UsageError``."""
     out_dir = Path(resolved["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create --out {out_dir}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise UsageError(f"cannot create --out {str(out_dir)!r}: {exc}") from exc
+    return out_dir
+
+
+def _write_outputs(resolved: dict, files: dict[str, str | dict]) -> None:
+    """Write ``run_config.json`` and ``files`` into ``--out``, which
+    ``_create_out`` made: a string as text, anything else as indented JSON,
+    each with a final newline."""
+    out_dir = Path(resolved["out"])
     for name, content in {"run_config.json": resolved, **files}.items():
         if not isinstance(content, str):
             content = json.dumps(content, indent=2, sort_keys=True)
@@ -237,7 +250,8 @@ def cmd_synth(args) -> int:
         outcome_noise_sd=resolved["outcome_noise_sd"],
         seed=resolved["seed"],
     )
-    dataset = generate_synthetic(cfg, resolved["out"])
+    cfg.validate()
+    dataset = generate_synthetic(cfg, _create_out(resolved))
     _write_outputs(resolved, {})
 
     manifest = dataset.manifest
@@ -289,10 +303,9 @@ def _report_text(report) -> str:
         folds = " ".join(f"{v:+.3f}" for v in summary.per_fold)
         lines.append(f"{COMPONENT_TITLES.get(component, component):<22s}  "
                      f"{folds:<40s}  {summary.mean:.3f} ({summary.standard_error:.2f})")
-    if report.overall is not None:
-        folds = " ".join(f"{v:+.3f}" for v in report.overall.per_fold)
-        lines.append(f"{'Average':<22s}  {folds:<40s}  "
-                     f"{report.overall.mean:.3f} ({report.overall.standard_error:.2f})")
+    folds = " ".join(f"{v:+.3f}" for v in report.overall.per_fold)
+    lines.append(f"{'Average':<22s}  {folds:<40s}  "
+                 f"{report.overall.mean:.3f} ({report.overall.standard_error:.2f})")
     return "\n".join(lines)
 
 
@@ -300,12 +313,13 @@ def cmd_train(args) -> int:
     resolved = _resolve(args, *_SETTINGS["train"])
     model_config, train_config = _model_config(resolved), _train_config(resolved)
     dataset = Dataset.load(resolved["data"])
+    out_dir = _create_out(resolved)
     model, history = fit_model(dataset, dataset.manifest.teacher_ids(),
                                model_config, train_config, train_config.seed)
 
     _write_outputs(resolved, {"history.txt": history.table(),
-                              "history.json": history.to_dict()})
-    save_model(model, Path(resolved["out"]) / "model.dfm")
+                              "history.json": dataclasses.asdict(history)})
+    save_model(model, out_dir / "model.dfm")
     print(f"trained {model.num_parameters()} parameters; "
           f"best val loss {history.best_val_loss:.6f} at epoch {history.best_epoch}")
     print(f"outputs in {resolved['out']}")
@@ -353,6 +367,7 @@ def cmd_cv(args) -> int:
     dataset = Dataset.load(resolved["data"])
     human_irr = (_human_irr(dataset.manifest, model_config.head_components)
                  if dataset.manifest.rater_records else None)
+    out_dir = _create_out(resolved)
     result = run_nested_cv(dataset, model_config, train_config,
                            grid=_grid(resolved), seed=resolved["seed"],
                            jobs=resolved["jobs"])
@@ -363,7 +378,7 @@ def cmd_cv(args) -> int:
         report_doc["human_irr"] = human_irr
     text = _report_text(result.report)
     _write_outputs(resolved, {"report.json": report_doc, "report.txt": text})
-    _write_predictions(Path(resolved["out"]) / "predictions.csv", result.predictions)
+    _write_predictions(out_dir / "predictions.csv", result.predictions)
     print(text)
     return 0
 
@@ -372,6 +387,7 @@ def cmd_ablate(args) -> int:
     resolved = _resolve(args, *_SETTINGS["ablate"])
     model_config, train_config = _model_config(resolved), _train_config(resolved)
     dataset = Dataset.load(resolved["data"])
+    _create_out(resolved)
     result = run_ablation(dataset, resolved["axes"], model_config,
                           train_config, grid=_grid(resolved),
                           seed=resolved["seed"], jobs=resolved["jobs"])
@@ -430,6 +446,7 @@ def cmd_correlate(args) -> int:
     if not manifest.student_records:
         raise UsageError("manifest has no student records to correlate against")
     predictions = _read_predictions(resolved["predictions"])
+    _create_out(resolved)
 
     student_teachers = {s.teacher_id for s in manifest.student_records}
     sources: dict[str, dict[str, dict[str, float]]] = {"human": {}, "model": {}}

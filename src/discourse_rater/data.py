@@ -135,9 +135,11 @@ class StudentRecord:
     self_efficacy: float
 
 
+# The student outcome fields of a ``StudentRecord``.
+OUTCOMES = ("test_score", "interest", "self_efficacy")
+
 # The JSON type of each manifest record field that is not a string.
-_FIELD_TYPES = {"labels": dict, "score": int, "test_score": float, "interest": float,
-                "self_efficacy": float}
+_FIELD_TYPES = {"labels": dict, "score": int, **dict.fromkeys(OUTCOMES, float)}
 _RECORD_TYPES = {"segments": SegmentRecord, "rater_records": RaterRecord,
                  "student_records": StudentRecord}
 
@@ -161,6 +163,25 @@ def _record(key: str, index: int, item):
         return _RECORD_TYPES[key](**item)
     except TypeError as exc:
         raise FormatError(f"manifest {where}: field mismatch: {exc}") from None
+
+
+def rater_pairs(rater_records: Iterable[RaterRecord], component: str,
+                segment_ids: Iterable[str] = ()) -> dict[str, list[RaterRecord]]:
+    """Each segment's records for ``component``, in record order: those of
+    every segment rated for it, and first those of each of ``segment_ids``.
+
+    A segment without exactly two records from two distinct raters is
+    ``DataError``."""
+    by_segment: dict[str, list[RaterRecord]] = {segment_id: [] for segment_id in segment_ids}
+    for rec in rater_records:
+        if rec.component == component:
+            by_segment.setdefault(rec.segment_id, []).append(rec)
+    for segment_id, records in by_segment.items():
+        raters = {rec.rater_id for rec in records}
+        if len(records) != 2 or len(raters) != 2:
+            raise DataError(f"segment {segment_id}: expected 2 raters for {component}, "
+                            f"found {len(raters)} in {len(records)} records")
+    return by_segment
 
 
 @dataclass
@@ -189,7 +210,7 @@ class DatasetManifest:
                 except (TypeError, ValueError, OverflowError, DataError) as exc:
                     raise DataError(f"segment {seg.segment_id}: label {component!r}: {exc}") from exc
         for rec in self.student_records:
-            for name in ("test_score", "interest", "self_efficacy"):
+            for name in OUTCOMES:
                 try:
                     finite = math.isfinite(getattr(rec, name))
                 except OverflowError:
@@ -198,10 +219,8 @@ class DatasetManifest:
                     raise DataError(f"student {rec.student_id}: field {name!r} must be a "
                                     f"finite number")
         if self.rater_records:
-            # Exactly two records from two distinct raters for each segment
-            # and component, and none for another segment, as
-            # ``metrics.irr_leave_one_rater_out`` pairs them.
-            raters: dict[tuple[str, str], list[str]] = {}
+            # Every segment is rated as ``rater_pairs`` requires for each
+            # component, and no record names another segment.
             for rec in self.rater_records:
                 if rec.segment_id not in seen_ids:
                     raise DataError(f"rater record for unknown segment {rec.segment_id!r}")
@@ -209,15 +228,9 @@ class DatasetManifest:
                     raise DataError(f"unknown component {rec.component!r} in rater records")
                 if not 1 <= int(rec.score) <= 4:
                     raise DataError(f"rater score {rec.score} outside 1..4")
-                raters.setdefault((rec.segment_id, rec.component), []).append(rec.rater_id)
-            for seg in self.segments:
-                for component in COMPONENTS:
-                    ids = raters.get((seg.segment_id, component), [])
-                    if len(ids) != 2 or ids[0] == ids[1]:
-                        raise DataError(
-                            f"segment {seg.segment_id}: expected 2 raters for "
-                            f"{component}, found {len(set(ids))} in {len(ids)} records"
-                        )
+            segment_ids = [seg.segment_id for seg in self.segments]
+            for component in COMPONENTS:
+                rater_pairs(self.rater_records, component, segment_ids)
 
     def to_json(self) -> str:
         doc = {
@@ -308,10 +321,21 @@ def classroom_aggregate(per_segment_scores: Mapping[str, float],
 # -- feature files ---------------------------------------------------------------
 
 
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the ``what`` file at ``path``; a file that cannot be
+    read, or a path no file can have, is ``DataError``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def write_feature_file(path: str | Path, seg: SegmentFeatures) -> None:
     """Serialize the three feature matrices to the "DFX1" binary container."""
     blocks = []
-    for name in ("text", "audio", "video"):
+    for name in MODALITY_DIMS:
         arr = np.ascontiguousarray(seg.modality(name), dtype="<f4")
         if arr.ndim != 2:
             raise UsageError(f"{name} features must be 2-D")
@@ -326,12 +350,7 @@ def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = 
     A file that cannot be read is ``DataError``: the manifest names a file
     that is not there, or a path no file can have.
     """
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read feature file {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise DataError(f"cannot read feature file {path!r}: {exc}") from exc
+    raw = read_bytes(path, "feature file")
     if raw[:4] != FEATURE_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}", offset=0)
     offset = 4

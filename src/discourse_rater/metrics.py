@@ -8,13 +8,13 @@ rater-vs-rater reliability uses the raw 4-point integer scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import stdtr
 
-from .data import RaterRecord
+from .data import RaterRecord, rater_pairs
 from .errors import DataError, UsageError
 
 
@@ -65,26 +65,19 @@ class IrrResult:
     standard_error: float
 
 
-def irr_leave_one_rater_out(rater_records: Iterable[RaterRecord], component: str,
+def irr_leave_one_rater_out(rater_records: Sequence[RaterRecord], component: str,
                             num_classes: int = 4) -> IrrResult:
     """Leave-one-rater-out reliability on the raw integer scores.
 
     For each rater, their scores pair with the co-rater's score on every
     segment they rated; QWK is computed over those pairs and summarized as
-    mean and standard error across raters.
+    mean and standard error across raters.  Each rated segment must hold
+    the two records ``data.rater_pairs`` requires.
     """
-    by_segment: dict[str, list[RaterRecord]] = {}
-    raters: dict[str, None] = {}
-    for rec in rater_records:
-        if rec.component != component:
-            continue
-        by_segment.setdefault(rec.segment_id, []).append(rec)
-        raters.setdefault(rec.rater_id, None)
+    by_segment = rater_pairs(rater_records, component)
+    raters = dict.fromkeys(rec.rater_id for rec in rater_records if rec.component == component)
     if len(raters) < 2:
         raise DataError(f"need at least 2 raters for component {component!r}")
-    for segment_id, records in by_segment.items():
-        if len(records) != 2 or records[0].rater_id == records[1].rater_id:
-            raise DataError(f"segment {segment_id}: expected 2 distinct raters for {component}")
 
     per_rater: dict[str, float] = {}
     for rater in raters:
@@ -160,31 +153,18 @@ class ComponentSummary:
 class EvaluationReport:
     """Per-component fold scores plus confusion matrices and raw predictions."""
 
-    components: dict[str, ComponentSummary] = field(default_factory=dict)
-    overall: ComponentSummary | None = None
+    components: dict[str, ComponentSummary]
+    overall: ComponentSummary
     confusions: dict[str, np.ndarray] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        doc = {
-            "components": {
-                name: {
-                    "per_fold": [float(v) for v in summary.per_fold],
-                    "mean": summary.mean,
-                    "standard_error": summary.standard_error,
-                }
-                for name, summary in self.components.items()
-            },
+        return {
+            "components": {name: asdict(summary) for name, summary in self.components.items()},
+            "overall": asdict(self.overall),
             "confusion_matrices": {
                 name: matrix.tolist() for name, matrix in self.confusions.items()
             },
         }
-        if self.overall is not None:
-            doc["overall"] = {
-                "per_fold": [float(v) for v in self.overall.per_fold],
-                "mean": self.overall.mean,
-                "standard_error": self.overall.standard_error,
-            }
-        return doc
 
 
 def summarize_folds(per_fold_by_component: Mapping[str, Sequence[float]]) -> EvaluationReport:
@@ -193,15 +173,15 @@ def summarize_folds(per_fold_by_component: Mapping[str, Sequence[float]]) -> Eva
     The overall row averages the components within each fold first, then
     summarizes across folds.
     """
-    report = EvaluationReport()
     fold_counts = {len(v) for v in per_fold_by_component.values()}
     if len(fold_counts) != 1:
         raise UsageError("components report different fold counts")
+    components = {}
     for name, values in per_fold_by_component.items():
         mean, se = fold_summary(values)
-        report.components[name] = ComponentSummary(list(values), mean, se)
+        components[name] = ComponentSummary([float(v) for v in values], mean, se)
     stacked = np.asarray([list(v) for v in per_fold_by_component.values()])
     per_fold_overall = stacked.mean(axis=0)
     mean, se = fold_summary(per_fold_overall)
-    report.overall = ComponentSummary([float(v) for v in per_fold_overall], mean, se)
-    return report
+    return EvaluationReport(components,
+                            ComponentSummary([float(v) for v in per_fold_overall], mean, se))

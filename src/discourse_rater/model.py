@@ -24,12 +24,12 @@ from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
                      Rows, add_positional, bilstm_encode, encoder_block,
                      mlp_head, param_array, xavier_uniform, zeros_param)
-from .data import AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, SegmentFeatures
+from .data import AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, SegmentFeatures, read_bytes
 from .errors import ConfigError, DataError, FormatError, NumericsError, UsageError
 from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
 
-MODALITIES = ("text", "audio", "video")
+MODALITIES = tuple(MODALITY_DIMS)
 ENCODERS = ("attention", "lstm")
 TASKS = ("multi", "single")
 LOSSES = ("oll", "ce", "l1")
@@ -423,10 +423,10 @@ def load_model(path: str | Path) -> FusionModel:
 
     The model is built without a random init into one arena, as
     ``build_model`` builds it; every tensor is then filled from the file.
-    Any malformed content raises ``FormatError`` with the byte offset at
-    which it was found.
+    A file that cannot be read is ``DataError``; any malformed content
+    raises ``FormatError`` with the byte offset at which it was found.
     """
-    raw = Path(path).read_bytes()
+    raw = read_bytes(path, "checkpoint")
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic {raw[:4]!r}", offset=0)
     offset = 4

@@ -1,4 +1,4 @@
-"""Optimization loop: AdamW, plateau halving, early stopping, batched forward.
+"""Optimization loop: AdamW, one stale-epoch schedule, batched forward.
 
 Each training step runs its batch through a single ``forward`` call, which
 takes every segment as it is, with its own lengths, and runs the fusion
@@ -9,9 +9,10 @@ length, and return results in input order.
 
 One training run is single-threaded and fully determined by its seed: the
 per-epoch shuffle, dropout draws, and parameter init all flow from it.  The
-run monitors the total multi-task validation loss, halves the learning rate
-after five epochs without improvement, stops after fifteen, and restores the
-best parameters before returning.
+run monitors the total multi-task validation loss with one count of epochs
+since its last strict improvement: it halves the learning rate at every
+``LR_PATIENCE`` of them, stops at ``STOP_PATIENCE``, and restores the best
+parameters before returning.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .tensor import Tensor
 EVAL_GROUP = 8
 # Elements per piece of AdamW's in-place passes over the flat buffers.
 CHUNK = 1 << 16
+# Epochs without a new best validation loss: each multiple of LR_PATIENCE
+# halves the learning rate, and STOP_PATIENCE of them end the run.
+LR_PATIENCE = 5
+STOP_PATIENCE = 15
 
 
 @dataclass
@@ -153,56 +158,6 @@ class AdamW:
             p -= s2
 
 
-class PlateauScheduler:
-    """Halve the learning rate after ``patience`` epochs without improvement.
-
-    The patience counter resets both on improvement (strict decrease of the
-    best seen loss) and on each halving.
-    """
-
-    def __init__(self, optimizer: AdamW, patience: int = 5):
-        self.optimizer = optimizer
-        self.patience = patience
-        self.best = math.inf
-        self.stale = 0
-
-    def update(self, val_loss: float) -> bool:
-        if val_loss < self.best:
-            self.best = val_loss
-            self.stale = 0
-            return False
-        self.stale += 1
-        if self.stale >= self.patience:
-            self.optimizer.lr *= 0.5
-            self.stale = 0
-            return True
-        return False
-
-
-class EarlyStopper:
-    """Signal a stop after ``patience`` consecutive epochs without improvement."""
-
-    def __init__(self, patience: int = 15):
-        self.patience = patience
-        self.best = math.inf
-        self.best_epoch = 0
-        self.stale = 0
-
-    def update(self, val_loss: float, epoch: int) -> bool:
-        """Returns True when this epoch improved the best loss."""
-        if val_loss < self.best:
-            self.best = val_loss
-            self.best_epoch = epoch
-            self.stale = 0
-            return True
-        self.stale += 1
-        return False
-
-    @property
-    def should_stop(self) -> bool:
-        return self.stale >= self.patience
-
-
 @dataclass
 class TrainHistory:
     train_losses: list[float] = field(default_factory=list)
@@ -219,16 +174,6 @@ class TrainHistory:
         lines.append(f"stopped at epoch {self.stopped_epoch}; "
                      f"best epoch {self.best_epoch} (val loss {self.best_val_loss:.6f})")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "train_losses": self.train_losses,
-            "val_losses": self.val_losses,
-            "lrs": self.lrs,
-            "stopped_epoch": self.stopped_epoch,
-            "best_epoch": self.best_epoch,
-            "best_val_loss": self.best_val_loss,
-        }
 
 
 # -- batching -----------------------------------------------------------------
@@ -336,7 +281,13 @@ def train(model: FusionModel, train_examples: Sequence[Example],
     straight into its slot of the arena's gradient buffer.
     ``loss.backward()`` consumes the step's graph, so the ``loss`` kept
     until the next step holds only its value and the next forward pass runs
-    with no graph of the previous step alive.  The best-validation
+    with no graph of the previous step alive.
+
+    ``history.best_val_loss`` and ``best_epoch`` are the one record of the
+    best epoch.  An epoch that does not beat it strictly adds one to a
+    stale count, which an improving epoch resets: the learning rate halves
+    whenever the count reaches a multiple of ``LR_PATIENCE``, and the run
+    stops when it reaches ``STOP_PATIENCE``.  The best-validation
     parameters are restored before returning: each improving epoch before
     the last epoch that can run keeps one copy of the arena's value buffer,
     and the restore copies it back in place.
@@ -348,10 +299,9 @@ def train(model: FusionModel, train_examples: Sequence[Example],
 
     rng = np.random.default_rng(config.seed)
     optimizer = AdamW(model, lr=config.lr)
-    scheduler = PlateauScheduler(optimizer)
-    stopper = EarlyStopper()
     history = TrainHistory()
     best_state: np.ndarray | None = None
+    stale = 0
 
     n = len(train_examples)
     try:
@@ -374,20 +324,22 @@ def train(model: FusionModel, train_examples: Sequence[Example],
             history.lrs.append(optimizer.lr)
             history.stopped_epoch = epoch
 
-            if stopper.update(val_loss, epoch):
+            if val_loss < history.best_val_loss:
+                history.best_val_loss, history.best_epoch, stale = val_loss, epoch, 0
                 # The last epoch that can run keeps no copy: its parameters
                 # are the state, and an older copy must not be restored.
                 best_state = optimizer.flat.copy() if epoch < config.max_epochs else None
-            scheduler.update(val_loss)
-            if stopper.should_stop:
-                break
+            else:
+                stale += 1
+                if stale == STOP_PATIENCE:
+                    break
+                if stale % LR_PATIENCE == 0:
+                    optimizer.lr *= 0.5
     except NumericsError as exc:
         raise TrainingError(f"aborted at epoch {len(history.train_losses) + 1}: {exc}") from exc
 
     if best_state is not None:
         optimizer.flat[...] = best_state
-    history.best_epoch = stopper.best_epoch
-    history.best_val_loss = stopper.best
     return history
 
 

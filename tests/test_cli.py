@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -161,6 +162,25 @@ def test_data_directory_without_manifest_is_usage_error(tmp_path, capsys, comman
                    *extra) == 2
     manifest = tmp_path / "nowhere" / "manifest.json"
     assert f"cannot read dataset manifest {manifest}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "cv", "ablate", "correlate"])
+def test_out_that_cannot_be_created_fails_before_any_work(dataset_dir, tmp_path, capsys,
+                                                          monkeypatch, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+
+    def no_training(*args):
+        raise AssertionError("a model was trained before --out was made")
+
+    monkeypatch.setattr(importlib.import_module("discourse_rater.harness"), "train", no_training)
+    predictions = tmp_path / "predictions.csv"
+    predictions.write_text("segment_id,component,predicted_rating\ns0,nature,2.0\n")
+    inputs = {"synth": [], "correlate": ["--data", dataset_dir, "--predictions", predictions]}
+    assert run_cli(command, *inputs.get(command, ["--data", dataset_dir]),
+                   "--out", blocker / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot create --out {blocker / 'out'}: "), err
 
 
 @pytest.mark.parametrize("command", ["train", "cv"])

@@ -482,7 +482,8 @@ def dfm1_bytes(config: bytes, tensors=()) -> bytes:
 
 
 class TestCheckpointErrors:
-    """Every malformed DFM1 raises FormatError at the byte where it was found."""
+    """Every malformed DFM1 raises FormatError at the byte where it was found;
+    a path that cannot be read raises DataError."""
 
     def load_bytes(self, tmp_path, raw: bytes) -> FormatError:
         path = tmp_path / "model.dfm"
@@ -536,6 +537,14 @@ class TestCheckpointErrors:
         config = json.dumps(model.config.to_dict(), sort_keys=True).encode()
         error = self.load_bytes(tmp_path, dfm1_bytes(config, [items[0]] + items[:-1]))
         assert "repeated tensor" in str(error)
+
+    @pytest.mark.parametrize("name,reason", [("absent.dfm", "No such file"),
+                                             (".", "Is a directory"),
+                                             ("a\x00b.dfm", "null byte")],
+                             ids=["missing", "directory", "nul-byte"])
+    def test_unreadable_path_is_data_error(self, tmp_path, name, reason):
+        with pytest.raises(DataError, match=f"cannot read checkpoint .*{reason}"):
+            load_model(tmp_path / name)
 
 
 def dfm1_header_positions(raw: bytes) -> list[int]:

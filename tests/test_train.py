@@ -1,3 +1,4 @@
+import importlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +12,7 @@ from discourse_rater.errors import (ConfigError, NumericsError, TrainingError,
 from discourse_rater.model import ModelConfig, build_model, forward
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.tensor import Tensor
-from discourse_rater.train import (CHUNK, AdamW, EarlyStopper,
-                                   PlateauScheduler, TrainConfig, batch_loss,
+from discourse_rater.train import (CHUNK, AdamW, TrainConfig, batch_loss,
                                    collate_batch, component_weights,
                                    evaluation_loss, predict, train)
 from helpers import fusion_oracle, longest_query, make_segment
@@ -277,66 +277,103 @@ class TestGradientContract:
                 assert np.array_equal(p.data, expected[name]), name
 
 
+def scripted_run(monkeypatch, val_losses, max_epochs=None):
+    """``train`` with validation losses ``val_losses``, one an epoch, lr 1.
+
+    The model is one carved array stepped on the loss ``sum(w * w)``, so an
+    epoch takes microseconds and moves every value.  ``max_epochs``
+    defaults to more epochs than the trace holds, so only the stale-epoch
+    rule can end the run; a run that asks for a loss past the trace fails.
+    Returns the history, the arena's values at each epoch's evaluation,
+    and the values after the run.
+    """
+    model = carved({"w": np.linspace(1.0, 2.0, 4)})
+    model.config = SimpleNamespace(head_components=COMPONENTS)
+    snapshots, trace = [], iter(val_losses)
+
+    def scripted_loss(model, examples, weights):
+        snapshots.append(model.arena.buffer.copy())
+        return next(trace)
+
+    def square_loss(model, batch, weights, training, rng):
+        w = model.parameters()["w"]
+        return (w * w).sum()
+
+    train_module = importlib.import_module("discourse_rater.train")
+    monkeypatch.setattr(train_module, "evaluation_loss", scripted_loss)
+    monkeypatch.setattr(train_module, "batch_loss", square_loss)
+
+    def example(teacher):
+        return SimpleNamespace(features=SimpleNamespace(teacher_id=teacher),
+                               labels={c: 2.0 for c in COMPONENTS})
+
+    config = TrainConfig(lr=1.0, max_epochs=max_epochs or len(val_losses) + 10)
+    history = train(model, [example("tA")], [example("tB")], config)
+    return history, snapshots, model.arena.buffer.copy()
+
+
+# Two plateaus from epoch 1: 14 stale epochs, one short of a stop, then an
+# improvement at epoch 16 and 15 stale epochs more.
+PLATEAUS = [1.0] * 15 + [0.5] + [0.6] * 15
+# Four stale epochs, an improvement at epoch 7, then 15 stale epochs.
+LATE_BEST = [1.0, 0.9] + [0.95] * 4 + [0.8] + [0.85] * 15
+
+
 class TestPlateauScheduler:
-    def run_trace(self, losses, lr=1.0, patience=5):
-        opt = AdamW(carved({"w": np.zeros(1)}), lr=lr)
-        sched = PlateauScheduler(opt, patience=patience)
-        lrs = []
-        for loss in losses:
-            sched.update(loss)
-            lrs.append(opt.lr)
-        return lrs
+    """``train`` halves the learning rate at each ``LR_PATIENCE`` epochs
+    without a new best validation loss; ``lrs[i]`` is epoch ``i + 1``'s."""
 
-    def test_strictly_decreasing_losses_keep_lr(self):
-        lrs = self.run_trace([1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
-        assert all(lr == 1.0 for lr in lrs)
+    def test_strictly_decreasing_losses_keep_lr(self, monkeypatch):
+        history, _, _ = scripted_run(monkeypatch, np.linspace(1.0, 0.1, 40), max_epochs=40)
+        assert history.lrs == [1.0] * 40
 
-    def test_flat_trace_halves_at_sixth_epoch(self):
-        lrs = self.run_trace([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        assert lrs[:5] == [1.0] * 5
-        assert lrs[5] == 0.5  # halved exactly at epoch 6
+    def test_flat_trace_halves_at_sixth_epoch(self, monkeypatch):
+        history, _, _ = scripted_run(monkeypatch, PLATEAUS)
+        assert history.lrs[:7] == [1.0] * 6 + [0.5]  # halved after the 6th epoch
 
-    def test_two_plateaus_quarter_lr(self):
-        lrs = self.run_trace([1.0] + [1.0] * 5 + [1.0] * 5)
-        assert lrs[-1] == 0.25
+    def test_two_plateaus_quarter_lr(self, monkeypatch):
+        history, _, _ = scripted_run(monkeypatch, PLATEAUS)
+        assert history.lrs[6:16] == [0.5] * 5 + [0.25] * 5
 
-    def test_counter_resets_on_improvement(self):
-        lrs = self.run_trace([1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0])
-        assert all(lr == 1.0 for lr in lrs)
+    def test_counter_resets_on_improvement(self, monkeypatch):
+        # Four stale epochs, then a best: the next halving waits five more.
+        history, _, _ = scripted_run(monkeypatch, LATE_BEST)
+        assert history.lrs == [1.0] * 12 + [0.5] * 5 + [0.25] * 5
+        # Fourteen stale epochs, then a best: not halved after epoch 17.
+        history, _, _ = scripted_run(monkeypatch, PLATEAUS)
+        assert history.lrs[16:] == [0.25] * 5 + [0.125] * 5 + [0.0625] * 5
 
 
 class TestEarlyStopper:
-    def test_improving_never_stops(self):
-        stopper = EarlyStopper(patience=15)
-        for epoch, loss in enumerate(np.linspace(1.0, 0.1, 200), 1):
-            stopper.update(float(loss), epoch)
-            assert not stopper.should_stop
+    """``train`` stops after ``STOP_PATIENCE`` epochs without a new best
+    validation loss and restores the arena of the best epoch."""
 
-    def test_flat_fifteen_epochs_stop(self):
-        stopper = EarlyStopper(patience=15)
-        stopper.update(1.0, 1)
-        for epoch in range(2, 17):
-            stopper.update(1.0, epoch)
-        assert stopper.should_stop
-        assert stopper.best_epoch == 1
+    def test_improving_never_stops(self, monkeypatch):
+        history, _, _ = scripted_run(monkeypatch, np.linspace(1.0, 0.1, 40), max_epochs=40)
+        assert history.stopped_epoch == history.best_epoch == 40
+        assert history.best_val_loss == pytest.approx(0.1)
 
-    def test_stops_exactly_after_fifteen(self):
-        stopper = EarlyStopper(patience=15)
-        stopper.update(1.0, 1)
-        for epoch in range(2, 16):
-            stopper.update(1.0, epoch)
-            assert not stopper.should_stop
-        stopper.update(1.0, 16)
-        assert stopper.should_stop
+    def test_flat_fifteen_epochs_stop(self, monkeypatch):
+        history, _, _ = scripted_run(monkeypatch, [1.0] * 16)
+        assert (history.stopped_epoch, history.best_epoch, history.best_val_loss) == (16, 1, 1.0)
 
-    def test_improvement_at_epoch_fourteen_resets(self):
-        stopper = EarlyStopper(patience=15)
-        stopper.update(1.0, 1)
-        for epoch in range(2, 15):
-            stopper.update(1.0, epoch)
-        stopper.update(0.5, 15)
-        assert not stopper.should_stop
-        assert stopper.stale == 0
+    def test_stops_exactly_after_fifteen(self, monkeypatch):
+        history, _, _ = scripted_run(monkeypatch, LATE_BEST)
+        assert len(history.val_losses) == history.stopped_epoch == 22
+        assert history.best_epoch == 7
+
+    def test_improvement_at_epoch_fourteen_resets(self, monkeypatch):
+        # The improvement after fourteen stale epochs keeps the run going
+        # until fifteen stale epochs follow it.
+        history, _, _ = scripted_run(monkeypatch, PLATEAUS)
+        assert history.stopped_epoch == 31
+        assert (history.best_epoch, history.best_val_loss) == (16, 0.5)
+
+    def test_restores_the_arena_of_the_best_epoch(self, monkeypatch):
+        history, snapshots, restored = scripted_run(monkeypatch, LATE_BEST)
+        assert len(snapshots) == 22
+        assert restored.tobytes() == snapshots[history.best_epoch - 1].tobytes()
+        assert not np.array_equal(restored, snapshots[-1])
 
 
 class TestPadding:

@@ -17,9 +17,10 @@ from __future__ import annotations
 import json
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -321,15 +322,27 @@ def classroom_aggregate(per_segment_scores: Mapping[str, float],
 # -- feature files ---------------------------------------------------------------
 
 
-def read_bytes(path: str | Path, what: str) -> bytes:
-    """The bytes of the ``what`` file at ``path``; a file that cannot be
-    read, or a path no file can have, is ``DataError``."""
+@contextmanager
+def open_file(path: str | Path, what: str, mode: str = "rb") -> Iterator[BinaryIO]:
+    """The ``what`` file at ``path``, open in binary ``mode`` ("rb" or "wb")
+    and closed on exit.  A path no file can have, or a file that cannot be
+    opened, read or written, is ``DataError`` naming ``what`` and ``path``."""
+    verb = "write" if "w" in mode else "read"
     try:
-        return Path(path).read_bytes()
+        try:
+            file = open(path, mode)
+        except ValueError as exc:  # a path with a NUL byte
+            raise DataError(f"cannot {verb} {what} {path!r}: {exc}") from exc
+        with file:
+            yield file
     except OSError as exc:
-        raise DataError(f"cannot read {what} {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise DataError(f"cannot read {what} {path!r}: {exc}") from exc
+        raise DataError(f"cannot {verb} {what} {path}: {exc.strerror}") from exc
+
+
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the ``what`` file at ``path``, read by ``open_file``."""
+    with open_file(path, what) as file:
+        return file.read()
 
 
 def write_feature_file(path: str | Path, seg: SegmentFeatures) -> None:

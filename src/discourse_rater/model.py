@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
                      Rows, add_positional, bilstm_encode, encoder_block,
                      mlp_head, param_array, xavier_uniform, zeros_param)
-from .data import AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, SegmentFeatures, read_bytes
+from .data import AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, SegmentFeatures, open_file
 from .errors import ConfigError, DataError, FormatError, NumericsError, UsageError
 from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
@@ -402,52 +403,72 @@ def _lstm_pooled(model: FusionModel, seg: SegmentFeatures) -> Tensor:
 
 
 def save_model(model: FusionModel, path: str | Path) -> None:
-    """Write the "DFM1" container: config JSON, then named float32 tensors."""
+    """Write the "DFM1" container: config JSON, then named float32 tensors.
+
+    Each tensor's header is written and then its values, straight from the
+    arena: a float32 arena is written without a copy, a float64 one is cast
+    one tensor at a time.  A file that cannot be written is ``DataError``.
+    """
     params = model.parameters()
     config_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<I", len(config_bytes)), config_bytes,
-              struct.pack("<I", len(params))]
-    for name, tensor in params.items():
-        name_bytes = name.encode("utf-8")
-        arr = np.ascontiguousarray(tensor.data, dtype="<f4")
-        chunks.append(struct.pack("<I", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    with open_file(path, "checkpoint", "wb") as out:
+        out.write(CHECKPOINT_MAGIC + struct.pack("<I", len(config_bytes)) + config_bytes
+                  + struct.pack("<I", len(params)))
+        for name, tensor in params.items():
+            name_bytes = name.encode("utf-8")
+            arr = np.ascontiguousarray(tensor.data, dtype="<f4")
+            out.write(struct.pack("<I", len(name_bytes)) + name_bytes
+                      + struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            out.write(arr)
 
 
 def load_model(path: str | Path) -> FusionModel:
     """Rebuild a model from a "DFM1" checkpoint, reproducing forward bitwise.
 
     The model is built without a random init into one arena, as
-    ``build_model`` builds it; every tensor is then filled from the file.
+    ``build_model`` builds it.  The header fields are then read one at a
+    time, and each tensor's values straight from the file into its arena
+    slot; a float64 arena reads them through one float32 array the size of
+    the largest tensor.  So the file is never held whole.
     A file that cannot be read is ``DataError``; any malformed content
     raises ``FormatError`` with the byte offset at which it was found.
     """
-    raw = read_bytes(path, "checkpoint")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {raw[:4]!r}", offset=0)
+    with open_file(path, "checkpoint") as file:
+        return _read_checkpoint(file, path)
+
+
+def _read_checkpoint(file: BinaryIO, path: str | Path) -> FusionModel:
+    """``load_model`` on the open ``file``, read from its start."""
+    size = os.fstat(file.fileno()).st_size
+    magic = file.read(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise FormatError(f"{path}: bad checkpoint magic {magic!r}", offset=0)
     offset = 4
 
-    def read(fmt: str):
+    def take(n: int) -> bytes | None:
+        """The next ``n`` bytes, or None when the file ends first.  The size
+        is checked before reading, so a corrupt length allocates nothing."""
         nonlocal offset
-        size = struct.calcsize(fmt)
-        if len(raw) < offset + size:
+        data = file.read(n) if offset + n <= size else b""
+        if len(data) < n:
+            return None
+        offset += n
+        return data
+
+    def read(fmt: str):
+        data = take(struct.calcsize(fmt))
+        if data is None:
             raise FormatError(f"{path}: truncated checkpoint", offset=offset)
-        values = struct.unpack_from(fmt, raw, offset)
-        offset += size
-        return values
+        return struct.unpack(fmt, data)
 
     def read_text(what: str) -> str:
-        nonlocal offset
-        (size,) = read("<I")
-        if len(raw) < offset + size:
-            raise FormatError(f"{path}: truncated {what}", offset=len(raw))
-        start, offset = offset, offset + size
+        (n,) = read("<I")
+        start = offset
+        data = take(n)
+        if data is None:
+            raise FormatError(f"{path}: truncated {what}", offset=size)
         try:
-            return raw[start:offset].decode("utf-8")
+            return data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: {what} is not UTF-8", offset=start + exc.start) from None
 
@@ -470,6 +491,8 @@ def load_model(path: str | Path) -> FusionModel:
         raise FormatError(
             f"{path}: checkpoint has {n_params} tensors, model needs {len(unfilled)}",
             offset=offset)
+    scratch = None if model.arena.buffer.dtype == np.dtype("<f4") else \
+        np.empty(max(t.size for t in unfilled.values()), dtype="<f4")
     for _ in range(n_params):
         name = read_text("tensor name")
         tensor = unfilled.pop(name, None)
@@ -485,12 +508,13 @@ def load_model(path: str | Path) -> FusionModel:
             raise FormatError(
                 f"{path}: tensor {name!r} has shape {tuple(shape)}, expected {tensor.shape}",
                 offset=offset)
-        nbytes = tensor.size * 4
-        if len(raw) < offset + nbytes:
-            raise FormatError(f"{path}: truncated tensor {name!r}", offset=len(raw))
-        tensor.data[...] = np.frombuffer(raw, dtype="<f4", count=tensor.size,
-                                         offset=offset).reshape(tensor.shape)
-        offset += nbytes
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes", offset=offset)
+        values = tensor.data if scratch is None else scratch[:tensor.size]
+        got = file.readinto(values)
+        offset += got
+        if got < values.nbytes:
+            raise FormatError(f"{path}: truncated tensor {name!r}", offset=offset)
+        if scratch is not None:
+            tensor.data[...] = values.reshape(tensor.shape)
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} trailing bytes", offset=offset)
     return model

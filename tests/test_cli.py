@@ -235,6 +235,16 @@ class TestTrainCommand:
         history = json.loads((out / "history.json").read_text())
         assert len(history["train_losses"]) == 2
 
+    def test_checkpoint_that_cannot_be_written_is_an_error(self, dataset_dir, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        (out / "model.dfm").mkdir(parents=True)
+        assert run_cli("train", "--data", dataset_dir, "--out", out,
+                       "--modalities", "T", "--max-epochs", 1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write checkpoint {out / 'model.dfm'}: "
+                              "Is a directory"), err
+
 
 class TestCvCommand:
     def cv_args(self, data, out, seed=3):

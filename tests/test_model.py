@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -470,6 +471,45 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_file_is_dfm1_written_field_by_field(self, tmp_path, dtype):
+        with T.precision(dtype):
+            model = build_model(ModelConfig(modalities="T", seed=12))
+        save_model(model, tmp_path / "model.dfm")
+        config = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+        tensors = [(name.encode(), p.data) for name, p in model.parameters().items()]
+        assert (tmp_path / "model.dfm").read_bytes() == dfm1_bytes(config, tensors)
+
+
+def traced_peak(call, *args):
+    """``call(*args)`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestCheckpointMemory:
+    """Saving copies no tensor of a float32 model, and loading allocates the
+    arena and nothing the size of the model; a float64 model adds one
+    float32 copy of its largest tensor to each."""
+
+    MiB = 1 << 20
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_save_and_load_peaks(self, tmp_path, dtype):
+        path = tmp_path / "model.dfm"
+        with T.precision(dtype):
+            model = build_model(ModelConfig(modalities="T+A+V", seed=13))
+            cast = 0 if dtype == "float32" else \
+                4 * max(p.size for p in model.parameters().values())
+            _, save_peak = traced_peak(save_model, model, path)
+            del model
+            loaded, load_peak = traced_peak(load_model, path)
+        assert save_peak < cast + self.MiB
+        assert load_peak <= 2 * loaded.arena.buffer.nbytes + cast + self.MiB
+
 
 def dfm1_bytes(config: bytes, tensors=()) -> bytes:
     """A DFM1 file written field by field: config JSON, then named tensors."""
@@ -538,6 +578,23 @@ class TestCheckpointErrors:
         error = self.load_bytes(tmp_path, dfm1_bytes(config, [items[0]] + items[:-1]))
         assert "repeated tensor" in str(error)
 
+    @pytest.mark.parametrize("tensor", [0, -1], ids=["first", "last"])
+    def test_cut_inside_tensor_values(self, tmp_path, tensor):
+        raw = self.saved_bytes(tmp_path)
+        _, values, end = dfm1_tensor_spans(raw)[tensor]
+        cut = raw[:(values + end) // 2]
+        error = self.load_bytes(tmp_path, cut)
+        assert "truncated tensor" in str(error)
+        assert error.offset == len(cut)
+
+    @pytest.mark.parametrize("tensor", [0, -1], ids=["first", "last"])
+    def test_cut_inside_tensor_header(self, tmp_path, tensor):
+        raw = self.saved_bytes(tmp_path)
+        header, _, _ = dfm1_tensor_spans(raw)[tensor]
+        error = self.load_bytes(tmp_path, raw[:header + 2])
+        assert "truncated checkpoint" in str(error)
+        assert error.offset == header
+
     @pytest.mark.parametrize("name,reason", [("absent.dfm", "No such file"),
                                              (".", "Is a directory"),
                                              ("a\x00b.dfm", "null byte")],
@@ -547,17 +604,27 @@ class TestCheckpointErrors:
             load_model(tmp_path / name)
 
 
-def dfm1_header_positions(raw: bytes) -> list[int]:
-    """Byte positions of a DFM1 checkpoint outside its tensor values."""
+def dfm1_tensor_spans(raw: bytes) -> list[tuple[int, int, int]]:
+    """(header start, values start, values end) of each tensor of a DFM1 file."""
     (size,) = struct.unpack_from("<I", raw, 4)
     offset = 8 + size + 4
-    positions = list(range(offset))
+    spans = []
     while offset < len(raw):
         (size,) = struct.unpack_from("<I", raw, offset)
         (rank,) = struct.unpack_from("<I", raw, offset + 4 + size)
-        end = offset + 8 + size + 4 * rank
-        positions += range(offset, end)
-        offset = end + 4 * int(np.prod(struct.unpack_from(f"<{rank}I", raw, end - 4 * rank)))
+        values = offset + 8 + size + 4 * rank
+        end = values + 4 * int(np.prod(struct.unpack_from(f"<{rank}I", raw, values - 4 * rank)))
+        spans.append((offset, values, end))
+        offset = end
+    return spans
+
+
+def dfm1_header_positions(raw: bytes) -> list[int]:
+    """Byte positions of a DFM1 checkpoint outside its tensor values."""
+    (size,) = struct.unpack_from("<I", raw, 4)
+    positions = list(range(8 + size + 4))
+    for header, values, _ in dfm1_tensor_spans(raw):
+        positions += range(header, values)
     return positions
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from typing import Sequence
 from .checks import run_gradient_checks
 from .data import (JSON_NAMES, OUTCOMES, Dataset, DatasetManifest, SynthConfig,
                    classroom_aggregate, fits_json_type, generate_synthetic,
-                   json_type, uniform_signal)
+                   json_type, open_file, read_bytes, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
 from .harness import AXES, GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
 from .metrics import irr_leave_one_rater_out, pearson_r, significance_stars
@@ -127,10 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
+    raw = read_bytes(path, "config file", UsageError)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc.strerror}") from exc
+        doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise UsageError(f"config file {path} is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -204,7 +204,8 @@ def _write_outputs(resolved: dict, files: dict[str, str | dict]) -> None:
     for name, content in {"run_config.json": resolved, **files}.items():
         if not isinstance(content, str):
             content = json.dumps(content, indent=2, sort_keys=True)
-        (out_dir / name).write_text(content + "\n", encoding="utf-8")
+        with open_file(out_dir / name, "output file", "wb") as out:
+            out.write((content + "\n").encode("utf-8"))
 
 
 # -- synth ---------------------------------------------------------------------
@@ -327,7 +328,8 @@ def cmd_train(args) -> int:
 
 
 def _write_predictions(path: Path, predictions) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with open_file(path, "output file", "wb") as raw, \
+            io.TextIOWrapper(raw, encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["segment_id", "component", "true_rating",
                          "predicted_rating", "fold"])
@@ -411,8 +413,8 @@ def _read_predictions(path: str) -> dict[str, dict[str, float]]:
     columns = ("segment_id", "component", "predicted_rating")
     out: dict[str, dict[str, float]] = {}
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
+        with open_file(path, "prediction table", error=UsageError) as raw:
+            reader = csv.DictReader(io.TextIOWrapper(raw, encoding="utf-8", newline=""))
             for column in columns:
                 if column not in (reader.fieldnames or ()):
                     raise FormatError(f"prediction table {path} has no {column!r} column",
@@ -430,8 +432,6 @@ def _read_predictions(path: str) -> dict[str, dict[str, float]]:
                     raise DataError(f"segment {segment!r} {component}: predicted_rating "
                                     f"{value!r} is not a finite number")
                 out.setdefault(component, {})[segment] = rating
-    except OSError as exc:
-        raise UsageError(f"cannot read prediction table {path}: {exc.strerror}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"prediction table {path} is not UTF-8 CSV: {exc}") from exc
     if not out:

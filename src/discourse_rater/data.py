@@ -24,7 +24,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, FormatError, UsageError
+from .errors import DataError, DiscourseRaterError, FormatError, UsageError
 from .objective import COMPONENTS, rating_to_index, round_to_rating
 
 TEXT_DIM = 768
@@ -260,15 +260,13 @@ class DatasetManifest:
         return cls(**records)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with open_file(path, "dataset manifest", "wb") as out:
+            out.write(self.to_json().encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
         """Read a manifest; a file that cannot be read is ``UsageError``."""
-        try:
-            raw = Path(path).read_bytes()
-        except OSError as exc:
-            raise UsageError(f"cannot read dataset manifest {path}: {exc.strerror}") from exc
+        raw = read_bytes(path, "dataset manifest", UsageError)
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -323,25 +321,29 @@ def classroom_aggregate(per_segment_scores: Mapping[str, float],
 
 
 @contextmanager
-def open_file(path: str | Path, what: str, mode: str = "rb") -> Iterator[BinaryIO]:
+def open_file(path: str | Path, what: str, mode: str = "rb",
+              error: type[DiscourseRaterError] = DataError) -> Iterator[BinaryIO]:
     """The ``what`` file at ``path``, open in binary ``mode`` ("rb" or "wb")
     and closed on exit.  A path no file can have, or a file that cannot be
-    opened, read or written, is ``DataError`` naming ``what`` and ``path``."""
+    opened, read or written, raises ``error`` naming ``what`` and ``path``:
+    ``DataError`` for the files a dataset or model is made of, ``UsageError``
+    for the files the command line names."""
     verb = "write" if "w" in mode else "read"
     try:
         try:
             file = open(path, mode)
         except ValueError as exc:  # a path with a NUL byte
-            raise DataError(f"cannot {verb} {what} {path!r}: {exc}") from exc
+            raise error(f"cannot {verb} {what} {path!r}: {exc}") from exc
         with file:
             yield file
     except OSError as exc:
-        raise DataError(f"cannot {verb} {what} {path}: {exc.strerror}") from exc
+        raise error(f"cannot {verb} {what} {path}: {exc.strerror}") from exc
 
 
-def read_bytes(path: str | Path, what: str) -> bytes:
+def read_bytes(path: str | Path, what: str,
+               error: type[DiscourseRaterError] = DataError) -> bytes:
     """The bytes of the ``what`` file at ``path``, read by ``open_file``."""
-    with open_file(path, what) as file:
+    with open_file(path, what, error=error) as file:
         return file.read()
 
 
@@ -353,7 +355,8 @@ def write_feature_file(path: str | Path, seg: SegmentFeatures) -> None:
         if arr.ndim != 2:
             raise UsageError(f"{name} features must be 2-D")
         blocks.append(struct.pack("<II", arr.shape[0], arr.shape[1]) + arr.tobytes())
-    Path(path).write_bytes(FEATURE_MAGIC + b"".join(blocks))
+    with open_file(path, "feature file", "wb") as out:
+        out.write(FEATURE_MAGIC + b"".join(blocks))
 
 
 def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = "",

@@ -111,6 +111,15 @@ class TestConfigFile:
         assert run_cli("synth", "--config", config) == 2
         assert f"'out' must be a path string, not a JSON {json_type}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,key", [("train", "data"), ("correlate", "predictions")])
+    def test_path_with_a_nul_byte_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                                 command, key):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(dataset_dir), key: "a\x00b"}))
+        assert run_cli(command, "--config", config, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot read ") and "null byte" in err, err
+
     def test_value_of_the_wrong_json_type_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"teachers": "x"}))
@@ -235,15 +244,16 @@ class TestTrainCommand:
         history = json.loads((out / "history.json").read_text())
         assert len(history["train_losses"]) == 2
 
-    def test_checkpoint_that_cannot_be_written_is_an_error(self, dataset_dir, tmp_path,
-                                                          capsys):
+    @pytest.mark.parametrize("name,what", [("model.dfm", "checkpoint"),
+                                           ("history.json", "output file")])
+    def test_file_that_cannot_be_written_is_an_error(self, dataset_dir, tmp_path, capsys,
+                                                     name, what):
         out = tmp_path / "run"
-        (out / "model.dfm").mkdir(parents=True)
+        (out / name).mkdir(parents=True)
         assert run_cli("train", "--data", dataset_dir, "--out", out,
                        "--modalities", "T", "--max-epochs", 1) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write checkpoint {out / 'model.dfm'}: "
-                              "Is a directory"), err
+        assert err.startswith(f"error: cannot write {what} {out / name}: Is a directory"), err
 
 
 class TestCvCommand:

@@ -325,9 +325,9 @@ def open_file(path: str | Path, what: str, mode: str = "rb",
               error: type[DiscourseRaterError] = DataError) -> Iterator[BinaryIO]:
     """The ``what`` file at ``path``, open in binary ``mode`` ("rb" or "wb")
     and closed on exit.  A path no file can have, or a file that cannot be
-    opened, read or written, raises ``error`` naming ``what`` and ``path``:
-    ``DataError`` for the files a dataset or model is made of, ``UsageError``
-    for the files the command line names."""
+    opened, read or written, raises ``error`` naming ``what`` and ``path``;
+    the CLI's own inputs (config file, manifest, prediction table) pass
+    ``UsageError``, so that a wrong path exits 2."""
     verb = "write" if "w" in mode else "read"
     try:
         try:

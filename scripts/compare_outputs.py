@@ -1,4 +1,4 @@
-"""Run one fixed CLI sequence in two checkouts and compare every output.
+"""Run one fixed sequence of steps in two checkouts and compare every output.
 
 Usage, from anywhere:
 
@@ -14,13 +14,17 @@ Each argument is the root of a checkout.  In each, with its ``src`` first on
 3. ``cv``: the ROADMAP baseline (T+A+V, lr 1e-4, batch 8, M 1 and 2,
    3 epochs), once with ``--jobs 1`` and once with ``--jobs 2``;
 4. ``ablate --axes loss task``: text only, the same grid, 1 epoch;
-5. ``correlate`` on the ``--jobs 1`` predictions.
+5. ``correlate`` on the ``--jobs 1`` predictions;
+6. ``load_model`` on ``train/model.dfm``, then ``predict`` over the synth
+   set, written to ``loaded/predictions.json``: no CLI command reads a
+   checkpoint, so this is the step that runs the load path.
 
-It then compares every file the two sides wrote, byte for byte.  In
-``run_config.json`` only the path fields (``data``, ``out``,
-``predictions``) are masked, by making them relative to the side's
-temporary directory.  It prints one line per file and exits 1 if any file
-differs or exists on one side only, 2 if a command fails.
+Each side runs its own code for every step.  The script then compares
+every file the two sides wrote, byte for byte.  In ``run_config.json`` only
+the path fields (``data``, ``out``, ``predictions``) are masked, by making
+them relative to the side's temporary directory.  It prints one line per
+file and exits 1 if any file differs or exists on one side only, 2 if a
+step fails.
 
 For a file that differs it also prints how far apart it is.  Each side is
 split into measured values and the rest: in a text file a measured value
@@ -62,6 +66,18 @@ SEQUENCE = [
      "--out", "correlate"],
 ]
 
+LOAD_AND_PREDICT = """\
+import json, os
+from discourse_rater.data import Dataset
+from discourse_rater.model import load_model
+from discourse_rater.train import predict
+dataset = Dataset.load("ds")
+predictions = predict(load_model("train/model.dfm"), dataset.examples())
+os.makedirs("loaded")
+with open("loaded/predictions.json", "w", encoding="utf-8") as out:
+    json.dump(predictions, out, indent=2, sort_keys=True)
+"""
+
 PATH_FIELDS = ("data", "out", "predictions")
 
 MEASURED = re.compile(r"(?<![\w.])-?(?:\d+\.\d{2,}(?:[eE][-+]?\d+)?"
@@ -69,14 +85,17 @@ MEASURED = re.compile(r"(?<![\w.])-?(?:\d+\.\d{2,}(?:[eE][-+]?\d+)?"
 
 
 def run_sequence(checkout: Path, root: Path) -> None:
-    """Run every command of ``SEQUENCE`` with ``root`` as working directory."""
+    """Run every command of ``SEQUENCE``, then ``LOAD_AND_PREDICT``, with
+    ``root`` as working directory."""
     env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
-    for argv in SEQUENCE:
+    steps = [(argv[0], argv[argv.index("--out") + 1], ["-m", "discourse_rater.cli", *argv])
+             for argv in SEQUENCE]
+    steps.append(("load_model", "loaded", ["-c", LOAD_AND_PREDICT]))
+    for name, out, args in steps:
         started = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "discourse_rater.cli", *argv],
+        proc = subprocess.run([sys.executable, *args],
                               cwd=root, env=env, capture_output=True, text=True)
-        out = argv[argv.index("--out") + 1]
-        print(f"{checkout}: {argv[0]} -> {out}: exit {proc.returncode} "
+        print(f"{checkout}: {name} -> {out}: exit {proc.returncode} "
               f"in {time.perf_counter() - started:.1f} s", flush=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)

@@ -30,7 +30,7 @@ from typing import Sequence
 from .checks import run_gradient_checks
 from .data import (JSON_NAMES, OUTCOMES, Dataset, DatasetManifest, SynthConfig,
                    classroom_aggregate, fits_json_type, generate_synthetic,
-                   json_type, open_file, read_bytes, uniform_signal)
+                   json_type, open_file, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
 from .harness import AXES, GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
 from .metrics import irr_leave_one_rater_out, pearson_r, significance_stars
@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: Path | None) -> dict:
     if path is None:
         return {}
-    raw = read_bytes(path, "config file", UsageError)
+    with open_file(path, "config file", error=UsageError) as file:
+        raw = file.read()
     try:
         doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
@@ -90,24 +91,6 @@ class SegmentFeatures:
             return getattr(self, name)
         except AttributeError:
             raise UsageError(f"unknown modality {name!r}") from None
-
-    def validate(self) -> None:
-        for name, dim in MODALITY_DIMS.items():
-            arr = self.modality(name)
-            if arr.ndim != 2:
-                raise DataError(f"segment {self.segment_id}: {name} must be 2-D")
-            if arr.shape[0] > 0 and arr.shape[1] != dim:
-                raise DataError(
-                    f"segment {self.segment_id}: {name} width {arr.shape[1]} != {dim}"
-                )
-            if arr.size and not np.isfinite(arr).all():
-                raise DataError(f"segment {self.segment_id}: {name} has non-finite entries")
-        if self.audio.shape[0] > 0 and self.video.shape[0] > 0 \
-                and self.audio.shape[0] != self.video.shape[0]:
-            raise DataError(
-                f"segment {self.segment_id}: audio/video chunk counts differ "
-                f"({self.audio.shape[0]} vs {self.video.shape[0]})"
-            )
 
 
 @dataclass
@@ -266,7 +249,8 @@ class DatasetManifest:
     @classmethod
     def load(cls, path: str | Path) -> "DatasetManifest":
         """Read a manifest; a file that cannot be read is ``UsageError``."""
-        raw = read_bytes(path, "dataset manifest", UsageError)
+        with open_file(path, "dataset manifest", error=UsageError) as file:
+            raw = file.read()
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -340,55 +324,113 @@ def open_file(path: str | Path, what: str, mode: str = "rb",
         raise error(f"cannot {verb} {what} {path}: {exc.strerror}") from exc
 
 
-def read_bytes(path: str | Path, what: str,
-               error: type[DiscourseRaterError] = DataError) -> bytes:
-    """The bytes of the ``what`` file at ``path``, read by ``open_file``."""
-    with open_file(path, what, error=error) as file:
-        return file.read()
+class FieldReader:
+    """Checked reads, in order, of the fields of one open DFX1 or DFM1 file.
+
+    Both formats are little-endian, with u32 counts and lengths and float32
+    values in row-major order:
+    - DFX1, one segment's features: ``b"DFX1"``, then for text, audio and
+      video in turn rows, cols and ``rows * cols`` values;
+    - DFM1, a checkpoint: ``b"DFM1"``, the config's length and JSON text
+      (UTF-8), the tensor count, then per tensor its name's length and name
+      (UTF-8), its rank, its ``rank`` dimensions and its values.
+
+    Each size is checked against ``os.fstat``'s before anything is read or
+    allocated, so a corrupt length allocates nothing.  A header field that
+    does not fit raises ``FormatError`` at its own start; a payload (text or
+    values) that does not fit raises it at the file's end.
+    """
+
+    def __init__(self, file: BinaryIO, path: str | Path, magic: bytes, bad_magic: str):
+        self.file = file
+        self.path = path
+        self.size = os.fstat(file.fileno()).st_size
+        found = file.read(len(magic))
+        if found != magic:
+            raise self.error(f"{bad_magic} {found!r}", 0)
+        self.offset = len(magic)
+
+    def error(self, message: str, offset: int | None = None) -> FormatError:
+        """``FormatError`` for this file at ``offset``, by default the current one."""
+        return FormatError(f"{self.path}: {message}",
+                           offset=self.offset if offset is None else offset)
+
+    def _read(self, n: int, what: str, at: int) -> bytes:
+        data = self.file.read(n) if self.offset + n <= self.size else b""
+        if len(data) < n:
+            raise self.error(f"truncated {what}", at)
+        self.offset += n
+        return data
+
+    def fields(self, fmt: str, what: str) -> tuple:
+        """The header fields of ``struct`` format ``fmt``."""
+        return struct.unpack(fmt, self._read(struct.calcsize(fmt), what, self.offset))
+
+    def text(self, length: int, what: str) -> str:
+        """``length`` bytes of UTF-8 text."""
+        try:
+            return self._read(length, what, self.size).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"{what} is not UTF-8", self.offset - length + exc.start) from None
+
+    def floats(self, shape: tuple[int, ...], what: str,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Float32 values of ``shape``, read into ``out`` (C-contiguous) or a new array."""
+        nbytes = 4 * math.prod(shape)
+        if self.offset + nbytes > self.size:
+            raise self.error(f"truncated {what}", self.size)
+        values = np.empty(shape, dtype="<f4") if out is None else out
+        if self.file.readinto(values) < nbytes:  # the file shrank while it was read
+            raise self.error(f"truncated {what}", self.size)
+        self.offset += nbytes
+        return values
+
+    def end(self) -> None:
+        """Check that the file holds nothing after the last field."""
+        if self.offset != self.size:
+            raise self.error(f"{self.size - self.offset} trailing bytes")
 
 
 def write_feature_file(path: str | Path, seg: SegmentFeatures) -> None:
-    """Serialize the three feature matrices to the "DFX1" binary container."""
-    blocks = []
-    for name in MODALITY_DIMS:
-        arr = np.ascontiguousarray(seg.modality(name), dtype="<f4")
+    """Write the three feature matrices as a "DFX1" file (see ``FieldReader``):
+    each matrix's header, then the matrix itself."""
+    arrays = [np.ascontiguousarray(seg.modality(name), dtype="<f4") for name in MODALITY_DIMS]
+    for name, arr in zip(MODALITY_DIMS, arrays):
         if arr.ndim != 2:
             raise UsageError(f"{name} features must be 2-D")
-        blocks.append(struct.pack("<II", arr.shape[0], arr.shape[1]) + arr.tobytes())
     with open_file(path, "feature file", "wb") as out:
-        out.write(FEATURE_MAGIC + b"".join(blocks))
+        out.write(FEATURE_MAGIC)
+        for arr in arrays:
+            out.write(struct.pack("<II", *arr.shape))
+            out.write(arr)
 
 
 def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = "",
                       lesson_id: str = "") -> SegmentFeatures:
-    """Read a "DFX1" file; malformed input raises with the failing byte offset.
-
-    A file that cannot be read is ``DataError``: the manifest names a file
-    that is not there, or a path no file can have.
+    """Read a "DFX1" file (see ``FieldReader``), each matrix straight into its
+    own array.  A file that cannot be read is ``DataError``; malformed input
+    raises ``FormatError`` with the failing byte offset.  Once the file has
+    parsed, non-finite features, or audio and video of different chunk
+    counts, are ``DataError``.
     """
-    raw = read_bytes(path, "feature file")
-    if raw[:4] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}", offset=0)
-    offset = 4
-    arrays = []
-    for name, dim in MODALITY_DIMS.items():
-        if len(raw) < offset + 8:
-            raise FormatError(f"{path}: truncated {name} header", offset=offset)
-        rows, cols = struct.unpack_from("<II", raw, offset)
-        if rows > 0 and cols != dim:
-            raise FormatError(f"{path}: {name} width {cols} != {dim}", offset=offset + 4)
-        offset += 8
-        nbytes = rows * cols * 4
-        if len(raw) < offset + nbytes:
-            raise FormatError(f"{path}: truncated {name} data", offset=len(raw))
-        arr = np.frombuffer(raw, dtype="<f4", count=rows * cols, offset=offset)
-        arrays.append(arr.reshape(rows, cols).copy())
-        offset += nbytes
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes", offset=offset)
+    arrays = {}
+    with open_file(path, "feature file") as file:
+        reader = FieldReader(file, path, FEATURE_MAGIC, "bad magic")
+        for name, dim in MODALITY_DIMS.items():
+            rows, cols = reader.fields("<II", f"{name} header")
+            if rows > 0 and cols != dim:
+                raise reader.error(f"{name} width {cols} != {dim}", reader.offset - 4)
+            arrays[name] = reader.floats((rows, cols), f"{name} data")
+        reader.end()
+    for name, arr in arrays.items():
+        if arr.size and not np.isfinite(arr).all():
+            raise DataError(f"segment {segment_id}: {name} has non-finite entries")
+    chunks = len(arrays["audio"]), len(arrays["video"])
+    if all(chunks) and chunks[0] != chunks[1]:
+        raise DataError(f"segment {segment_id}: audio/video chunk counts differ "
+                        f"({chunks[0]} vs {chunks[1]})")
     return SegmentFeatures(segment_id=segment_id, teacher_id=teacher_id,
-                           lesson_id=lesson_id, text=arrays[0], audio=arrays[1],
-                           video=arrays[2])
+                           lesson_id=lesson_id, **arrays)
 
 
 # -- dataset containers ------------------------------------------------------------
@@ -411,12 +453,9 @@ class Dataset:
         root = Path(root)
         manifest = DatasetManifest.load(root / manifest_name)
         manifest.validate()
-        features = {}
-        for seg in manifest.segments:
-            feats = read_feature_file(root / seg.path, segment_id=seg.segment_id,
-                                      teacher_id=seg.teacher_id, lesson_id=seg.lesson_id)
-            feats.validate()
-            features[seg.segment_id] = feats
+        features = {seg.segment_id: read_feature_file(root / seg.path, seg.segment_id,
+                                                      seg.teacher_id, seg.lesson_id)
+                    for seg in manifest.segments}
         return cls(manifest=manifest, features=features)
 
     def examples(self) -> list[Example]:

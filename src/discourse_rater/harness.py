@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -214,16 +214,22 @@ def _run_job(job: _TrainEvalJob):
         return job.key, None, None, f"{type(exc).__name__}: {exc}"
 
 
-def _map_jobs(dataset: Dataset, jobs_list: list[_TrainEvalJob], jobs: int):
+def _map_jobs(dataset: Dataset, jobs_list: list[_TrainEvalJob], jobs: int, stage: str):
+    """Each job's result by its key; a worker process that dies ends the
+    ``stage`` ("inner-CV" or "outer-CV") with ``TrainingError``."""
     if jobs < 1:
         raise UsageError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1:
+    workers = min(jobs, len(jobs_list))
+    if workers <= 1:
         _init_worker(dataset)
         results = [_run_job(job) for job in jobs_list]
     else:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(dataset,)) as pool:
-            results = list(pool.map(_run_job, jobs_list))
+        try:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                     initargs=(dataset,)) as pool:
+                results = list(pool.map(_run_job, jobs_list))
+        except BrokenProcessPool as exc:
+            raise TrainingError(f"a worker process died in the {stage} jobs: {exc}") from exc
     return {key: (pred, truth, err) for key, pred, truth, err in
             sorted(results, key=lambda r: r[0])}
 
@@ -243,7 +249,7 @@ def grid_search(dataset: Dataset, plan: FoldPlan, fold_idx: int,
     if len(grid) == 1:
         return grid[0]
     jobs_list = _inner_jobs(plan, fold_idx, grid, model_config, train_config)
-    results = _map_jobs(dataset, jobs_list, jobs)
+    results = _map_jobs(dataset, jobs_list, jobs, "inner-CV")
     scores = _reduce_inner_scores(grid, plan, fold_idx, results,
                                   model_config.head_components)
     return _select_best(scores)
@@ -329,7 +335,7 @@ def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
                            plan.training_teachers(fold_idx), plan.outer[fold_idx],
                            _job_seed(plan.seed, 100, fold_idx))
                  for fold_idx, point in enumerate(best_points)]
-    results = _map_jobs(dataset, fold_jobs, jobs)
+    results = _map_jobs(dataset, fold_jobs, jobs, "outer-CV")
 
     components = model_config.head_components
     predictions: list[PredictionRow] = []

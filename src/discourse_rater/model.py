@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
                      Rows, add_positional, bilstm_encode, encoder_block,
                      mlp_head, param_array, xavier_uniform, zeros_param)
-from .data import AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, SegmentFeatures, open_file
-from .errors import ConfigError, DataError, FormatError, NumericsError, UsageError
+from .data import (AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, FieldReader,
+                   SegmentFeatures, open_file)
+from .errors import ConfigError, DataError, NumericsError, UsageError
 from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
 
@@ -426,95 +426,48 @@ def load_model(path: str | Path) -> FusionModel:
     """Rebuild a model from a "DFM1" checkpoint, reproducing forward bitwise.
 
     The model is built without a random init into one arena, as
-    ``build_model`` builds it.  The header fields are then read one at a
-    time, and each tensor's values straight from the file into its arena
-    slot; a float64 arena reads them through one float32 array the size of
-    the largest tensor.  So the file is never held whole.
-    A file that cannot be read is ``DataError``; any malformed content
-    raises ``FormatError`` with the byte offset at which it was found.
+    ``build_model`` builds it, and each tensor's values are read straight
+    from the file into its arena slot; a float64 arena reads them through a
+    float32 copy of one tensor at a time.  A file that cannot be read is
+    ``DataError``; malformed content is ``FormatError`` with the byte offset
+    at which it was found (see ``data.FieldReader``).
     """
     with open_file(path, "checkpoint") as file:
-        return _read_checkpoint(file, path)
-
-
-def _read_checkpoint(file: BinaryIO, path: str | Path) -> FusionModel:
-    """``load_model`` on the open ``file``, read from its start."""
-    size = os.fstat(file.fileno()).st_size
-    magic = file.read(4)
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad checkpoint magic {magic!r}", offset=0)
-    offset = 4
-
-    def take(n: int) -> bytes | None:
-        """The next ``n`` bytes, or None when the file ends first.  The size
-        is checked before reading, so a corrupt length allocates nothing."""
-        nonlocal offset
-        data = file.read(n) if offset + n <= size else b""
-        if len(data) < n:
-            return None
-        offset += n
-        return data
-
-    def read(fmt: str):
-        data = take(struct.calcsize(fmt))
-        if data is None:
-            raise FormatError(f"{path}: truncated checkpoint", offset=offset)
-        return struct.unpack(fmt, data)
-
-    def read_text(what: str) -> str:
-        (n,) = read("<I")
-        start = offset
-        data = take(n)
-        if data is None:
-            raise FormatError(f"{path}: truncated {what}", offset=size)
+        reader = FieldReader(file, path, CHECKPOINT_MAGIC, "bad checkpoint magic")
+        (length,) = reader.fields("<I", "checkpoint")
+        config_start = reader.offset
+        config_text = reader.text(length, "config")
         try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: {what} is not UTF-8", offset=start + exc.start) from None
+            config_doc = json.loads(config_text)
+        except json.JSONDecodeError as exc:
+            at = config_start + len(config_text[:exc.pos].encode("utf-8"))
+            raise reader.error(f"config is not JSON: {exc.msg}", at) from None
+        try:
+            config = ModelConfig.from_dict(config_doc)
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise reader.error(f"bad config: {exc}", config_start) from None
+        model = _build_in_arena(config, None)
+        unfilled = model.parameters()
 
-    config_start = offset + 4
-    config_text = read_text("config")
-    try:
-        config_doc = json.loads(config_text)
-    except json.JSONDecodeError as exc:
-        at = config_start + len(config_text[:exc.pos].encode("utf-8"))
-        raise FormatError(f"{path}: config is not JSON: {exc.msg}", offset=at) from None
-    try:
-        config = ModelConfig.from_dict(config_doc)
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise FormatError(f"{path}: bad config: {exc}", offset=config_start) from None
-    model = _build_in_arena(config, None)
-    unfilled = model.parameters()
-
-    (n_params,) = read("<I")
-    if n_params != len(unfilled):
-        raise FormatError(
-            f"{path}: checkpoint has {n_params} tensors, model needs {len(unfilled)}",
-            offset=offset)
-    scratch = None if model.arena.buffer.dtype == np.dtype("<f4") else \
-        np.empty(max(t.size for t in unfilled.values()), dtype="<f4")
-    for _ in range(n_params):
-        name = read_text("tensor name")
-        tensor = unfilled.pop(name, None)
-        if tensor is None:
-            what = "repeated" if name in model.parameters() else "unexpected"
-            raise FormatError(f"{path}: {what} tensor {name!r}", offset=offset)
-        (rank,) = read("<I")
-        if rank != tensor.ndim:
-            raise FormatError(f"{path}: tensor {name!r} has rank {rank}, expected {tensor.ndim}",
-                              offset=offset)
-        shape = read(f"<{rank}I")
-        if tuple(shape) != tensor.shape:
-            raise FormatError(
-                f"{path}: tensor {name!r} has shape {tuple(shape)}, expected {tensor.shape}",
-                offset=offset)
-        values = tensor.data if scratch is None else scratch[:tensor.size]
-        got = file.readinto(values)
-        offset += got
-        if got < values.nbytes:
-            raise FormatError(f"{path}: truncated tensor {name!r}", offset=offset)
-        if scratch is not None:
-            tensor.data[...] = values.reshape(tensor.shape)
-    if offset != size:
-        raise FormatError(f"{path}: {size - offset} trailing bytes", offset=offset)
+        (n_params,) = reader.fields("<I", "checkpoint")
+        if n_params != len(unfilled):
+            raise reader.error(f"checkpoint has {n_params} tensors, model needs {len(unfilled)}")
+        for _ in range(n_params):
+            (length,) = reader.fields("<I", "checkpoint")
+            name = reader.text(length, "tensor name")
+            tensor = unfilled.pop(name, None)
+            if tensor is None:
+                what = "repeated" if name in model.parameters() else "unexpected"
+                raise reader.error(f"{what} tensor {name!r}")
+            (rank,) = reader.fields("<I", "checkpoint")
+            if rank != tensor.ndim:
+                raise reader.error(f"tensor {name!r} has rank {rank}, expected {tensor.ndim}")
+            shape = reader.fields(f"<{rank}I", "checkpoint")
+            if shape != tensor.shape:
+                raise reader.error(f"tensor {name!r} has shape {shape}, expected {tensor.shape}")
+            if model.arena.buffer.dtype == np.float32:
+                reader.floats(shape, f"tensor {name!r}", tensor.data)
+            else:  # through one float32 copy of one tensor at a time
+                tensor.data[...] = reader.floats(shape, f"tensor {name!r}")
+        reader.end()
     return model

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,63 @@ class TestFeatureFiles:
             read_feature_file(path)
 
 
+    def test_file_is_dfx1_written_field_by_field(self, rng, tmp_path):
+        seg = make_segment(rng)
+        seg.video = np.zeros((0, VIDEO_DIM), dtype=np.float32)
+        path = tmp_path / "seg.dfx"
+        write_feature_file(path, seg)
+        assert path.read_bytes() == dfx1_bytes(seg.text, seg.audio, seg.video)
+
+    def test_huge_row_count_allocates_nothing(self, rng, tmp_path):
+        # A header claiming 2**31 - 1 text rows asks for 6.6 TB of values.
+        seg = make_segment(rng)
+        path = tmp_path / "seg.dfx"
+        raw = bytearray(dfx1_bytes(seg.text, seg.audio, seg.video))
+        struct.pack_into("<I", raw, 4, 2**31 - 1)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError) as err:
+                read_feature_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "truncated text data" in str(err.value)
+        assert err.value.offset == len(raw)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name,rows,message", [
+        ("text", None, "text has non-finite entries"),
+        ("audio", None, "audio has non-finite entries"),
+        ("video", 3, r"audio/video chunk counts differ \(4 vs 3\)"),
+    ], ids=["nan-text", "nan-audio", "chunk-counts"])
+    def test_parsed_file_with_bad_features_is_data_error(self, rng, tmp_path, name, rows,
+                                                         message):
+        seg = make_segment(rng)
+        arr = seg.modality(name)
+        if rows is None:
+            arr[1, 2] = np.nan
+        else:
+            setattr(seg, name, arr[:rows])
+        path = tmp_path / "seg.dfx"
+        write_feature_file(path, seg)
+        with pytest.raises(DataError, match=f"segment s7: {message}") as err:
+            read_feature_file(path, segment_id="s7")
+        assert not isinstance(err.value, FormatError)
+        # The same features in a malformed file are FormatError first.
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="1 trailing bytes"):
+            read_feature_file(path, segment_id="s7")
+
+
+def dfx1_bytes(*matrices) -> bytes:
+    """A DFX1 file written field by field: per matrix its rows, cols and values."""
+    chunks = [b"DFX1"]
+    for arr in matrices:
+        chunks += [struct.pack("<II", *arr.shape), np.asarray(arr, dtype="<f4").tobytes()]
+    return b"".join(chunks)
+
+
 def valid_dfx1(tmp_path) -> bytes:
     path = tmp_path / "valid.dfx"
     write_feature_file(path, make_segment(np.random.default_rng(3), text_len=2, chunk_len=3))
@@ -125,7 +183,7 @@ class TestFeatureFileFuzz:
         path = tmp_path / "fuzz.dfx"
         path.write_bytes(raw)
         try:
-            read_feature_file(path).validate()
+            read_feature_file(path)
         except DiscourseRaterError:
             pass
 

@@ -375,7 +375,7 @@ class FieldReader:
 
     def floats(self, shape: tuple[int, ...], what: str,
                out: np.ndarray | None = None) -> np.ndarray:
-        """Float32 values of ``shape``, read into ``out`` (C-contiguous) or a new array."""
+        """Float32 values of ``shape``, read into ``out`` (C-contiguous float32) or a new array."""
         nbytes = 4 * math.prod(shape)
         if self.offset + nbytes > self.size:
             raise self.error(f"truncated {what}", self.size)

@@ -101,7 +101,6 @@ class TestFeatureFiles:
         with pytest.raises(FormatError):
             read_feature_file(path)
 
-
     def test_file_is_dfx1_written_field_by_field(self, rng, tmp_path):
         seg = make_segment(rng)
         seg.video = np.zeros((0, VIDEO_DIM), dtype=np.float32)

@@ -7,6 +7,9 @@ outcomes), and ``gradcheck`` (finite-difference audit of every operation).
 
 Every command but ``gradcheck`` resolves its settings in ``_resolve`` from
 built-in defaults, then an optional JSON config file, then explicit flags.
+The defaults and the checks of each value belong to the config classes
+(``SynthConfig``, ``ModelConfig``, ``TrainConfig``), which check themselves
+when built; this module keeps only its own spellings of their settings.
 Once its inputs are read, ``_create_out`` makes ``--out`` before any work
 starts, and ``_write_outputs`` writes the settings there next to its outputs
 so any run can be reproduced from its artifacts.  The grid, the
@@ -28,8 +31,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .checks import run_gradient_checks
-from .data import (JSON_NAMES, OUTCOMES, Dataset, DatasetManifest, SynthConfig,
-                   classroom_aggregate, fits_json_type, generate_synthetic,
+from .data import (JSON_NAMES, OUTCOMES, SIGNAL_STRENGTH, Dataset, DatasetManifest,
+                   SynthConfig, classroom_aggregate, fits_json_type, generate_synthetic,
                    json_type, open_file, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
 from .harness import AXES, GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
@@ -177,7 +180,7 @@ def _check_json_type(key: str, value, default) -> None:
             return
         expected = _NONE_DEFAULT_TYPES[key]
     else:
-        expected = [type(default[0])] if isinstance(default, list) else type(default)
+        expected = [type(default[0])] if isinstance(default, (list, tuple)) else type(default)
     if not fits_json_type(value, expected):
         name = (f"array of {JSON_NAMES[expected[0]]}s" if isinstance(expected, list)
                 else JSON_NAMES[expected])
@@ -225,35 +228,25 @@ def _parse_signal_overrides(entries, strength: float) -> dict:
     return signal
 
 
-_SYNTH_DEFAULTS = {
-    "teachers": 10, "segments_per_teacher": 4,
-    "lessons_per_teacher": 2, "text_len": [5, 9], "chunk_len": [6, 10],
-    "signal_strength": 0.8, "signal": None, "rho": 0.3, "noise_sd": 0.1,
-    "rater_noise_sd": 0.4, "students_per_teacher": 0,
-    "outcome_noise_sd": 0.1, "seed": 0,
-}
+# Each synth setting but the signal, and the ``SynthConfig`` field it sets;
+# the field ``signal_strength`` is made from ``signal_strength`` and ``signal``.
+_SYNTH_RENAMED = {"n_teachers": "teachers", "label_correlation": "rho"}
+_SYNTH_FIELDS = {_SYNTH_RENAMED.get(f.name, f.name): f.name
+                 for f in dataclasses.fields(SynthConfig) if f.name != "signal_strength"}
+_SYNTH_DEFAULTS = {**{setting: getattr(SynthConfig(), name)
+                      for setting, name in _SYNTH_FIELDS.items()},
+                   "signal_strength": SIGNAL_STRENGTH, "signal": None}
+
+
+def _synth_config(resolved: dict) -> SynthConfig:
+    signal = _parse_signal_overrides(resolved["signal"], resolved["signal_strength"])
+    return SynthConfig(**{name: resolved[setting] for setting, name in _SYNTH_FIELDS.items()},
+                       signal_strength=signal)
 
 
 def cmd_synth(args) -> int:
     resolved = _resolve(args, *_SETTINGS["synth"])
-
-    cfg = SynthConfig(
-        n_teachers=resolved["teachers"],
-        segments_per_teacher=resolved["segments_per_teacher"],
-        lessons_per_teacher=resolved["lessons_per_teacher"],
-        text_len=tuple(resolved["text_len"]),
-        chunk_len=tuple(resolved["chunk_len"]),
-        signal_strength=_parse_signal_overrides(resolved["signal"],
-                                                resolved["signal_strength"]),
-        label_correlation=resolved["rho"],
-        noise_sd=resolved["noise_sd"],
-        rater_noise_sd=resolved["rater_noise_sd"],
-        students_per_teacher=resolved["students_per_teacher"],
-        outcome_noise_sd=resolved["outcome_noise_sd"],
-        seed=resolved["seed"],
-    )
-    cfg.validate()
-    dataset = generate_synthetic(cfg, _create_out(resolved))
+    dataset = generate_synthetic(_synth_config(resolved), _create_out(resolved))
     _write_outputs(resolved, {})
 
     manifest = dataset.manifest
@@ -272,11 +265,11 @@ def cmd_synth(args) -> int:
 # -- shared model/train plumbing --------------------------------------------------
 
 
-_MODEL_DEFAULTS = {
-    "modalities": "T", "encoder": "attention", "fusion_modules": 1,
-    "task": "multi", "component": None, "loss": "oll",
-    "no_positional": False, "dropout": 0.1,
-}
+# The CLI spells ``ModelConfig``'s modalities as letters and its
+# ``positional`` as ``no_positional``.
+_MODEL_DEFAULTS = {"modalities": "T", "no_positional": not ModelConfig().positional,
+                   **{key: getattr(ModelConfig(), key) for key in
+                      ("encoder", "fusion_modules", "task", "component", "loss", "dropout")}}
 _TRAIN_DEFAULTS = {key: getattr(TrainConfig(), key)
                    for key in ("lr", "batch_size", "max_epochs", "val_fraction", "seed")}
 

@@ -25,7 +25,7 @@ from typing import BinaryIO, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import DataError, DiscourseRaterError, FormatError, UsageError
+from .errors import ConfigError, DataError, DiscourseRaterError, FormatError, UsageError
 from .objective import COMPONENTS, rating_to_index, round_to_rating
 
 TEXT_DIM = 768
@@ -35,6 +35,9 @@ VIDEO_DIM = 768
 SEGMENT_S = 960.0       # 16-minute rating window
 MIN_REMAINDER_S = 480.0  # shorter leftovers merge into the previous window
 CHUNK_S = 10.0
+
+RATER_POINTS = 4        # raters score each component from 1 to RATER_POINTS
+SIGNAL_STRENGTH = 0.8   # SynthConfig's planted-signal strength of every pair
 
 FEATURE_MAGIC = b"DFX1"
 
@@ -80,7 +83,6 @@ class SegmentFeatures:
 
     segment_id: str
     teacher_id: str
-    lesson_id: str
     text: np.ndarray
     audio: np.ndarray
     video: np.ndarray
@@ -210,8 +212,8 @@ class DatasetManifest:
                     raise DataError(f"rater record for unknown segment {rec.segment_id!r}")
                 if rec.component not in COMPONENTS:
                     raise DataError(f"unknown component {rec.component!r} in rater records")
-                if not 1 <= int(rec.score) <= 4:
-                    raise DataError(f"rater score {rec.score} outside 1..4")
+                if not 1 <= int(rec.score) <= RATER_POINTS:
+                    raise DataError(f"rater score {rec.score} outside 1..{RATER_POINTS}")
             segment_ids = [seg.segment_id for seg in self.segments]
             for component in COMPONENTS:
                 rater_pairs(self.rater_records, component, segment_ids)
@@ -405,8 +407,7 @@ def write_feature_file(path: str | Path, seg: SegmentFeatures) -> None:
             out.write(arr)
 
 
-def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = "",
-                      lesson_id: str = "") -> SegmentFeatures:
+def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = "") -> SegmentFeatures:
     """Read a "DFX1" file (see ``FieldReader``), each matrix straight into its
     own array.  A file that cannot be read is ``DataError``; malformed input
     raises ``FormatError`` with the failing byte offset.  Once the file has
@@ -429,8 +430,7 @@ def read_feature_file(path: str | Path, segment_id: str = "", teacher_id: str = 
     if all(chunks) and chunks[0] != chunks[1]:
         raise DataError(f"segment {segment_id}: audio/video chunk counts differ "
                         f"({chunks[0]} vs {chunks[1]})")
-    return SegmentFeatures(segment_id=segment_id, teacher_id=teacher_id,
-                           lesson_id=lesson_id, **arrays)
+    return SegmentFeatures(segment_id=segment_id, teacher_id=teacher_id, **arrays)
 
 
 # -- dataset containers ------------------------------------------------------------
@@ -449,12 +449,11 @@ class Dataset:
     features: dict[str, SegmentFeatures]
 
     @classmethod
-    def load(cls, root: str | Path, manifest_name: str = "manifest.json") -> "Dataset":
+    def load(cls, root: str | Path) -> "Dataset":
         root = Path(root)
-        manifest = DatasetManifest.load(root / manifest_name)
+        manifest = DatasetManifest.load(root / "manifest.json")
         manifest.validate()
-        features = {seg.segment_id: read_feature_file(root / seg.path, seg.segment_id,
-                                                      seg.teacher_id, seg.lesson_id)
+        features = {seg.segment_id: read_feature_file(root / seg.path, seg.segment_id, seg.teacher_id)
                     for seg in manifest.segments}
         return cls(manifest=manifest, features=features)
 
@@ -476,7 +475,7 @@ def uniform_signal(strength: float) -> dict[str, dict[str, float]]:
     return {m: {c: float(strength) for c in COMPONENTS} for m in MODALITY_DIMS}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Controls for the planted-signal synthetic dataset.
 
@@ -484,6 +483,12 @@ class SynthConfig:
     component's latent quality is written into that modality's embeddings
     along a fixed random direction.  ``label_correlation`` couples the three
     latent qualities; 1.0 makes the three label sequences identical.
+
+    Construction checks each setting (a ``ConfigError`` naming it): the
+    teacher, segment and lesson counts are >= 1, the student count and seed
+    >= 0; ``text_len`` and ``chunk_len`` are (min, max) with 0 <= min <= max,
+    kept as tuples; the correlation and each known (modality, component)
+    strength lie in [0, 1]; the three noise sds are finite and >= 0.
     """
 
     n_teachers: int = 10
@@ -492,7 +497,7 @@ class SynthConfig:
     text_len: tuple[int, int] = (5, 9)
     chunk_len: tuple[int, int] = (6, 10)
     signal_strength: dict[str, dict[str, float]] = field(
-        default_factory=lambda: uniform_signal(0.8))
+        default_factory=lambda: uniform_signal(SIGNAL_STRENGTH))
     label_correlation: float = 0.3
     noise_sd: float = 0.1
     rater_noise_sd: float = 0.4
@@ -500,25 +505,33 @@ class SynthConfig:
     outcome_noise_sd: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.n_teachers < 1 or self.segments_per_teacher < 1:
-            raise UsageError("need at least one teacher and one segment per teacher")
-        if self.seed < 0:
-            raise UsageError(f"seed must be non-negative, got {self.seed}")
+    def __post_init__(self):
+        for name in ("n_teachers", "segments_per_teacher", "lessons_per_teacher"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("students_per_teacher", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("noise_sd", "rater_noise_sd", "outcome_noise_sd"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value}")
         if not 0.0 <= self.label_correlation <= 1.0:
-            raise UsageError("label_correlation must lie in [0, 1]")
-        for name, pair in (("text_len", self.text_len), ("chunk_len", self.chunk_len)):
+            raise ConfigError("label_correlation must lie in [0, 1]")
+        for name in ("text_len", "chunk_len"):
+            pair = tuple(getattr(self, name))
             if len(pair) != 2 or not 0 <= pair[0] <= pair[1]:
-                raise UsageError(f"{name} must be (min, max) with 0 <= min <= max, "
-                                 f"got {tuple(pair)}")
+                raise ConfigError(f"{name} must be (min, max) with 0 <= min <= max, "
+                                  f"got {pair}")
+            object.__setattr__(self, name, pair)
         for modality, per_component in self.signal_strength.items():
             if modality not in MODALITY_DIMS:
-                raise UsageError(f"unknown modality {modality!r} in signal_strength")
+                raise ConfigError(f"unknown modality {modality!r} in signal_strength")
             for component, value in per_component.items():
                 if component not in COMPONENTS:
-                    raise UsageError(f"unknown component {component!r} in signal_strength")
+                    raise ConfigError(f"unknown component {component!r} in signal_strength")
                 if not 0.0 <= value <= 1.0:
-                    raise UsageError("signal strengths must lie in [0, 1]")
+                    raise ConfigError("signal strengths must lie in [0, 1]")
 
 
 def _correlated_latents(rng: np.random.Generator, rho: float) -> dict[str, float]:
@@ -544,7 +557,6 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path | None = None) -> D
     their mean, so the double-rating invariant holds by construction and with
     zero rater noise the label is exactly the nearest rating to the latent.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     directions = {
@@ -561,7 +573,7 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path | None = None) -> D
         rater_a = f"r{(2 * t) % (cfg.n_teachers + 3):03d}"
         rater_b = f"r{(2 * t + 1) % (cfg.n_teachers + 3):03d}"
         for s in range(cfg.segments_per_teacher):
-            lesson = s * cfg.lessons_per_teacher // max(cfg.segments_per_teacher, 1)
+            lesson = s * cfg.lessons_per_teacher // cfg.segments_per_teacher
             lesson_id = f"{teacher_id}-l{lesson}"
             segment_id = f"{teacher_id}-l{lesson}-s{s:02d}"
 
@@ -594,9 +606,8 @@ def generate_synthetic(cfg: SynthConfig, out_dir: str | Path | None = None) -> D
                 arrays[modality] = base.astype(np.float32)
 
             feats = SegmentFeatures(segment_id=segment_id, teacher_id=teacher_id,
-                                    lesson_id=lesson_id, text=arrays["text"],
-                                    audio=arrays["audio"], video=arrays["video"],
-                                    duration_s=chunk_len * CHUNK_S)
+                                    text=arrays["text"], audio=arrays["audio"],
+                                    video=arrays["video"], duration_s=chunk_len * CHUNK_S)
             features[segment_id] = feats
             manifest.segments.append(SegmentRecord(
                 segment_id=segment_id, teacher_id=teacher_id, lesson_id=lesson_id,
@@ -632,4 +643,4 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _noisy_score(base: float, noise_sd: float, rng: np.random.Generator) -> int:
     noisy = base if noise_sd <= 0 else base + noise_sd * rng.standard_normal()
-    return int(min(max(round(noisy), 1), 4))
+    return int(min(max(round(noisy), 1), RATER_POINTS))

@@ -425,10 +425,9 @@ def ablation_variants(base: ModelConfig, axes: Sequence[str]) -> list[tuple[str,
 
 def run_ablation(dataset: Dataset, axes: Sequence[str], base_config: ModelConfig,
                  train_config: TrainConfig, grid: Sequence[GridPoint] | None = None,
-                 n_outer: int = 5, n_inner: int = 3, seed: int = 0,
-                 jobs: int = 1) -> AblationResult:
+                 seed: int = 0, jobs: int = 1) -> AblationResult:
     """Run nested CV for every variant on one shared fold plan."""
-    plan = make_folds(dataset.manifest, n_outer=n_outer, n_inner=n_inner, seed=seed)
+    plan = make_folds(dataset.manifest, seed=seed)
     result = AblationResult(plan=plan)
     single_rows: dict[str, NestedCvResult] = {}
     for name, config in ablation_variants(base_config, axes):

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import stdtr
 
-from .data import RaterRecord, rater_pairs
+from .data import RATER_POINTS, RaterRecord, rater_pairs
 from .errors import DataError, UsageError
 
 
@@ -65,8 +65,7 @@ class IrrResult:
     standard_error: float
 
 
-def irr_leave_one_rater_out(rater_records: Sequence[RaterRecord], component: str,
-                            num_classes: int = 4) -> IrrResult:
+def irr_leave_one_rater_out(rater_records: Sequence[RaterRecord], component: str) -> IrrResult:
     """Leave-one-rater-out reliability on the raw integer scores.
 
     For each rater, their scores pair with the co-rater's score on every
@@ -89,7 +88,7 @@ def irr_leave_one_rater_out(rater_records: Sequence[RaterRecord], component: str
                 partner = records[1 - ids.index(rater)]
                 own.append(int(mine.score))
                 others.append(int(partner.score))
-        per_rater[rater] = qwk(own, others, num_classes)
+        per_rater[rater] = qwk(own, others, RATER_POINTS)
 
     values = list(per_rater.values())
     mean, se = fold_summary(values)

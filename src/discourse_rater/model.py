@@ -116,9 +116,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "ModelConfig":
-        kwargs = dict(doc)
-        kwargs["modalities"] = tuple(kwargs.get("modalities", ("text",)))
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 @dataclass
@@ -176,13 +174,13 @@ def _cls_param(rng: np.random.Generator | None, param: Tensor) -> Tensor:
     return param
 
 
-def build_model(config: ModelConfig, seed: int | None = None) -> FusionModel:
-    """Deterministically initialize all parameters for ``config``.
+def build_model(config: ModelConfig) -> FusionModel:
+    """Deterministically initialize all parameters for ``config`` from its seed.
 
     Every parameter's value and gradient slot are views of ``model.arena``,
     whose two buffers ``train.AdamW`` steps.
     """
-    return _build_in_arena(config, np.random.default_rng(config.seed if seed is None else seed))
+    return _build_in_arena(config, np.random.default_rng(config.seed))
 
 
 def _build_in_arena(config: ModelConfig, rng: np.random.Generator | None) -> FusionModel:

@@ -593,12 +593,12 @@ def masked_fill(a: Tensor, fill_mask: np.ndarray, value: float) -> Tensor:
     return _op(data, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance (+1e-5), then scale+shift."""
     x = a.data
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = (x - mu) * inv
     data = xhat * gain.data + bias.data
     lead = tuple(range(x.ndim - 1))
@@ -744,16 +744,15 @@ class GradCheckReport:
 
 
 def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
-               tol: float = 1e-5, step: float = 1e-5,
-               max_coords_per_input: int = 64, seed: int = 0,
-               name: str = "fn") -> GradCheckReport:
+               tol: float = 1e-5, seed: int = 0, name: str = "fn") -> GradCheckReport:
     """Compare reverse-mode gradients of ``fn`` against central differences.
 
     ``fn`` must be deterministic and is evaluated in the current global
     dtype, which must be float64.  Non-scalar outputs are reduced through a
     fixed random projection so a single scalar is differentiated.  Inputs
-    with more than ``max_coords_per_input`` entries are probed at a random
-    coordinate subset of that size.  Failures are reported, never raised.
+    with more than 64 entries are probed at a random coordinate subset of
+    that size, each with a central-difference step of 1e-5.  Failures are
+    reported, never raised.
     """
     if current_dtype() != np.float64:
         raise UsageError("grad_check requires the float64 mode; wrap in precision('float64')")
@@ -761,6 +760,7 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
         if inp.data.dtype != np.float64:
             raise UsageError("grad_check inputs must be float64 tensors")
 
+    step, max_coords = 1e-5, 64
     rng = np.random.default_rng(seed)
     probe = fn(*inputs)
     if probe.data.size == 1:
@@ -793,8 +793,8 @@ def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
             continue
         flat = inp.data.reshape(-1)
         n = flat.size
-        if n > max_coords_per_input:
-            coords = np.sort(rng.choice(n, size=max_coords_per_input, replace=False))
+        if n > max_coords:
+            coords = np.sort(rng.choice(n, size=max_coords, replace=False))
         else:
             coords = np.arange(n)
         worst = 0.0

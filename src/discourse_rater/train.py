@@ -42,7 +42,7 @@ LR_PATIENCE = 5
 STOP_PATIENCE = 15
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """The settings of one training run; each out-of-range value is ``ConfigError``."""
 
@@ -90,16 +90,14 @@ class AdamW:
     so its results are bit-identical to that form.
     """
 
-    def __init__(self, model: FusionModel, lr: float = 1e-4,
-                 weight_decay: float = 0.01, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8        # Adam's published defaults
+
+    def __init__(self, model: FusionModel, lr: float = 1e-4, weight_decay: float = 0.01):
         if model.arena is None:
             raise UsageError("model has no parameter arena; build it with build_model or load_model")
         self.params = model.parameters()
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.flat, self.flat_grad = model.arena.buffer, model.arena.grad
         size, dtype = self.flat.size, self.flat.dtype

@@ -62,13 +62,12 @@ def mean_readout_qwk(dataset: Dataset) -> float:
     return float(np.mean([linear_readout_qwk(dataset, c) for c in COMPONENTS]))
 
 
-def make_segment(rng, seg_id="s1", teacher="t1", lesson="l1",
-                 text_len=3, chunk_len=4, scale=1.0):
+def make_segment(rng, seg_id="s1", teacher="t1", text_len=3, chunk_len=4, scale=1.0):
     """Random full-width segment features for model-level tests."""
     from discourse_rater.data import AUDIO_DIM, TEXT_DIM, VIDEO_DIM, SegmentFeatures
 
     return SegmentFeatures(
-        segment_id=seg_id, teacher_id=teacher, lesson_id=lesson,
+        segment_id=seg_id, teacher_id=teacher,
         text=(scale * rng.standard_normal((text_len, TEXT_DIM))).astype(np.float32),
         audio=(scale * rng.standard_normal((chunk_len, AUDIO_DIM))).astype(np.float32),
         video=(scale * rng.standard_normal((chunk_len, VIDEO_DIM))).astype(np.float32),

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from discourse_rater.cli import (_CV_DEFAULTS, _SETTINGS, _grid, _read_predictions,
-                                 _resolve, build_parser, main)
-from discourse_rater.data import DatasetManifest
+from discourse_rater.cli import (_CV_DEFAULTS, _SETTINGS, _grid, _model_config,
+                                 _read_predictions, _resolve, _synth_config, _train_config,
+                                 build_parser, main)
+from discourse_rater.data import DatasetManifest, SynthConfig
 from discourse_rater.errors import DiscourseRaterError
 from discourse_rater.harness import BATCH_GRID, LR_GRID, GridPoint, default_grid
 from discourse_rater.metrics import irr_leave_one_rater_out
-from discourse_rater.model import load_model
+from discourse_rater.model import ModelConfig, load_model
+from discourse_rater.train import TrainConfig
 from helpers import JSON_VALUES
 
 
@@ -33,9 +35,10 @@ NONE_DEFAULT_EXAMPLES = {"component": "nature", "signal": ["audio.nature=0.9"],
 
 
 def same_json_type(value, example) -> bool:
-    """Whether ``value`` has the JSON type of ``example`` (for an array, of its
-    first item); an integer example takes only integers."""
-    if isinstance(example, list):
+    """Whether ``value`` has the JSON type of ``example`` (for an array, which
+    a tuple default also stands for, of its first item); an integer example
+    takes only integers."""
+    if isinstance(example, (list, tuple)):
         return isinstance(value, list) and all(same_json_type(v, example[0]) for v in value)
     if isinstance(example, bool) or isinstance(value, bool):
         return isinstance(example, bool) and isinstance(value, bool)
@@ -217,6 +220,12 @@ OUT_OF_RANGE = [
     (["gradcheck", "--seed", -1], "seed"),
     (["cv", "--jobs", 0], "jobs"),
     (["ablate", "--jobs", 0], "jobs"),
+    (["synth", "--rater-noise-sd", "nan"], "rater_noise_sd"),
+    (["synth", "--noise-sd", "nan"], "noise_sd"),
+    (["synth", "--outcome-noise-sd", "inf", "--students-per-teacher", 2], "outcome_noise_sd"),
+    (["synth", "--noise-sd", -1], "noise_sd"),
+    (["synth", "--students-per-teacher", -3], "students_per_teacher"),
+    (["synth", "--lessons-per-teacher", 0], "lessons_per_teacher"),
 ]
 
 
@@ -229,6 +238,26 @@ def test_out_of_range_setting_is_usage_error(dataset_dir, tmp_path, capsys, argv
     assert run_cli(command, *paths, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and re.search(rf"\b{setting}\b", err), err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "cv", "ablate"])
+def test_default_settings_build_each_config_class_default(command):
+    # With no flag and no config file, the CLI's spellings of the defaults
+    # ("T", no_positional, the signal strength) must build what the config
+    # classes hold themselves.
+    resolved = _resolve(build_parser().parse_args([command]), _SETTINGS[command][0])
+    if command == "synth":
+        assert _synth_config(resolved) == SynthConfig()
+    else:
+        assert _model_config(resolved) == ModelConfig()
+        assert _train_config(resolved) == TrainConfig()
+
+
+@pytest.mark.parametrize("config", [SynthConfig(), ModelConfig(), TrainConfig()],
+                         ids=["SynthConfig", "ModelConfig", "TrainConfig"])
+def test_a_checked_config_cannot_be_changed(config):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.seed = -1
 
 
 class TestTrainCommand:

@@ -1,4 +1,5 @@
 import json
+import shutil
 import struct
 import tracemalloc
 
@@ -50,7 +51,7 @@ class TestSegmentBoundaries:
 
 def make_segment(rng, seg_id="s1", text_len=3, chunk_len=4):
     return SegmentFeatures(
-        segment_id=seg_id, teacher_id="t1", lesson_id="l1",
+        segment_id=seg_id, teacher_id="t1",
         text=rng.standard_normal((text_len, TEXT_DIM)).astype(np.float32),
         audio=rng.standard_normal((chunk_len, AUDIO_DIM)).astype(np.float32),
         video=rng.standard_normal((chunk_len, VIDEO_DIM)).astype(np.float32),
@@ -221,6 +222,10 @@ class TestSyntheticGenerator:
         assert len(dataset.manifest.segments) == 24
         assert len(dataset.manifest.teacher_ids()) == 6
 
+    def test_lengths_are_kept_as_tuples(self):
+        cfg = small_synth(text_len=[3, 5], chunk_len=[2, 4])
+        assert (cfg.text_len, cfg.chunk_len) == ((3, 5), (2, 4))
+
     def test_manifest_validates(self):
         dataset = generate_synthetic(small_synth(students_per_teacher=3))
         dataset.manifest.validate()
@@ -308,9 +313,11 @@ class TestManifestFuzz:
 
     @pytest.fixture(scope="class")
     def root(self, tmp_path_factory):
+        """The dataset, and under ``fuzzed`` a copy that each example's manifest replaces."""
         root = tmp_path_factory.mktemp("manifest_fuzz")
         generate_synthetic(small_synth(n_teachers=2, segments_per_teacher=2,
                                        students_per_teacher=1), root)
+        shutil.copytree(root / "features", root / "fuzzed" / "features")
         return root
 
     @given(data=st.data())
@@ -327,9 +334,9 @@ class TestManifestFuzz:
             DatasetManifest.from_json(text).validate()
         except DiscourseRaterError:
             pass
-        (root / "fuzzed.json").write_text(text)
+        (root / "fuzzed" / "manifest.json").write_text(text)
         try:
-            Dataset.load(root, manifest_name="fuzzed.json")
+            Dataset.load(root / "fuzzed")
         except DiscourseRaterError:
             pass
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -82,7 +83,7 @@ class TestBuildModel:
     def test_different_seed_changes_parameters(self):
         cfg = ModelConfig(modalities=("text",), seed=5)
         a = build_model(cfg)
-        b = build_model(cfg, seed=6)
+        b = build_model(dataclasses.replace(cfg, seed=6))
         assert not np.array_equal(a.heads["nature"].w1.data, b.heads["nature"].w1.data)
 
     def test_unimodal_audio_gets_input_projection(self):

@@ -569,7 +569,7 @@ class TestTrain:
                 text = 0.05 * rng.standard_normal((3, 768)) + sign * direction
                 seg = SegmentFeatures(
                     segment_id=f"seed{seed}-s{i}", teacher_id=teachers[i % len(teachers)],
-                    lesson_id="l0", text=text.astype(np.float32),
+                    text=text.astype(np.float32),
                     audio=np.zeros((0, 1024), np.float32),
                     video=np.zeros((0, 768), np.float32))
                 out.append(Example(seg, {c: label for c in COMPONENTS}))

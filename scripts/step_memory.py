@@ -60,7 +60,8 @@ fit.sort(key=lambda ex: -ex.features.text.shape[0] - ex.features.audio.shape[0])
 examples = fit[:{BATCH}]
 rater = model.build_model(workload.model_config())
 # In an older checkout the model has no arena and AdamW takes the parameter dict.
-optimizer = train.AdamW(rater if hasattr(rater, "arena") else rater.parameters())
+optimizer = train.AdamW(rater if hasattr(rater, "arena") else rater.parameters(),
+                        lr=train.TrainConfig().lr)
 weights = train.component_weights(fit, rater.config.head_components)
 batch = train.collate_batch(examples)
 rng = np.random.default_rng({SEED})

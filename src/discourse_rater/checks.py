@@ -23,6 +23,7 @@ entry over tolerance is a bug in a backward rule.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -176,8 +177,10 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
     return checks
 
 
-def run_gradient_checks(tol: float = 1e-5, seed: int = 0) -> list[GradCheckReport]:
+def run_gradient_checks(tol: float, seed: int) -> list[GradCheckReport]:
     """Run the full catalog in float64; returns one report per entry."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"tol must be a finite number > 0, got {tol}")
     if seed < 0:
         raise UsageError(f"seed must be non-negative, got {seed}")
     reports = []

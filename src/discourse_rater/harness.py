@@ -188,13 +188,14 @@ def _init_worker(dataset: Dataset) -> None:
 
 
 def _score_fold(predictions: Mapping[str, Mapping[str, float]],
-                truth: Mapping[str, Mapping[str, float]], components: Sequence[str]):
+                labels: Mapping[str, Mapping[str, float]], components: Sequence[str]):
     """Per component, QWK between the true and predicted rating classes of one
-    fold, and those classes in segment order."""
+    fold's predicted segments, and those classes in segment order; ``labels``
+    holds every segment's true ratings."""
     scores, classes = {}, {}
     for component in components:
         seg_ids = sorted(predictions)
-        t_idx = [rating_to_index(truth[s][component]) for s in seg_ids]
+        t_idx = [rating_to_index(labels[s][component]) for s in seg_ids]
         p_idx = [rating_to_index(predictions[s][component]) for s in seg_ids]
         scores[component] = qwk(t_idx, p_idx, NUM_CLASSES)
         classes[component] = (t_idx, p_idx)
@@ -207,11 +208,9 @@ def _run_job(job: _TrainEvalJob):
     try:
         model, _ = fit_model(dataset, job.train_teachers, job.model_config,
                              job.train_config, job.split_seed)
-        eval_examples = dataset.examples_for_teachers(job.eval_teachers)
-        truth = {ex.features.segment_id: ex.labels for ex in eval_examples}
-        return job.key, predict(model, eval_examples), truth, None
+        return job.key, predict(model, dataset.examples_for_teachers(job.eval_teachers)), None
     except DiscourseRaterError as exc:
-        return job.key, None, None, f"{type(exc).__name__}: {exc}"
+        return job.key, None, f"{type(exc).__name__}: {exc}"
 
 
 def _map_jobs(dataset: Dataset, jobs_list: list[_TrainEvalJob], jobs: int, stage: str):
@@ -230,8 +229,7 @@ def _map_jobs(dataset: Dataset, jobs_list: list[_TrainEvalJob], jobs: int, stage
                 results = list(pool.map(_run_job, jobs_list))
         except BrokenProcessPool as exc:
             raise TrainingError(f"a worker process died in the {stage} jobs: {exc}") from exc
-    return {key: (pred, truth, err) for key, pred, truth, err in
-            sorted(results, key=lambda r: r[0])}
+    return {key: (pred, err) for key, pred, err in sorted(results, key=lambda r: r[0])}
 
 
 def grid_search(dataset: Dataset, plan: FoldPlan, fold_idx: int,
@@ -250,7 +248,8 @@ def grid_search(dataset: Dataset, plan: FoldPlan, fold_idx: int,
         return grid[0]
     jobs_list = _inner_jobs(plan, fold_idx, grid, model_config, train_config)
     results = _map_jobs(dataset, jobs_list, jobs, "inner-CV")
-    scores = _reduce_inner_scores(grid, plan, fold_idx, results,
+    labels = {seg.segment_id: seg.labels for seg in dataset.manifest.segments}
+    scores = _reduce_inner_scores(grid, plan, fold_idx, results, labels,
                                   model_config.head_components)
     return _select_best(scores)
 
@@ -270,19 +269,19 @@ def _inner_jobs(plan: FoldPlan, fold_idx: int, grid: Sequence[GridPoint],
     return jobs_list
 
 
-def _reduce_inner_scores(grid, plan, fold_idx, results,
+def _reduce_inner_scores(grid, plan, fold_idx, results, labels,
                          components) -> dict[GridPoint, float | None]:
     scores: dict[GridPoint, float | None] = {}
     for point_idx, point in enumerate(grid):
         fold_scores = []
         failed = False
         for inner_idx in range(len(plan.inner[fold_idx])):
-            predictions, truth, err = results[(fold_idx, point_idx, inner_idx)]
+            predictions, err = results[(fold_idx, point_idx, inner_idx)]
             if err is not None:
                 warnings.warn(f"grid point {point.label()} skipped: {err}")
                 failed = True
                 break
-            component_scores, _ = _score_fold(predictions, truth, components)
+            component_scores, _ = _score_fold(predictions, labels, components)
             fold_scores.append(float(np.mean(list(component_scores.values()))))
         scores[point] = None if failed else float(np.mean(fold_scores))
     return scores
@@ -338,18 +337,19 @@ def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
     results = _map_jobs(dataset, fold_jobs, jobs, "outer-CV")
 
     components = model_config.head_components
+    labels = {seg.segment_id: seg.labels for seg in dataset.manifest.segments}
     predictions: list[PredictionRow] = []
     per_fold: dict[str, list[float]] = {c: [] for c in components}
     fold_classes = []
     for fold_idx in range(len(plan.outer)):
-        fold_predictions, truth, err = results[(fold_idx,)]
+        fold_predictions, err = results[(fold_idx,)]
         if err is not None:
             raise TrainingError(f"fold {fold_idx} failed: {err}")
-        scores, classes = _score_fold(fold_predictions, truth, components)
+        scores, classes = _score_fold(fold_predictions, labels, components)
         fold_classes.append(classes)
         for component in components:
             predictions.extend(
-                PredictionRow(seg_id, component, truth[seg_id][component],
+                PredictionRow(seg_id, component, labels[seg_id][component],
                               fold_predictions[seg_id][component], fold_idx)
                 for seg_id in sorted(fold_predictions))
             per_fold[component].append(scores[component])

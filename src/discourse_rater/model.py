@@ -16,7 +16,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
                      Rows, add_positional, bilstm_encode, encoder_block,
                      mlp_head, param_array, xavier_uniform, zeros_param)
-from .data import (AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, VIDEO_DIM, FieldReader,
-                   SegmentFeatures, open_file)
+from .data import (AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, FieldReader, SegmentFeatures,
+                   open_file)
 from .errors import ConfigError, DataError, NumericsError, UsageError
 from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
@@ -109,62 +109,33 @@ class ModelConfig:
     def head_components(self) -> tuple[str, ...]:
         return COMPONENTS if self.task == "multi" else (self.component,)
 
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["modalities"] = list(self.modalities)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "ModelConfig":
-        return cls(**doc)
-
-
-@dataclass
-class FusionModule:
-    cross_audio: EncoderBlockParams | None
-    cross_video: EncoderBlockParams | None
-    self_attn: EncoderBlockParams
-
 
 @dataclass
 class FusionModel:
-    """All learnable state for one configuration; ``arena`` holds every
-    parameter's value and gradient slot when the model is built in one."""
+    """All learnable state for one configuration.
+
+    ``stack`` is the fusion stack in run order: each encoder block with the
+    modality it attends to, or None for self-attention.  ``named`` holds
+    every parameter under its checkpoint name in the order ``_build`` made
+    it, which is its order in ``arena`` and in a DFM1 file.  ``arena`` holds
+    every parameter's value and gradient slot when the model is built in one.
+    """
 
     config: ModelConfig
     cls: dict[str, Tensor] = field(default_factory=dict)
-    modules: list[FusionModule] = field(default_factory=list)
+    stack: list[tuple[str | None, EncoderBlockParams]] = field(default_factory=list)
     heads: dict[str, HeadParams] = field(default_factory=dict)
     lstms: dict[str, BiLstmParams] = field(default_factory=dict)
     audio_in_w: Tensor | None = None
     audio_in_b: Tensor | None = None
+    named: dict[str, Tensor] = field(default_factory=dict, repr=False)
     arena: ParamArena | None = field(default=None, repr=False, compare=False)
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for modality, tensor in self.cls.items():
-            out[f"cls.{modality}"] = tensor
-        if self.audio_in_w is not None:
-            out["audio_in.w"] = self.audio_in_w
-            out["audio_in.b"] = self.audio_in_b
-        for i, module in enumerate(self.modules):
-            for label, block in (("cross_audio", module.cross_audio),
-                                 ("cross_video", module.cross_video),
-                                 ("self", module.self_attn)):
-                if block is None:
-                    continue
-                for name, tensor in block.parameters().items():
-                    out[f"module{i}.{label}.{name}"] = tensor
-        for modality, lstm in self.lstms.items():
-            for name, tensor in lstm.parameters().items():
-                out[f"lstm.{modality}.{name}"] = tensor
-        for component, head in self.heads.items():
-            for name, tensor in head.parameters().items():
-                out[f"head.{component}.{name}"] = tensor
-        return out
+        return dict(self.named)
 
     def num_parameters(self) -> int:
-        return sum(t.size for t in self.parameters().values())
+        return sum(t.size for t in self.named.values())
 
 
 def _cls_param(rng: np.random.Generator | None, param: Tensor) -> Tensor:
@@ -199,50 +170,54 @@ def _build(config: ModelConfig, rng: np.random.Generator | None,
            arena: ParamArena | None = None) -> FusionModel:
     """The parameters of ``config``, drawn from ``rng``; with ``rng`` None the
     random-initialised ones are left uninitialised for ``load_model`` to fill.
-    Each parameter is a ``blocks.param_array`` of ``arena``, made in the
-    order that ``FusionModel.parameters`` lists them, so the arena's layout
-    is that order."""
+    Each parameter is a ``blocks.param_array`` of ``arena``, recorded in
+    ``model.named`` under its checkpoint name as it is made, so the arena's
+    layout is the checkpoint's order."""
     model = FusionModel(config=config)
     mods = config.modalities
 
+    def named(prefix: str, params):
+        for name, tensor in params.parameters().items():
+            model.named[f"{prefix}.{name}"] = tensor
+        return params
+
     if config.encoder == "lstm":
-        model.lstms["text"] = BiLstmParams.create(rng, TEXT_DIM, arena=arena)
-        model.lstms["audio"] = BiLstmParams.create(rng, AUDIO_DIM, arena=arena)
+        for modality in ("text", "audio"):
+            model.lstms[modality] = named(f"lstm.{modality}", BiLstmParams.create(
+                rng, MODALITY_DIMS[modality], arena=arena))
         head_in = 2 * TEXT_DIM + 2 * AUDIO_DIM
     else:
         fused = len(mods) > 1
         if fused:
             for modality in mods:
-                model.cls[modality] = _cls_param(
+                model.cls[modality] = model.named[f"cls.{modality}"] = _cls_param(
                     rng, param_array((MODALITY_DIMS[modality],), arena))
         else:
             only = mods[0]
-            # The CLS row comes first in the buffer, as ``parameters`` lists
-            # it, but is drawn after the audio projection.
-            cls = param_array((MODEL_DIM,), arena)
+            # The CLS row comes first in the buffer but is drawn after the
+            # audio projection.
+            cls = model.named[f"cls.{only}"] = param_array((MODEL_DIM,), arena)
             if only == "audio":
-                model.audio_in_w = xavier_uniform(rng, AUDIO_DIM, MODEL_DIM, arena)
-                model.audio_in_b = zeros_param(MODEL_DIM, arena=arena)
+                model.audio_in_w = model.named["audio_in.w"] = xavier_uniform(
+                    rng, AUDIO_DIM, MODEL_DIM, arena)
+                model.audio_in_b = model.named["audio_in.b"] = zeros_param(MODEL_DIM, arena=arena)
             model.cls[only] = _cls_param(rng, cls)
-        for _ in range(config.fusion_modules):
-            cross_audio = cross_video = None
-            if fused and "audio" in mods:
-                cross_audio = EncoderBlockParams.create(
-                    rng, MODEL_DIM, context_dim=AUDIO_DIM,
+        contexts = [modality for modality in ("audio", "video") if fused and modality in mods]
+        for i in range(config.fusion_modules):
+            for modality in contexts:
+                block = EncoderBlockParams.create(
+                    rng, MODEL_DIM, context_dim=MODALITY_DIMS[modality],
                     num_heads=NUM_HEADS, dropout_rate=config.dropout, arena=arena)
-            if fused and "video" in mods:
-                cross_video = EncoderBlockParams.create(
-                    rng, MODEL_DIM, context_dim=VIDEO_DIM,
-                    num_heads=NUM_HEADS, dropout_rate=config.dropout, arena=arena)
-            self_attn = EncoderBlockParams.create(
+                model.stack.append((modality, named(f"module{i}.cross_{modality}", block)))
+            block = EncoderBlockParams.create(
                 rng, MODEL_DIM, num_heads=NUM_HEADS, dropout_rate=config.dropout, arena=arena)
-            model.modules.append(FusionModule(cross_audio, cross_video, self_attn))
+            model.stack.append((None, named(f"module{i}.self", block)))
         head_in = MODEL_DIM
 
     out_dim = 1 if config.head_mode == "regress" else NUM_CLASSES
     for component in config.head_components:
-        model.heads[component] = HeadParams.create(rng, in_dim=head_in, out_dim=out_dim,
-                                                    arena=arena)
+        model.heads[component] = named(f"head.{component}", HeadParams.create(
+            rng, in_dim=head_in, out_dim=out_dim, arena=arena))
     return model
 
 
@@ -301,36 +276,35 @@ def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
     return outputs
 
 
-def _packed(segments: Sequence[SegmentFeatures], modality: str) -> tuple[np.ndarray, Rows, np.ndarray, int]:
+def _packed(segments: Sequence[SegmentFeatures], modality: str) -> tuple[np.ndarray, Rows, np.ndarray]:
     """The rows ``[rows, width]`` of one modality, segment after segment,
-    their layout, each row's position in its segment and the longest
-    segment's length, over which each segment draws its dropout (see
-    ``_dropout_keeps``)."""
+    their layout and each row's position in its segment."""
     arrays = [seg.modality(modality) for seg in segments]
     rows = Rows([arr.shape[0] for arr in arrays])
     positions = np.concatenate([np.arange(n) for n in rows.lengths])
-    return np.concatenate(arrays), rows, positions, int(rows.lengths.max())
+    return np.concatenate(arrays), rows, positions
 
 
 def _prepared_stream(model: FusionModel, segments: Sequence[SegmentFeatures],
-                     modality: str) -> tuple[Tensor, Rows, int]:
-    """Packed rows with positional encodings, their layout and the longest length."""
-    features, rows, positions, longest = _packed(segments, modality)
+                     modality: str) -> tuple[Tensor, Rows]:
+    """Packed rows with positional encodings, and their layout."""
+    features, rows, positions = _packed(segments, modality)
     raw = Tensor(features)
     if modality == "audio" and model.audio_in_w is not None:
         raw = T.matmul(raw, model.audio_in_w, bias=model.audio_in_b)
-    return add_positional(raw, model.config.positional, positions), rows, longest
+    return add_positional(raw, model.config.positional, positions), rows
 
 
-def _dropout_keeps(stack: Sequence[EncoderBlockParams], rows: Rows, padded: int,
+def _dropout_keeps(stack: Sequence[EncoderBlockParams], rows: Rows,
                    rng: np.random.Generator | None) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """Dropout scales of every block of the stack, each packed like the stream.
 
     They are drawn example-major: for each example, each block in stack
-    order, the attention site and then the FFN site, ``padded`` full rows
-    each, of which the example keeps its first ``rows.lengths[i]``.  That is
-    the order in which running the examples one at a time on padded rows
-    draws them, so a batch trains as its examples did alone.  Each draw
+    order, the attention site and then the FFN site, as many full rows each
+    as the longest example has, of which the example keeps its first
+    ``rows.lengths[i]``.  That is the order in which running the examples
+    one at a time on padded rows draws them, so a batch trains as its
+    examples did alone.  Each draw
     fills one reused float64 buffer, and the scales of the kept rows are
     written straight into the site, as ``blocks.dropout_keep`` computes them.
     """
@@ -341,7 +315,7 @@ def _dropout_keeps(stack: Sequence[EncoderBlockParams], rows: Rows, padded: int,
              for block in stack]
     if rng is None and any(keep is not None for keep in keeps):
         raise UsageError("dropout in training mode needs an rng")
-    uniform = np.empty((padded, MODEL_DIM))
+    uniform = np.empty((rows.lengths.max(), MODEL_DIM))
     for start, length in zip(rows.starts, rows.lengths):
         for block, keep in zip(stack, keeps):
             if keep is not None:
@@ -364,7 +338,7 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
     config = model.config
     fused = len(config.modalities) > 1
     query = "text" if fused else config.modalities[0]
-    stream, feature_rows, longest = _prepared_stream(model, segments, query)
+    stream, feature_rows = _prepared_stream(model, segments, query)
     rows = Rows(feature_rows.lengths + 1)
     # Row 0 of the source is the CLS row and row j + 1 stream row j, so the
     # row at position p of segment i reads source row p - i, its first row 0.
@@ -372,16 +346,12 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
     index[rows.starts] = 0
     cls_row = model.cls[query].reshape((1, MODEL_DIM))
     text = T.embedding_lookup(T.concat([cls_row, stream]), index)
-    contexts = {modality: _prepared_stream(model, segments, modality)[:2]
+    contexts = {modality: _prepared_stream(model, segments, modality)
                 for modality in ("audio", "video") if fused and modality in config.modalities}
-    stack = [(block, modality)
-             for module in model.modules
-             for modality, block in (("audio", module.cross_audio),
-                                     ("video", module.cross_video), (None, module.self_attn))
-             if block is not None]
-    keeps = _dropout_keeps([block for block, _ in stack], rows, longest + 1, rng) if training \
+    stack = model.stack
+    keeps = _dropout_keeps([block for _, block in stack], rows, rng) if training \
         else [None] * len(stack)
-    for i, ((block, modality), keep) in enumerate(zip(stack, keeps)):
+    for i, ((modality, block), keep) in enumerate(zip(stack, keeps)):
         context, context_rows = contexts.get(modality, (None, None))
         text = encoder_block(text, block, rows=rows, context=context,
                              context_rows=context_rows,
@@ -408,7 +378,7 @@ def save_model(model: FusionModel, path: str | Path) -> None:
     one tensor at a time.  A file that cannot be written is ``DataError``.
     """
     params = model.parameters()
-    config_bytes = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+    config_bytes = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode("utf-8")
     with open_file(path, "checkpoint", "wb") as out:
         out.write(CHECKPOINT_MAGIC + struct.pack("<I", len(config_bytes)) + config_bytes
                   + struct.pack("<I", len(params)))
@@ -441,7 +411,7 @@ def load_model(path: str | Path) -> FusionModel:
             at = config_start + len(config_text[:exc.pos].encode("utf-8"))
             raise reader.error(f"config is not JSON: {exc.msg}", at) from None
         try:
-            config = ModelConfig.from_dict(config_doc)
+            config = ModelConfig(**config_doc)
         except (TypeError, ValueError, ConfigError) as exc:
             raise reader.error(f"bad config: {exc}", config_start) from None
         model = _build_in_arena(config, None)

@@ -744,7 +744,7 @@ class GradCheckReport:
 
 
 def grad_check(fn: Callable[..., Tensor], inputs: Sequence[Tensor],
-               tol: float = 1e-5, seed: int = 0, name: str = "fn") -> GradCheckReport:
+               tol: float, seed: int = 0, name: str = "fn") -> GradCheckReport:
     """Compare reverse-mode gradients of ``fn`` against central differences.
 
     ``fn`` must be deterministic and is evaluated in the current global

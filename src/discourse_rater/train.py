@@ -92,7 +92,7 @@ class AdamW:
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8        # Adam's published defaults
 
-    def __init__(self, model: FusionModel, lr: float = 1e-4, weight_decay: float = 0.01):
+    def __init__(self, model: FusionModel, lr: float, weight_decay: float = 0.01):
         if model.arena is None:
             raise UsageError("model has no parameter arena; build it with build_model or load_model")
         self.params = model.parameters()

@@ -111,20 +111,15 @@ def fusion_oracle(model, seg, padded=None, rng=None):
     query = "text" if fused else config.modalities[0]
     text = stream(query)
     padded_rows = (seg.modality(query).shape[0] if padded is None else padded) + 1
-    for module in model.modules:
-        for block, modality in ((module.cross_audio, "audio"),
-                                (module.cross_video, "video"),
-                                (module.self_attn, None)):
-            if block is None:
-                continue
-            keep = None
-            if rng is not None and block.dropout_rate > 0:
-                keep = tuple(dropout_keep(rng, (padded_rows, text.shape[1]),
-                                          block.dropout_rate)[:text.shape[0]]
-                             for _ in range(2))
-            context = None if modality is None else stream(modality)
-            text = encoder_block(text, block, context=context, training=rng is not None,
-                                 keep=keep)
+    for modality, block in model.stack:
+        keep = None
+        if rng is not None and block.dropout_rate > 0:
+            keep = tuple(dropout_keep(rng, (padded_rows, text.shape[1]),
+                                      block.dropout_rate)[:text.shape[0]]
+                         for _ in range(2))
+        context = None if modality is None else stream(modality)
+        text = encoder_block(text, block, context=context, training=rng is not None,
+                             keep=keep)
     return {component: mlp_head(text[0:1], head, mode=config.head_mode)
             for component, head in model.heads.items()}
 

@@ -218,6 +218,9 @@ OUT_OF_RANGE = [
     (["train", "--seed", -1], "seed"),
     (["synth", "--seed", -1], "seed"),
     (["gradcheck", "--seed", -1], "seed"),
+    (["gradcheck", "--tol", "nan"], "tol"),
+    (["gradcheck", "--tol", -1], "tol"),
+    (["gradcheck", "--tol", 0], "tol"),
     (["cv", "--jobs", 0], "jobs"),
     (["ablate", "--jobs", 0], "jobs"),
     (["synth", "--rater-noise-sd", "nan"], "rater_noise_sd"),

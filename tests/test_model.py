@@ -18,7 +18,7 @@ from discourse_rater.model import (MODEL_DIM, FusionModel, ModelConfig, _build,
                                    _dropout_keeps, build_model, forward, load_model,
                                    parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
-from discourse_rater.train import AdamW
+from discourse_rater.train import AdamW, TrainConfig
 from helpers import EDITS, edited, fusion_oracle, longest_query, make_segment
 
 
@@ -54,24 +54,24 @@ class TestModelConfig:
         assert cfg.head_components == ("nature",)
 
     def test_roundtrips_through_dict(self):
+        # As a checkpoint stores it: the fields as JSON, modalities an array.
         cfg = ModelConfig(modalities="T+A+V", fusion_modules=3, loss="ce", seed=9)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert doc["modalities"] == ["text", "audio", "video"]
+        assert ModelConfig(**doc) == cfg
 
 
 class TestBuildModel:
     def test_text_only_has_single_self_block(self):
         model = build_model(ModelConfig(modalities=("text",), fusion_modules=1))
-        assert len(model.modules) == 1
-        assert model.modules[0].cross_audio is None
-        assert model.modules[0].cross_video is None
+        assert [modality for modality, _ in model.stack] == [None]
         assert set(model.cls) == {"text"}
         assert set(model.heads) == set(COMPONENTS)
 
     def test_text_audio_m3_block_counts(self):
         model = build_model(ModelConfig(modalities="T+A", fusion_modules=3))
-        assert len(model.modules) == 3
-        assert all(m.cross_audio is not None for m in model.modules)
-        assert all(m.cross_video is None for m in model.modules)
+        assert [modality for modality, _ in model.stack] == ["audio", None] * 3
+        assert [block.attention.context_dim for _, block in model.stack] == [1024, 768] * 3
 
     def test_same_seed_gives_bitwise_identical_parameters(self):
         cfg = ModelConfig(modalities="T+A+V", fusion_modules=2, seed=5)
@@ -307,10 +307,10 @@ class TestDropoutKeeps:
     def test_in_place_draws_match_dropout_keep_bitwise(self, dtype):
         # 5 examples x 5 dropping blocks x 2 sites = 50 draws; one block keeps all.
         stack = [SimpleNamespace(dropout_rate=rate) for rate in (0.1, 0.0, 0.3, 0.5, 0.25, 0.1)]
-        rows, padded = Rows([4, 1, 6, 3, 2]), 7
+        rows, padded = Rows([4, 1, 6, 3, 2]), 6   # each draw covers the longest
         with T.precision(dtype):
             rng, reference_rng = np.random.default_rng(17), np.random.default_rng(17)
-            keeps = _dropout_keeps(stack, rows, padded, rng)
+            keeps = _dropout_keeps(stack, rows, rng)
             for start, length in zip(rows.starts, rows.lengths):
                 for block, keep in zip(stack, keeps):
                     assert (keep is None) == (block.dropout_rate == 0.0)
@@ -322,9 +322,9 @@ class TestDropoutKeeps:
         assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_an_rng_is_needed_only_with_dropout(self):
-        assert _dropout_keeps([SimpleNamespace(dropout_rate=0.0)], Rows([2]), 2, None) == [None]
+        assert _dropout_keeps([SimpleNamespace(dropout_rate=0.0)], Rows([2]), None) == [None]
         with pytest.raises(UsageError, match="rng"):
-            _dropout_keeps([SimpleNamespace(dropout_rate=0.1)], Rows([2]), 2, None)
+            _dropout_keeps([SimpleNamespace(dropout_rate=0.1)], Rows([2]), None)
 
 
 class TestLstmBaseline:
@@ -409,7 +409,7 @@ class TestParameterArena:
         params = model.parameters()
         assert_slots_at_value_offsets(model)
         data = {name: p.data for name, p in params.items()}
-        opt = AdamW(model)
+        opt = AdamW(model, lr=TrainConfig().lr)
         assert opt.flat is model.arena.buffer and opt.flat_grad is model.arena.grad
         assert all(p.data is data[name] for name, p in params.items())
 
@@ -422,9 +422,44 @@ class TestParameterArena:
         params = loaded.parameters()
         offsets = assert_slots_at_value_offsets(loaded)
         assert offsets == arena_offsets(model.parameters(), model.arena.buffer)
-        assert AdamW(loaded).flat is loaded.arena.buffer
+        assert AdamW(loaded, lr=TrainConfig().lr).flat is loaded.arena.buffer
         for name, p in model.parameters().items():
             assert np.array_equal(params[name].data, p.data), name
+
+
+# The checkpoint's tensor names, written out: a block's own names, then each
+# config's full list in DFM1 order, so that neither depends on the model code.
+ENCODER_BLOCK_NAMES = ("attn.wq", "attn.bq", "attn.wk", "attn.bk", "attn.wv", "attn.bv",
+                       "attn.wo", "attn.bo", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2",
+                       "ln1.gain", "ln1.bias", "ln2.gain", "ln2.bias")
+LSTM_NAMES = tuple(f"l{layer}.{direction}.{name}" for layer in (0, 1)
+                   for direction in ("fw", "bw") for name in ("wx", "wh", "b"))
+HEAD_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+def prefixed(prefix: str, names) -> list[str]:
+    return [f"{prefix}.{name}" for name in names]
+
+
+ALL_HEADS = [name for component in ("nature", "questioning", "explanations")
+             for name in prefixed(f"head.{component}", HEAD_NAMES)]
+CHECKPOINT_NAMES = {
+    "TAV_M2": ["cls.text", "cls.audio", "cls.video"]
+    + [name for i in (0, 1) for block in ("cross_audio", "cross_video", "self")
+       for name in prefixed(f"module{i}.{block}", ENCODER_BLOCK_NAMES)] + ALL_HEADS,
+    "lstm": prefixed("lstm.text", LSTM_NAMES) + prefixed("lstm.audio", LSTM_NAMES) + ALL_HEADS,
+    "A": ["cls.audio", "audio_in.w", "audio_in.b"]
+    + prefixed("module0.self", ENCODER_BLOCK_NAMES) + ALL_HEADS,
+}
+
+
+@pytest.mark.parametrize("config", CHECKPOINT_NAMES)
+def test_checkpoint_tensor_names_and_order(config):
+    # ``save_model`` writes the tensors in ``parameters()`` order (see
+    # test_file_is_dfm1_written_field_by_field); a build without an arena
+    # draws and touches nothing.
+    model = _build(TestParameterArena.CONFIGS[config], None)
+    assert list(model.parameters()) == CHECKPOINT_NAMES[config]
 
 
 class TestCheckpoint:
@@ -477,7 +512,7 @@ class TestCheckpoint:
         with T.precision(dtype):
             model = build_model(ModelConfig(modalities="T", seed=12))
         save_model(model, tmp_path / "model.dfm")
-        config = json.dumps(model.config.to_dict(), sort_keys=True).encode("utf-8")
+        config = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode("utf-8")
         tensors = [(name.encode(), p.data) for name, p in model.parameters().items()]
         assert (tmp_path / "model.dfm").read_bytes() == dfm1_bytes(config, tensors)
 
@@ -575,7 +610,7 @@ class TestCheckpointErrors:
         # Without the check one parameter would stay uninitialised.
         model = build_model(ModelConfig(modalities="T", seed=11))
         items = [(name.encode(), p.data) for name, p in model.parameters().items()]
-        config = json.dumps(model.config.to_dict(), sort_keys=True).encode()
+        config = json.dumps(dataclasses.asdict(model.config), sort_keys=True).encode()
         error = self.load_bytes(tmp_path, dfm1_bytes(config, [items[0]] + items[:-1]))
         assert "repeated tensor" in str(error)
 

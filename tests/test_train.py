@@ -80,7 +80,7 @@ class TestAdamW:
     def test_gradient_that_is_not_its_slot_rejected(self, rng):
         model = carved({"w": rng.standard_normal(3), "b": np.zeros(2)})
         params = model.parameters()
-        opt = AdamW(model)
+        opt = AdamW(model, lr=TrainConfig().lr)
         before = opt.flat.copy()
         T._accum(params["w"], np.ones(3, dtype=np.float32))
         params["b"].grad = np.ones(2, dtype=np.float32)
@@ -90,7 +90,7 @@ class TestAdamW:
         assert opt.step_count == 0
         # A model with no arena has no slots at all.
         with pytest.raises(UsageError, match="no parameter arena"):
-            AdamW(SimpleNamespace(arena=None, parameters=model.parameters))
+            AdamW(SimpleNamespace(arena=None, parameters=model.parameters), lr=TrainConfig().lr)
 
 
 def adamw_reference(values, grads_per_step, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
@@ -191,7 +191,7 @@ class TestGradientContract:
 
     def test_grad_is_none_after_construction_and_zero_grad(self):
         model, loss = self.text_model_and_loss()
-        opt = AdamW(model)
+        opt = AdamW(model, lr=TrainConfig().lr)
         assert all(p.grad is None for p in model.parameters().values())
         loss().backward()
         assert any(p.grad is not None for p in model.parameters().values())
@@ -200,7 +200,7 @@ class TestGradientContract:
 
     def test_backward_writes_each_gradient_into_its_flat_slot(self):
         model, loss = self.text_model_and_loss()
-        opt = AdamW(model)
+        opt = AdamW(model, lr=TrainConfig().lr)
         for _ in range(2):
             opt.zero_grad()
             loss().backward()

@@ -1,12 +1,11 @@
 """Gradient-integrity catalog: every primitive and composite block.
 
-The catalog holds 42 entries.  Each of the 24 node-building primitives of
+The catalog holds 41 entries.  Each of the 24 node-building primitives of
 ``tensor`` appears once (``take`` as ``slice``, ``tsum`` as ``sum``, ``tmean``
 as ``mean``, ``attention`` as ``attention_core``, self-attention of uneven
-packed sequences), plus six variants that reach a separate backward path or
+packed sequences), plus five variants that reach a separate backward path or
 shape: ``add_broadcast`` (the ``_unbroadcast`` reduction), ``scale`` (``mul``
-with a Python-scalar operand), ``matmul_batched`` (a rank-3 left operand,
-flattened to one GEMM), ``matmul_bias`` (the bias folded into the GEMM),
+with a Python-scalar operand), ``matmul_bias`` (the bias folded into the GEMM),
 ``attention_core_lead`` (uneven contexts, one empty, behind a shared lead
 row) and ``attention_core_cls_only`` (one query row per sequence).  Then
 each composite: attention on one sequence and
@@ -69,9 +68,8 @@ def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
         ("absolute", T.absolute, [_off_kink(rng, 3, 4)]),
         ("clamp_min", lambda a: T.clamp_min(a, 0.0), [_off_kink(rng, 3, 4)]),
         ("matmul", T.matmul, [_t(rng, 3, 5), _t(rng, 5, 2)]),
-        ("matmul_batched", T.matmul, [_t(rng, 2, 3, 5), _t(rng, 5, 2)]),
         ("matmul_bias", lambda a, b, bias: T.matmul(a, b, bias=bias),
-         [_t(rng, 2, 3, 5), _t(rng, 5, 2), _t(rng, 2)]),
+         [_t(rng, 3, 5), _t(rng, 5, 2), _t(rng, 2)]),
         ("attention_core", lambda q, k, v: T.attention(q, k, v, q_lengths, q_lengths, 2),
          [_t(rng, 6, 4), _t(rng, 6, 4), _t(rng, 6, 4)]),
         ("attention_core_lead",
@@ -89,7 +87,7 @@ def _primitive_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
         ("slice", lambda a: a[1:3, 0:2], [_t(rng, 4, 4)]),
         ("concat", lambda a, b: T.concat([a, b], axis=0), [_t(rng, 2, 3), _t(rng, 3, 3)]),
         ("sum", lambda a: a.sum(axis=0), [_t(rng, 3, 4)]),
-        ("mean", lambda a: a.mean(axis=1), [_t(rng, 3, 4)]),
+        ("mean", lambda a: T.tmean(a, axis=1), [_t(rng, 3, 4)]),
         ("softmax", lambda a: T.softmax(a, axis=-1), [_t(rng, 3, 5)]),
         ("masked_fill", lambda a: T.masked_fill(a, ~mask, -2.0), [_t(rng, 3, 4)]),
         ("layer_norm", T.layer_norm, [_t(rng, 3, 6), _positive(rng, 6), _t(rng, 6)]),

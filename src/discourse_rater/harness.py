@@ -9,9 +9,10 @@ Grid points and outer folds are independent jobs.  Each job derives its own
 seed from (master seed, fold, point, inner fold), and results are reduced in
 sorted key order, so serial and parallel runs produce identical reports.
 
-``default_grid`` builds the tuning grid, ``GridPoint.job`` a job's configs
-and seeds, ``fit_model`` the split-then-train step that the CLI's ``train``
-shares, and ``_score_fold`` a fold's QWK.
+``make_folds`` builds the fold plan, ``_teachers_outside`` the teachers
+outside a fold, ``default_grid`` the tuning grid, ``GridPoint.job`` a job's
+configs and seeds, ``fit_model`` the split-then-train step that the CLI's
+``train`` shares, and ``_score_fold`` a fold's QWK.
 """
 
 from __future__ import annotations
@@ -72,9 +73,15 @@ class GridPoint:
 
 def default_grid(lrs: Iterable[float] = LR_GRID, batch_sizes: Iterable[int] = BATCH_GRID,
                  fusion_modules: Iterable[int] = FUSION_MODULE_GRID) -> list[GridPoint]:
-    """Every combination of the three axes, learning rate outermost."""
-    return [GridPoint(lr, batch, m)
-            for lr in lrs for batch in batch_sizes for m in fusion_modules]
+    """Every combination of the three axes, learning rate outermost; a value
+    given twice on an axis counts once, where it first appears."""
+    return [GridPoint(lr, batch, m) for lr in dict.fromkeys(lrs)
+            for batch in dict.fromkeys(batch_sizes) for m in dict.fromkeys(fusion_modules)]
+
+
+def _teachers_outside(folds: Sequence[Sequence[str]], fold_idx: int) -> list[str]:
+    """The teachers of every fold but ``fold_idx``, sorted."""
+    return sorted(t for i, fold in enumerate(folds) if i != fold_idx for t in fold)
 
 
 @dataclass
@@ -86,20 +93,7 @@ class FoldPlan:
     seed: int
 
     def training_teachers(self, fold_idx: int) -> list[str]:
-        held_out = set(self.outer[fold_idx])
-        ordered: list[str] = []
-        for fold in self.outer:
-            ordered.extend(t for t in fold if t not in held_out)
-        return ordered
-
-    def validate_partition(self, teachers: Iterable[str]) -> None:
-        flat = [t for fold in self.outer for t in fold]
-        if sorted(flat) != sorted(teachers) or len(set(flat)) != len(flat):
-            raise UsageError("outer folds do not partition the teachers")
-        for fold_idx, inner_folds in enumerate(self.inner):
-            inner_flat = [t for fold in inner_folds for t in fold]
-            if sorted(inner_flat) != sorted(self.training_teachers(fold_idx)):
-                raise UsageError(f"inner folds of fold {fold_idx} do not partition its training teachers")
+        return _teachers_outside(self.outer, fold_idx)
 
 
 def _greedy_balanced(teachers: list[str], counts: Mapping[str, int], n_folds: int,
@@ -130,8 +124,7 @@ def make_folds(manifest: DatasetManifest, n_outer: int = 5, n_inner: int = 3,
 
     inner: list[list[list[str]]] = []
     for fold_idx in range(n_outer):
-        held_out = set(outer[fold_idx])
-        training = [t for t in teachers if t not in held_out]
+        training = _teachers_outside(outer, fold_idx)
         if len(training) < n_inner:
             raise UsageError(
                 f"fold {fold_idx}: {len(training)} training teachers cannot fill "
@@ -260,11 +253,9 @@ def _inner_jobs(plan: FoldPlan, fold_idx: int, grid: Sequence[GridPoint],
     inner_folds = plan.inner[fold_idx]
     for point_idx, point in enumerate(grid):
         for inner_idx, eval_teachers in enumerate(inner_folds):
-            train_teachers = [t for i, fold in enumerate(inner_folds)
-                              for t in fold if i != inner_idx]
             jobs_list.append(point.job(
                 (fold_idx, point_idx, inner_idx), model_config, train_config,
-                train_teachers, eval_teachers,
+                _teachers_outside(inner_folds, inner_idx), eval_teachers,
                 _job_seed(plan.seed, fold_idx, point_idx, inner_idx)))
     return jobs_list
 
@@ -312,19 +303,17 @@ class NestedCvResult:
 
 
 def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
-                  train_config: TrainConfig, grid: Sequence[GridPoint] | None = None,
+                  train_config: TrainConfig, grid: Sequence[GridPoint],
                   n_outer: int = 5, n_inner: int = 3, seed: int = 0,
-                  jobs: int = 1, plan: FoldPlan | None = None) -> NestedCvResult:
+                  jobs: int = 1) -> NestedCvResult:
     """Nested CV: per fold, select a grid point, retrain, predict the test fold.
 
-    Every segment is predicted exactly once; the report carries per-fold QWK
-    with mean and standard error per component.
+    The folds are ``make_folds`` of the manifest and ``seed``, so runs with
+    one seed share them.  Every segment is predicted exactly once; the
+    report carries per-fold QWK with mean and standard error per component.
     """
     dataset.manifest.validate()
-    if plan is None:
-        plan = make_folds(dataset.manifest, n_outer=n_outer, n_inner=n_inner, seed=seed)
-    plan.validate_partition(dataset.manifest.teacher_ids())
-    grid = list(grid) if grid is not None else default_grid()
+    plan = make_folds(dataset.manifest, n_outer=n_outer, n_inner=n_inner, seed=seed)
 
     best_points = [grid_search(dataset, plan, fold_idx, grid, model_config,
                                train_config, jobs=jobs)
@@ -369,7 +358,6 @@ AXES = ("modality", "encoder", "task", "loss")
 
 @dataclass
 class AblationResult:
-    plan: FoldPlan
     rows: dict[str, EvaluationReport] = field(default_factory=dict)
 
     def table(self) -> str:
@@ -424,15 +412,14 @@ def ablation_variants(base: ModelConfig, axes: Sequence[str]) -> list[tuple[str,
 
 
 def run_ablation(dataset: Dataset, axes: Sequence[str], base_config: ModelConfig,
-                 train_config: TrainConfig, grid: Sequence[GridPoint] | None = None,
+                 train_config: TrainConfig, grid: Sequence[GridPoint],
                  seed: int = 0, jobs: int = 1) -> AblationResult:
-    """Run nested CV for every variant on one shared fold plan."""
-    plan = make_folds(dataset.manifest, seed=seed)
-    result = AblationResult(plan=plan)
+    """Run nested CV for every variant; one seed gives every variant one fold plan."""
+    result = AblationResult()
     single_rows: dict[str, NestedCvResult] = {}
     for name, config in ablation_variants(base_config, axes):
         cv = run_nested_cv(dataset, config, train_config, grid=grid,
-                           seed=seed, jobs=jobs, plan=plan)
+                           seed=seed, jobs=jobs)
         if name.startswith("task:single:"):
             single_rows[name.rsplit(":", 1)[1]] = cv
         else:

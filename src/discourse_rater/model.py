@@ -24,8 +24,7 @@ from . import tensor as T
 from .blocks import (BiLstmParams, EncoderBlockParams, HeadParams, ParamArena,
                      Rows, add_positional, bilstm_encode, encoder_block,
                      mlp_head, param_array, xavier_uniform, zeros_param)
-from .data import (AUDIO_DIM, MODALITY_DIMS, TEXT_DIM, FieldReader, SegmentFeatures,
-                   open_file)
+from .data import AUDIO_DIM, MODALITY_DIMS, FieldReader, SegmentFeatures, open_file
 from .errors import ConfigError, DataError, NumericsError, UsageError
 from .objective import COMPONENTS, NUM_CLASSES
 from .tensor import Tensor
@@ -109,6 +108,17 @@ class ModelConfig:
     def head_components(self) -> tuple[str, ...]:
         return COMPONENTS if self.task == "multi" else (self.component,)
 
+    @property
+    def query(self) -> str:
+        """The query stream, which the fusion stack updates: text when
+        present, else the only modality."""
+        return "text" if "text" in self.modalities else self.modalities[0]
+
+    @property
+    def contexts(self) -> tuple[str, ...]:
+        """The streams the query attends to, in ``MODALITIES`` order."""
+        return tuple(m for m in self.modalities if m != self.query)
+
 
 @dataclass
 class FusionModel:
@@ -174,7 +184,6 @@ def _build(config: ModelConfig, rng: np.random.Generator | None,
     ``model.named`` under its checkpoint name as it is made, so the arena's
     layout is the checkpoint's order."""
     model = FusionModel(config=config)
-    mods = config.modalities
 
     def named(prefix: str, params):
         for name, tensor in params.parameters().items():
@@ -182,18 +191,17 @@ def _build(config: ModelConfig, rng: np.random.Generator | None,
         return params
 
     if config.encoder == "lstm":
-        for modality in ("text", "audio"):
+        for modality in config.modalities:
             model.lstms[modality] = named(f"lstm.{modality}", BiLstmParams.create(
                 rng, MODALITY_DIMS[modality], arena=arena))
-        head_in = 2 * TEXT_DIM + 2 * AUDIO_DIM
+        head_in = sum(2 * MODALITY_DIMS[modality] for modality in config.modalities)
     else:
-        fused = len(mods) > 1
-        if fused:
-            for modality in mods:
+        if config.contexts:
+            for modality in config.modalities:
                 model.cls[modality] = model.named[f"cls.{modality}"] = _cls_param(
                     rng, param_array((MODALITY_DIMS[modality],), arena))
         else:
-            only = mods[0]
+            only = config.query
             # The CLS row comes first in the buffer but is drawn after the
             # audio projection.
             cls = model.named[f"cls.{only}"] = param_array((MODEL_DIM,), arena)
@@ -202,9 +210,8 @@ def _build(config: ModelConfig, rng: np.random.Generator | None,
                     rng, AUDIO_DIM, MODEL_DIM, arena)
                 model.audio_in_b = model.named["audio_in.b"] = zeros_param(MODEL_DIM, arena=arena)
             model.cls[only] = _cls_param(rng, cls)
-        contexts = [modality for modality in ("audio", "video") if fused and modality in mods]
         for i in range(config.fusion_modules):
-            for modality in contexts:
+            for modality in config.contexts:
                 block = EncoderBlockParams.create(
                     rng, MODEL_DIM, context_dim=MODALITY_DIMS[modality],
                     num_heads=NUM_HEADS, dropout_rate=config.dropout, arena=arena)
@@ -336,8 +343,7 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
     CLS rows lead each context sequence inside the cross blocks.
     """
     config = model.config
-    fused = len(config.modalities) > 1
-    query = "text" if fused else config.modalities[0]
+    query = config.query
     stream, feature_rows = _prepared_stream(model, segments, query)
     rows = Rows(feature_rows.lengths + 1)
     # Row 0 of the source is the CLS row and row j + 1 stream row j, so the
@@ -347,7 +353,7 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
     cls_row = model.cls[query].reshape((1, MODEL_DIM))
     text = T.embedding_lookup(T.concat([cls_row, stream]), index)
     contexts = {modality: _prepared_stream(model, segments, modality)
-                for modality in ("audio", "video") if fused and modality in config.modalities}
+                for modality in config.contexts}
     stack = model.stack
     keeps = _dropout_keeps([block for _, block in stack], rows, rng) if training \
         else [None] * len(stack)
@@ -363,7 +369,7 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
 def _lstm_pooled(model: FusionModel, seg: SegmentFeatures) -> Tensor:
     """One ``[1, 2 * (text + audio width)]`` row of final BiLSTM states."""
     pooled = T.concat([bilstm_encode(Tensor(seg.modality(modality)), model.lstms[modality])
-                       for modality in ("text", "audio")], axis=0)
+                       for modality in model.config.modalities], axis=0)
     return pooled.reshape((1, pooled.shape[0]))
 
 

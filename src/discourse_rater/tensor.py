@@ -124,9 +124,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -200,22 +197,11 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise UsageError("tensor/tensor division is not supported; divide by a scalar")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return take(self, key)
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None) -> "Tensor":
+        return tsum(self, axis=axis)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
@@ -398,20 +384,17 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``[..., K] @ [K, N] (+ bias[N]) -> [..., N]``.
+    """``[M, K] @ [K, N] (+ bias[N]) -> [M, N]``.
 
-    A left operand of rank 3 or more is flattened to ``[rows, K]``, so a
-    whole batch is one GEMM forward and one for the weight gradient.  A
-    first weight gradient of a right operand with a ``grad_slot`` is that
+    A first weight gradient of a right operand with a ``grad_slot`` is that
     GEMM's output, written in the slot.  A ``bias`` is added in place to
     the GEMM's fresh output, so the node keeps one array where ``matmul``
     then ``add`` keep two; its gradient is the same reduction ``add`` makes.
     """
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2:
+    if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError(
-            f"matmul requires a rank >= 2 left and a rank-2 right operand, "
-            f"got {a.data.shape} and {b.data.shape}"
+            f"matmul requires rank-2 operands, got {a.data.shape} and {b.data.shape}"
         )
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(
@@ -419,23 +402,20 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         )
     if bias is not None and bias.data.shape != b.data.shape[1:]:
         raise ShapeError(f"matmul bias must be {b.data.shape[1:]}, got {bias.data.shape}")
-    rows = a.data.reshape(-1, a.data.shape[-1])
-    data = rows @ b.data
+    data = a.data @ b.data
     if bias is not None:
         data += bias.data
-    data = data.reshape(a.data.shape[:-1] + b.data.shape[1:])
 
     def backward(g):
-        g_rows = g.reshape(rows.shape[0], -1)
         if bias is not None and bias.requires_grad:
             _accum(bias, _unbroadcast(g, bias.data.shape), owned=True)
         if a.requires_grad:
-            _accum(a, (g_rows @ b.data.T).reshape(a.data.shape), owned=True)
+            _accum(a, g @ b.data.T, owned=True)
         if b.requires_grad:
             if b.grad is None and b.grad_slot is not None:
-                b.grad = np.matmul(rows.T, g_rows, out=b.grad_slot)
+                b.grad = np.matmul(a.data.T, g, out=b.grad_slot)
             else:
-                _accum(b, rows.T @ g_rows, owned=True)
+                _accum(b, a.data.T @ g, owned=True)
 
     return _op(data, (a, b) if bias is None else (a, b, bias), backward)
 
@@ -538,31 +518,29 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _op(data, tuple(tensors), backward)
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
+def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis) -> np.ndarray:
+    if axis is not None:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = a.data.sum(axis=axis)
     data = np.asarray(data, dtype=a.data.dtype)
 
     def backward(g):
-        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims).copy(), owned=True)
+        _accum(a, _expand_reduced(g, a.data.shape, axis).copy(), owned=True)
 
     return _op(data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.mean(axis=axis, keepdims=keepdims)
+def tmean(a: Tensor, axis=None) -> Tensor:
+    data = a.data.mean(axis=axis)
     data = np.asarray(data, dtype=a.data.dtype)
     count = a.data.size if axis is None else a.data.shape[axis]
 
     def backward(g):
-        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims) / count, owned=True)
+        _accum(a, _expand_reduced(g, a.data.shape, axis) / count, owned=True)
 
     return _op(data, (a,), backward)
 

@@ -77,9 +77,7 @@ def make_segment(rng, seg_id="s1", teacher="t1", text_len=3, chunk_len=4, scale=
 def longest_query(model, segments):
     """The length to which ``model.forward`` pads a batch's query stream,
     over which each segment draws its dropout."""
-    config = model.config
-    query = "text" if len(config.modalities) > 1 else config.modalities[0]
-    return max(seg.modality(query).shape[0] for seg in segments)
+    return max(seg.modality(model.config.query).shape[0] for seg in segments)
 
 
 def fusion_oracle(model, seg, padded=None, rng=None):
@@ -98,7 +96,6 @@ def fusion_oracle(model, seg, padded=None, rng=None):
     from discourse_rater.tensor import Tensor
 
     config = model.config
-    fused = len(config.modalities) > 1
 
     def stream(modality):
         rows = seg.modality(modality)
@@ -108,7 +105,7 @@ def fusion_oracle(model, seg, padded=None, rng=None):
         cls = model.cls[modality].reshape((1, raw.shape[1]))
         return T.concat([cls, add_positional(raw, config.positional, np.arange(len(rows)))])
 
-    query = "text" if fused else config.modalities[0]
+    query = config.query
     text = stream(query)
     padded_rows = (seg.modality(query).shape[0] if padded is None else padded) + 1
     for modality, block in model.stack:

@@ -1,17 +1,22 @@
-"""Every top-level function and class of the package has a caller outside
-the tests, and every parameter with a default is passed by one.
+"""Every top-level function and class of the package, and every method of
+such a class, has a caller outside the tests, and every parameter with a
+default is passed by one.
 
 A name counts as used when it appears as a whole word in ``src/``,
 ``scripts/`` or ``perfbench/`` anywhere but its own definition, strings
-included, so the names in ``perfbench/tracer.py``'s tables count.  The
-package's ``__init__.py`` re-exports names without calling them, so it is
-neither checked nor searched.
+included, so the names in ``perfbench/tracer.py``'s tables count.  A method
+counts as used when those files read it as an attribute (``.name``) or name
+it in a string, outside its own definition; dunder methods, which Python
+calls, are exempt.  The package's ``__init__.py`` re-exports names without
+calling them, so it is neither checked nor searched.
 
 A parameter with a default, of a top-level function or of a method of a
 top-level class, counts as passed when a call in those directories to a
 function of its name (for ``__init__``, of its class's name) names it as a
 keyword or reaches its position.  Calls are matched by name alone, so a
-call of another function of the same name counts too.
+call of another function of the same name counts too: a keyword that numpy
+calls share, such as ``keepdims`` of ``x.sum(axis=-1, keepdims=True)``,
+looks passed to ``Tensor.sum`` whether or not a caller passes it.
 """
 
 import ast
@@ -22,31 +27,49 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "scripts", "perfbench")
 
 
+def _definitions(root: Path):
+    """(qualified name, pattern of a use, defining file, definition node) for
+    each top-level def or class of ``root``'s package and each method, not a
+    dunder, of such a class."""
+    for path in sorted((root / "src" / "discourse_rater").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            yield f"{path.stem}.{node.name}", rf"\b{re.escape(node.name)}\b", path, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        name = re.escape(item.name)
+                        yield (f"{path.stem}.{node.name}.{item.name}",
+                               rf"\.{name}\b|[\"']{name}[\"']", path, item)
+
+
 def names_without_caller(root: Path) -> list[str]:
-    """``module.name`` for each top-level def or class of ``root``'s package
-    that no searched file outside its own definition mentions."""
+    """The qualified name of each definition of ``_definitions`` that no
+    searched file outside that definition uses."""
     sources = {path: path.read_text(encoding="utf-8")
                for directory in SEARCHED for path in sorted((root / directory).rglob("*.py"))
                if path.name != "__init__.py"}
     unused = []
-    for path in sorted((root / "src" / "discourse_rater").glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    for qualified, pattern, path, node in _definitions(root):
         lines = sources[path].splitlines(keepends=True)
-        for node in ast.parse(sources[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
-            outside = "".join(lines[:start] + lines[node.end_lineno:])
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
-            if not any(word.search(outside if other == path else text)
-                       for other, text in sources.items()):
-                unused.append(f"{path.stem}.{node.name}")
+        start = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
+        outside = "".join(lines[:start] + lines[node.end_lineno:])
+        use = re.compile(pattern)
+        if not any(use.search(outside if other == path else text)
+                   for other, text in sources.items()):
+            unused.append(qualified)
     return unused
 
 
 def test_every_top_level_name_has_a_caller_outside_the_tests():
-    assert names_without_caller(ROOT) == []
+    assert [name for name in names_without_caller(ROOT) if name.count(".") == 1] == []
+
+
+def test_every_method_has_a_caller_outside_the_tests():
+    assert [name for name in names_without_caller(ROOT) if name.count(".") == 2] == []
 
 
 # Parameters that no call passes by name or position, and why each stays.

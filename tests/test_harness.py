@@ -4,9 +4,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discourse_rater import cli
-from discourse_rater.data import SynthConfig, generate_synthetic, uniform_signal
+from discourse_rater.data import (DatasetManifest, SegmentRecord, SynthConfig,
+                                  generate_synthetic, uniform_signal)
 from discourse_rater.errors import DataError, TrainingError, UsageError
 from discourse_rater.harness import (FoldPlan, GridPoint, _select_best,
                                      ablation_variants, default_grid,
@@ -37,10 +40,29 @@ class TestMakeFolds:
         plan = make_folds(dataset.manifest, n_outer=5, n_inner=3, seed=0)
         assert sorted(len(fold) for fold in plan.outer) == [1, 1, 1, 1, 1]
 
-    def test_partition_property(self):
-        dataset = tiny_dataset(teachers=9)
-        plan = make_folds(dataset.manifest, n_outer=5, n_inner=3, seed=3)
-        plan.validate_partition(dataset.manifest.teacher_ids())
+    @given(counts=st.lists(st.integers(1, 3), min_size=5, max_size=20),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_partition_property(self, counts, seed):
+        # Outer folds partition the teachers, and each fold's inner folds
+        # partition its training teachers.  A fold holds at most 3 teachers
+        # more than a fifth of the segments, so from 15 teachers on every
+        # fold leaves the 3 that its inner folds need.
+        segments = [SegmentRecord(f"t{i:02d}_{j}", f"t{i:02d}", "", "", {})
+                    for i, count in enumerate(counts) for j in range(count)]
+        teachers = sorted({seg.teacher_id for seg in segments})
+        try:
+            plan = make_folds(DatasetManifest(segments=segments), seed=seed)
+        except UsageError:
+            assert len(teachers) < 15
+            return
+        assert len(plan.outer) == 5 and all(plan.outer)
+        assert sorted(t for fold in plan.outer for t in fold) == teachers
+        for fold_idx, inner_folds in enumerate(plan.inner):
+            training = plan.training_teachers(fold_idx)
+            assert sorted(training + plan.outer[fold_idx]) == teachers
+            assert len(inner_folds) == 3 and all(inner_folds)
+            assert sorted(t for fold in inner_folds for t in fold) == sorted(training)
 
     def test_same_seed_same_plan(self):
         dataset = tiny_dataset(teachers=8)
@@ -94,6 +116,16 @@ class TestGrid:
         grid = default_grid()
         assert len(grid) == 30
         assert len(set(grid)) == 30
+
+    def test_repeated_axis_values_count_once(self):
+        grid = default_grid([1e-4, 1e-4], [8], [2, 1, 2])
+        assert grid == [GridPoint(1e-4, 8, 2), GridPoint(1e-4, 8, 1)]
+        # "--grid-m 1 1" is one point, so no inner job trains: the dataset
+        # is never read.
+        plan = FoldPlan(outer=[["t1"]], inner=[[["t2"], ["t3"], ["t4"]]], seed=0)
+        assert grid_search(None, plan, 0, default_grid([1e-4], [8], [1, 1]),
+                           ModelConfig(modalities=("text",)),
+                           fast_train_config()) == GridPoint(1e-4, 8, 1)
 
     def test_off_grid_values_rejected(self):
         with pytest.raises(UsageError):
@@ -210,14 +242,16 @@ class TestNestedCv:
 class TestAblation:
     def test_loss_axis_rows_and_shared_plan(self):
         dataset = tiny_dataset()
-        result = run_ablation(dataset, ["loss"],
-                              ModelConfig(modalities=("text",), dropout=0.0),
-                              fast_train_config(),
-                              grid=[GridPoint(lr=1e-4, batch_size=8,
-                                              fusion_modules=1)],
-                              seed=2)
+        base = ModelConfig(modalities=("text",), dropout=0.0)
+        grid = [GridPoint(lr=1e-4, batch_size=8, fusion_modules=1)]
+        result = run_ablation(dataset, ["loss"], base, fast_train_config(),
+                              grid=grid, seed=2)
         assert set(result.rows) == {"loss:l1", "loss:ce", "loss:oll"}
-        assert result.plan == make_folds(dataset.manifest, seed=2)
+        # A variant's row is its own nested CV at the ablation's seed, and so
+        # on the folds that seed gives every variant.
+        alone = run_nested_cv(dataset, dataclasses.replace(base, loss="ce"),
+                              fast_train_config(), grid=grid, seed=2)
+        assert result.rows["loss:ce"].to_dict() == alone.report.to_dict()
         table = result.table()
         assert "loss:oll" in table and "Average" in table
 

@@ -53,6 +53,17 @@ class TestModelConfig:
         cfg = ModelConfig(modalities=("text",), task="single", component="nature")
         assert cfg.head_components == ("nature",)
 
+    @pytest.mark.parametrize("config,query,contexts", [
+        (ModelConfig(modalities="T"), "text", ()),
+        (ModelConfig(modalities="A"), "audio", ()),
+        (ModelConfig(modalities="V"), "video", ()),
+        (ModelConfig(modalities="T+A"), "text", ("audio",)),
+        (ModelConfig(modalities="T+A+V", fusion_modules=2), "text", ("audio", "video")),
+        (ModelConfig(modalities="T+A", encoder="lstm"), "text", ("audio",)),
+    ], ids=["T", "A", "V", "T+A", "T+A+V_M2", "T+A_lstm"])
+    def test_query_and_context_streams(self, config, query, contexts):
+        assert (config.query, config.contexts) == (query, contexts)
+
     def test_roundtrips_through_dict(self):
         # As a checkpoint stores it: the fields as JSON, modalities an array.
         cfg = ModelConfig(modalities="T+A+V", fusion_modules=3, loss="ce", seed=9)

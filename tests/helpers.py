@@ -75,8 +75,8 @@ def make_segment(rng, seg_id="s1", teacher="t1", text_len=3, chunk_len=4, scale=
 
 
 def longest_query(model, segments):
-    """The length to which ``model.forward`` pads a batch's query stream,
-    over which each segment draws its dropout."""
+    """The longest query stream of a batch, over whose length each segment
+    draws its dropout."""
     return max(seg.modality(model.config.query).shape[0] for seg in segments)
 
 

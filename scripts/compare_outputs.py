@@ -33,7 +33,9 @@ is a number written with two or more decimals or with an exponent; in a
 DFM1 checkpoint it is every tensor value.  Everything else (ids, ratings,
 which take one decimal at most, counts, tensor names and shapes) must match
 exactly, and the line says whether it does.  Where it does, the line gives
-the largest absolute and relative difference between paired values.
+the largest absolute and relative difference between paired values.  Where
+it does not and both sides are JSON objects, the line names the top-level
+keys found on one side only and the keys whose values differ.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def describe_difference(parent: bytes, change: bytes) -> str:
     parent_rest, parent_values = split_measured(parent)
     change_rest, change_values = split_measured(change)
     if parent_rest != change_rest or len(parent_values) != len(change_values):
-        return "other content DIFFERS"
+        return json_key_difference(parent, change) or "other content DIFFERS"
     worst_abs = worst_rel = 0.0
     for a, b in zip(parent_values, change_values):
         gap = abs(a - b)
@@ -163,6 +165,25 @@ def describe_difference(parent: bytes, change: bytes) -> str:
             worst_rel = max(worst_rel, gap / max(abs(a), abs(b)))
     return (f"other content identical; {len(parent_values)} values, "
             f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}")
+
+
+def json_key_difference(parent: bytes, change: bytes) -> str:
+    """The top-level keys on one side only and those whose values differ,
+    when both sides are JSON objects; else the empty string."""
+    try:
+        docs = [json.loads(side) for side in (parent, change)]
+    except ValueError:
+        return ""
+    if not all(isinstance(doc, dict) for doc in docs):
+        return ""
+    parts = [f"only in {side}: {', '.join(sorted(only))}"
+             for side, only in (("parent", docs[0].keys() - docs[1].keys()),
+                                ("change", docs[1].keys() - docs[0].keys())) if only]
+    differing = sorted(key for key in docs[0].keys() & docs[1].keys()
+                       if docs[0][key] != docs[1][key])
+    if differing:
+        parts.append(f"values differ: {', '.join(differing)}")
+    return "; ".join(parts)
 
 
 def main(argv=None) -> int:

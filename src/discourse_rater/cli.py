@@ -12,9 +12,10 @@ The defaults and the checks of each value belong to the config classes
 when built; this module keeps only its own spellings of their settings.
 Once its inputs are read, ``_create_out`` makes ``--out`` before any work
 starts, and ``_write_outputs`` writes the settings there next to its outputs
-so any run can be reproduced from its artifacts.  The grid, the
-split-then-train step and the classroom aggregation are ``harness``'s and
-``data``'s, not restated here.
+so any run can be reproduced from its artifacts.  ``cv`` and ``ablate``
+take the learning rate, batch size and M only as ``--grid-*`` axes.  The
+grid, the split-then-train step and the classroom aggregation are
+``harness``'s and ``data``'s, not restated here.
 Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
 
@@ -92,19 +93,20 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=Path)
         cmd.add_argument("--modalities", help="e.g. T, T+A, T+A+V")
         cmd.add_argument("--encoder", choices=ENCODERS)
-        cmd.add_argument("--m", type=int, dest="fusion_modules",
-                         help="number of fusion modules")
         cmd.add_argument("--task", choices=TASKS)
         cmd.add_argument("--component", choices=list(COMPONENTS))
         cmd.add_argument("--loss", choices=LOSSES)
         cmd.add_argument("--no-positional", action="store_true", default=None)
         cmd.add_argument("--dropout", type=float)
-        cmd.add_argument("--lr", type=float)
-        cmd.add_argument("--batch-size", type=int)
         cmd.add_argument("--max-epochs", type=int)
         cmd.add_argument("--val-fraction", type=float)
         cmd.add_argument("--seed", type=int)
-        if name in ("cv", "ablate"):
+        if name == "train":
+            cmd.add_argument("--m", type=int, dest="fusion_modules",
+                             help="number of fusion modules")
+            cmd.add_argument("--lr", type=float)
+            cmd.add_argument("--batch-size", type=int)
+        else:
             cmd.add_argument("--grid-lr", type=float, nargs="+")
             cmd.add_argument("--grid-batch", type=int, nargs="+")
             cmd.add_argument("--grid-m", type=int, nargs="+")
@@ -150,17 +152,18 @@ def _resolve(args, defaults: dict, required: Sequence[str] = ()) -> dict:
     """defaults < config file < explicit flags; each ``required`` key is a
     path that must then be set, and is resolved to its string form.
 
-    A config-file value must have the JSON type of its key's default (an
-    array's items that of the default's first item), or null where the
-    default is None."""
+    A config-file key must be one of the command's, and its value must have
+    the JSON type of its key's default (an array's items that of the
+    default's first item), or null where the default is None."""
     file_cfg = _load_config_file(args.config)
     resolved = {key: None for key in required} | defaults
+    for key, value in file_cfg.items():
+        if key not in resolved:
+            raise UsageError(f"config file {args.config}: {args.command} has no setting {key!r}")
+        if key not in required:
+            _check_json_type(key, value, defaults[key])
+        resolved[key] = value
     for key in resolved:
-        if key in file_cfg:
-            value = file_cfg[key]
-            if key not in required:
-                _check_json_type(key, value, defaults[key])
-            resolved[key] = value
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
@@ -275,13 +278,14 @@ _TRAIN_DEFAULTS = {key: getattr(TrainConfig(), key)
 
 
 def _model_config(resolved: dict) -> ModelConfig:
-    fields = {key: resolved[key] for key in _MODEL_DEFAULTS if key != "no_positional"}
+    fields = {key: resolved[key] for key in _MODEL_DEFAULTS
+              if key in resolved and key != "no_positional"}
     return ModelConfig(**fields, positional=not resolved["no_positional"],
                        seed=resolved["seed"])
 
 
 def _train_config(resolved: dict) -> TrainConfig:
-    return TrainConfig(**{key: resolved[key] for key in _TRAIN_DEFAULTS})
+    return TrainConfig(**{key: resolved[key] for key in _TRAIN_DEFAULTS if key in resolved})
 
 
 def _grid(resolved: dict) -> list[GridPoint]:
@@ -332,8 +336,11 @@ def _write_predictions(path: Path, predictions) -> None:
                              row.predicted_rating, row.fold])
 
 
+# The tuning grid sets these in ``cv`` and ``ablate``, so only ``train`` takes them.
+_GRID_SET = ("fusion_modules", "lr", "batch_size")
 _CV_DEFAULTS = {"jobs": 1, "grid_lr": None, "grid_batch": None, "grid_m": None,
-                **_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}
+                **{key: value for key, value in {**_MODEL_DEFAULTS, **_TRAIN_DEFAULTS}.items()
+                   if key not in _GRID_SET}}
 
 # Per command: the defaults of its settings and the path keys it requires.
 _SETTINGS = {

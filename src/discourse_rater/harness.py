@@ -38,9 +38,9 @@ BATCH_GRID = (8, 16, 32)
 
 @dataclass(frozen=True)
 class GridPoint:
-    lr: float = 1e-4
-    batch_size: int = 8
-    fusion_modules: int = 1
+    lr: float
+    batch_size: int
+    fusion_modules: int
 
     def __post_init__(self):
         if self.lr not in LR_GRID:
@@ -313,6 +313,8 @@ def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
     report carries per-fold QWK with mean and standard error per component.
     """
     dataset.manifest.validate()
+    if model_config.encoder == "lstm":  # no fusion modules: each distinct point at M=1
+        grid = list(dict.fromkeys(dataclasses.replace(p, fusion_modules=1) for p in grid))
     plan = make_folds(dataset.manifest, n_outer=n_outer, n_inner=n_inner, seed=seed)
 
     best_points = [grid_search(dataset, plan, fold_idx, grid, model_config,
@@ -383,16 +385,16 @@ class AblationResult:
 
 
 def ablation_variants(base: ModelConfig, axes: Sequence[str]) -> list[tuple[str, ModelConfig]]:
-    """Expand requested axes into named configuration variants."""
+    """Expand requested axes, each counted once, into named configuration variants."""
     variants: list[tuple[str, ModelConfig]] = []
-    for axis in axes:
+    for axis in dict.fromkeys(axes):
         if axis == "modality":
             for label in ("T", "A", "V", "T+A", "T+A+V"):
                 variants.append((f"modality:{label}",
                                  dataclasses.replace(base, modalities=label)))
         elif axis == "encoder":
             variants.append(("encoder:lstm",
-                             dataclasses.replace(base, encoder="lstm",
+                             dataclasses.replace(base, encoder="lstm", fusion_modules=1,
                                                  modalities=("text", "audio"))))
             variants.append(("encoder:attention",
                              dataclasses.replace(base, encoder="attention")))

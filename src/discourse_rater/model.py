@@ -84,8 +84,8 @@ class ModelConfig:
                 raise ConfigError(
                     f"fusion_modules must be one of {FUSION_MODULE_GRID}, got {self.fusion_modules}")
         else:
-            if self.modalities != ("text", "audio"):
-                raise ConfigError("the LSTM baseline is defined for the T+A configuration")
+            if self.modalities != ("text", "audio") or self.fusion_modules != 1:
+                raise ConfigError("the LSTM baseline is defined for the T+A configuration at M=1")
         if self.task not in TASKS:
             raise ConfigError(f"unknown task mode {self.task!r}")
         if self.task == "single":

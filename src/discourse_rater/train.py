@@ -91,13 +91,13 @@ class AdamW:
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8        # Adam's published defaults
+    weight_decay = 0.01
 
-    def __init__(self, model: FusionModel, lr: float, weight_decay: float = 0.01):
+    def __init__(self, model: FusionModel, lr: float):
         if model.arena is None:
             raise UsageError("model has no parameter arena; build it with build_model or load_model")
         self.params = model.parameters()
         self.lr = lr
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.flat, self.flat_grad = model.arena.buffer, model.arena.grad
         size, dtype = self.flat.size, self.flat.dtype

@@ -83,9 +83,6 @@ PASSED_ANOTHER_WAY = {
     "harness.default_grid(lrs)",
     "harness.default_grid(batch_sizes)",
     "harness.default_grid(fusion_modules)",
-    # Training uses the default; the reference tests vary it to check that
-    # the decay is decoupled.
-    "train.AdamW(weight_decay)",
 }
 
 

@@ -123,6 +123,18 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("usage error: cannot read ") and "null byte" in err, err
 
+    @pytest.mark.parametrize("command,key", [("train", "max_epoch"), ("cv", "lr"),
+                                             ("ablate", "fusion_modules")])
+    def test_key_the_command_lacks_is_usage_error(self, dataset_dir, tmp_path, capsys,
+                                                  command, key):
+        # A typo such as "max_epoch", or a setting the tuning grid sets in
+        # cv and ablate, is refused before --out is made.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(dataset_dir), key: 1}))
+        assert run_cli(command, "--config", config, "--out", tmp_path / "out") == 2
+        assert f"{command} has no setting {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_value_of_the_wrong_json_type_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"teachers": "x"}))
@@ -165,6 +177,20 @@ class TestGrid:
     def test_one_axis_keeps_the_harness_axes_of_the_others(self):
         assert self.resolved_grid("--grid-m", "1") == [
             GridPoint(lr, batch, 1) for lr in LR_GRID for batch in BATCH_GRID]
+
+
+@pytest.mark.parametrize("flag", [["--lr", "1e-4"], ["--batch-size", "8"], ["--m", "2"]],
+                         ids=["lr", "batch_size", "m"])
+@pytest.mark.parametrize("command", ["cv", "ablate"])
+def test_grid_set_setting_is_a_train_flag_only(dataset_dir, tmp_path, capsys, command, flag):
+    # In cv and ablate the --grid-* axes set these, so argparse refuses them
+    # ("--m" as an ambiguous prefix of --modalities and --max-epochs).
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, "--data", dataset_dir, "--out", tmp_path / "out", *flag)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and flag[0] in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "ablate", "correlate"])
@@ -215,6 +241,7 @@ OUT_OF_RANGE = [
     (["train", "--val-fraction", 7], "val_fraction"),
     (["train", "--val-fraction", -1], "val_fraction"),
     (["train", "--lr", -1], "lr"),
+    (["train", "--encoder", "lstm", "--modalities", "T+A", "--m", 2], "M=1"),
     (["train", "--seed", -1], "seed"),
     (["synth", "--seed", -1], "seed"),
     (["gradcheck", "--seed", -1], "seed"),
@@ -304,6 +331,8 @@ class TestCvCommand:
         with open(out / "predictions.csv", newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 12 * 3
+        resolved = json.loads((out / "run_config.json").read_text())
+        assert not {"lr", "batch_size", "fusion_modules"} & set(resolved)
 
     def test_report_carries_human_irr_when_the_manifest_has_rater_records(self, dataset_dir,
                                                                           tmp_path):
@@ -385,6 +414,8 @@ class TestAblateCommand:
             assert row in table
         doc = json.loads((out / "ablation.json").read_text())
         assert set(doc) == {"loss:l1", "loss:ce", "loss:oll"}
+        resolved = json.loads((out / "run_config.json").read_text())
+        assert not {"lr", "batch_size", "fusion_modules"} & set(resolved)
 
 
 class TestCorrelateCommand:

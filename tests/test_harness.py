@@ -129,11 +129,11 @@ class TestGrid:
 
     def test_off_grid_values_rejected(self):
         with pytest.raises(UsageError):
-            GridPoint(lr=3e-4)
+            GridPoint(lr=3e-4, batch_size=8, fusion_modules=1)
         with pytest.raises(UsageError):
-            GridPoint(batch_size=64)
+            GridPoint(lr=1e-4, batch_size=64, fusion_modules=1)
         with pytest.raises(UsageError):
-            GridPoint(fusion_modules=6)
+            GridPoint(lr=1e-4, batch_size=8, fusion_modules=6)
 
     def test_tie_break_prefers_parsimony(self):
         a = GridPoint(lr=1e-4, batch_size=8, fusion_modules=1)
@@ -143,13 +143,13 @@ class TestGrid:
         assert _select_best({a: 0.5, b: 0.5, c: 0.5, d: 0.5}) == a
 
     def test_higher_score_wins_over_parsimony(self):
-        a = GridPoint(fusion_modules=1)
-        b = GridPoint(fusion_modules=2)
+        a = GridPoint(1e-4, 8, 1)
+        b = GridPoint(1e-4, 8, 2)
         assert _select_best({a: 0.4, b: 0.6}) == b
 
     def test_all_failed_rejected(self):
         with pytest.raises(TrainingError):
-            _select_best({GridPoint(): None})
+            _select_best({GridPoint(1e-4, 8, 1): None})
 
     def test_single_point_grid_returned_without_training(self):
         point = GridPoint(lr=1e-4, batch_size=8, fusion_modules=1)
@@ -231,12 +231,35 @@ class TestNestedCv:
 
         monkeypatch.setattr(train_module, "forward", failing_forward)
         dataset = tiny_dataset()
-        grid = [GridPoint(fusion_modules=1), GridPoint(fusion_modules=2)]
+        grid = [GridPoint(1e-4, 8, 1), GridPoint(1e-4, 8, 2)]
         with pytest.warns(UserWarning, match="M=2 skipped: DataError: segment 'bad'"):
             result = run_nested_cv(dataset, ModelConfig(modalities=("text",), dropout=0.0),
                                    fast_train_config(max_epochs=1), grid=grid, seed=0)
         assert [p.fusion_modules for p in result.best_points] == [1] * 5
         assert len(result.predictions) == len(dataset.manifest.segments) * 3
+
+    @pytest.mark.parametrize("grid,jobs", [(default_grid([1e-4], [8], [1, 2]), 5),
+                                           (default_grid(), 95)], ids=["m_1_2", "default"])
+    def test_lstm_trains_each_point_once_at_one_fusion_module(self, monkeypatch, grid, jobs):
+        # A stand-in job that predicts the true ratings counts what would
+        # train: the M axis collapses, so the default grid's 30 points are 6,
+        # each trained on 3 inner folds of 5 outer folds, plus 5 outer jobs.
+        harness = importlib.import_module("discourse_rater.harness")
+        dataset = tiny_dataset()
+        labels = {seg.segment_id: seg.labels for seg in dataset.manifest.segments}
+        trained = []
+
+        def true_ratings(job):
+            trained.append(job.model_config.fusion_modules)
+            return job.key, {seg.segment_id: labels[seg.segment_id]
+                             for seg in dataset.manifest.segments
+                             if seg.teacher_id in job.eval_teachers}, None
+
+        monkeypatch.setattr(harness, "_run_job", true_ratings)
+        result = run_nested_cv(dataset, ModelConfig(encoder="lstm", modalities="T+A"),
+                               fast_train_config(), grid=grid, seed=0)
+        assert trained == [1] * jobs
+        assert [p.fusion_modules for p in result.best_points] == [1] * 5
 
 
 class TestAblation:
@@ -264,6 +287,17 @@ class TestAblation:
         assert names == ["encoder:lstm", "encoder:attention"]
         names = [name for name, _ in ablation_variants(base, ["loss"])]
         assert names == ["loss:l1", "loss:ce", "loss:oll"]
+
+    def test_repeated_axis_counts_once(self):
+        base = ModelConfig(modalities="T+A")
+        names = [name for name, _ in ablation_variants(base, ["loss", "encoder", "loss"])]
+        assert names == ["loss:l1", "loss:ce", "loss:oll", "encoder:lstm", "encoder:attention"]
+
+    def test_lstm_variant_of_a_deeper_base_has_no_fusion_modules(self):
+        variants = dict(ablation_variants(ModelConfig(modalities="T+A", fusion_modules=2),
+                                          ["encoder"]))
+        assert variants["encoder:lstm"].fusion_modules == 1
+        assert variants["encoder:attention"].fusion_modules == 2
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(UsageError):
@@ -320,7 +354,7 @@ class TestWorkerPool:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         dataset = tiny_dataset()
         result = run_nested_cv(dataset, ModelConfig(modalities=("text",), dropout=0.0),
-                               fast_train_config(max_epochs=1), grid=[GridPoint()],
+                               fast_train_config(max_epochs=1), grid=[GridPoint(1e-4, 8, 1)],
                                n_outer=5, seed=0, jobs=64)
         assert sizes == [5]
         assert len(result.predictions) == len(dataset.manifest.segments) * 3
@@ -360,5 +394,5 @@ class TestLearningOracle:
         dataset = generate_synthetic(SynthConfig(n_teachers=10, segments_per_teacher=4,
                                                  signal_strength=text_signal, seed=0))
         result = run_nested_cv(dataset, ModelConfig(modalities=("text",)),
-                               TrainConfig(max_epochs=20), grid=[GridPoint()], seed=0)
+                               TrainConfig(max_epochs=20), grid=[GridPoint(1e-4, 8, 1)], seed=0)
         assert result.report.overall.mean >= self.FLOOR

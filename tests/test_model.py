@@ -47,6 +47,10 @@ class TestModelConfig:
             ModelConfig(modalities=("text",), encoder="lstm")
         ModelConfig(modalities="T+A", encoder="lstm")  # fine
 
+    def test_lstm_has_no_fusion_modules(self):
+        with pytest.raises(ConfigError, match="M=1"):
+            ModelConfig(encoder="lstm", modalities="T+A", fusion_modules=2)
+
     def test_single_task_needs_component(self):
         with pytest.raises(ConfigError):
             ModelConfig(modalities=("text",), task="single")

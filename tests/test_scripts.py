@@ -54,6 +54,26 @@ class TestBenchPairsSummary:
         assert summary["segments_per_s"]["gain_rule_met"] is False
 
 
+class TestCompareOutputsDifference:
+    def test_json_objects_name_the_keys_that_differ(self):
+        parent = b'{"batch_size": 8, "lr": 0.0001, "seed": 0, "loss": "oll", "axes": ["loss"]}'
+        change = b'{"seed": 1, "loss": "oll", "axes": ["task"], "jobs": 2}'
+        assert load_script("compare_outputs").describe_difference(parent, change) == (
+            "only in parent: batch_size, lr; only in change: jobs; values differ: axes, seed")
+
+    @pytest.mark.parametrize("parent,change", [(b"seed 0\n", b"seed 1\n"),
+                                               (b'["a", 1]', b'["a", 2]')],
+                             ids=["text", "json_array"])
+    def test_other_files_say_only_that_content_differs(self, parent, change):
+        assert load_script("compare_outputs").describe_difference(parent, change) == \
+            "other content DIFFERS"
+
+    def test_measured_values_alone_still_give_their_distance(self):
+        line = load_script("compare_outputs").describe_difference(b'{"qwk": 0.25}',
+                                                                  b'{"qwk": 0.75}')
+        assert line.startswith("other content identical; 1 values, max abs diff 0.5")
+
+
 class TestStepMemoryBreakdown:
     def test_each_base_array_counts_once_under_its_maker(self):
         x = Tensor(np.ones((2, 3)))                               # a constant leaf: 24 bytes

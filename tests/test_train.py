@@ -28,10 +28,17 @@ def carved(values):
     return SimpleNamespace(arena=arena, parameters=lambda: params)
 
 
+def adamw(model, lr, weight_decay):
+    """An ``AdamW`` whose decay, a class constant, is set on the instance."""
+    opt = AdamW(model, lr=lr)
+    opt.weight_decay = weight_decay
+    return opt
+
+
 class TestAdamW:
     def test_zero_gradient_no_decay_leaves_params(self):
         model = carved({"w": [1.0, -2.0]})
-        opt = AdamW(model, lr=0.1, weight_decay=0.0)
+        opt = adamw(model, lr=0.1, weight_decay=0.0)
         T._accum(model.parameters()["w"], np.zeros(2, dtype=np.float32))
         opt.step()
         assert np.allclose(model.parameters()["w"].data, [1.0, -2.0])
@@ -40,7 +47,7 @@ class TestAdamW:
         model = carved({"w": [1.0, -2.0]})
         w = model.parameters()["w"]
         start = w.data.copy()
-        opt = AdamW(model, lr=0.1, weight_decay=0.01)
+        opt = AdamW(model, lr=0.1)                 # the class's decay, 0.01
         for step in range(1, 4):
             opt.zero_grad()
             T._accum(w, np.zeros(2, dtype=np.float32))
@@ -49,7 +56,7 @@ class TestAdamW:
 
     def test_first_step_is_minus_lr_for_unit_gradient(self):
         model = carved({"w": [1.0]})
-        opt = AdamW(model, lr=0.1, weight_decay=0.0)
+        opt = adamw(model, lr=0.1, weight_decay=0.0)
         T._accum(model.parameters()["w"], np.ones(1, dtype=np.float32))
         opt.step()
         assert model.parameters()["w"].data[0] == pytest.approx(0.9, abs=1e-6)
@@ -65,7 +72,7 @@ class TestAdamW:
         target = np.asarray([0.5, -1.5, 2.0], dtype=np.float32)
         model = carved({"w": np.zeros(3)})
         w = model.parameters()["w"]
-        opt = AdamW(model, lr=1e-4, weight_decay=0.0)
+        opt = adamw(model, lr=1e-4, weight_decay=0.0)
 
         def loss_value():
             diff = w - Tensor(target)
@@ -138,7 +145,7 @@ class TestFlatAdamW:
                          for _ in grads_per_step]
             for grads, (first, second) in zip(grads_per_step, big_parts):
                 grads["big"] = first + second
-            opt = AdamW(model, lr=1e-2, weight_decay=0.1)
+            opt = adamw(model, lr=1e-2, weight_decay=0.1)
             expected = adamw_reference(start, grads_per_step, lr=1e-2, weight_decay=0.1)
             for step, (grads, parts) in enumerate(zip(grads_per_step, big_parts)):
                 opt.zero_grad()
@@ -161,7 +168,7 @@ class TestFlatAdamW:
                             for name, shape in (("first", (CHUNK + 7,)), ("second", (3, 2)),
                                                 ("third", (4,)))})
             params = model.parameters()
-            opt = AdamW(model, lr=1e-2, weight_decay=0.1)
+            opt = adamw(model, lr=1e-2, weight_decay=0.1)
             for p in params.values():
                 T._accum(p, rng.standard_normal(p.shape))
             opt.step()
@@ -219,7 +226,7 @@ class TestGradientContract:
         model, loss = self.text_model_and_loss()
         params = model.parameters()
         start = {name: p.data.copy() for name, p in params.items()}
-        opt = AdamW(model, lr=1e-2, weight_decay=0.1)
+        opt = adamw(model, lr=1e-2, weight_decay=0.1)
         opt.flat_grad.fill(np.nan)              # what an unwritten slot could hold
         loss().backward()
         unreached = [name for name, p in params.items() if p.grad is None]
@@ -263,7 +270,7 @@ class TestGradientContract:
             params = model.parameters()
             start = {name: p.data.copy() for name, p in params.items()}
             grads = {"w": np.full(8, 1e19, np.float32), "b": np.full(3, -1e19, np.float32)}
-            opt = AdamW(model, lr=1e-2, weight_decay=0.1)
+            opt = adamw(model, lr=1e-2, weight_decay=0.1)
             with np.errstate(over="ignore"):
                 assert not np.isfinite(np.dot(grads["w"], grads["w"]))
             for name, p in params.items():

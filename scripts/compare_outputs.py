@@ -35,7 +35,9 @@ which take one decimal at most, counts, tensor names and shapes) must match
 exactly, and the line says whether it does.  Where it does, the line gives
 the largest absolute and relative difference between paired values.  Where
 it does not and both sides are JSON objects, the line names the top-level
-keys found on one side only and the keys whose values differ.
+keys found on one side only and the keys whose values differ.  Where both
+sides are DFM1 checkpoints, it names those keys of the config header and
+says whether the tensor names and shapes match.
 """
 
 from __future__ import annotations
@@ -156,6 +158,8 @@ def describe_difference(parent: bytes, change: bytes) -> str:
     parent_rest, parent_values = split_measured(parent)
     change_rest, change_values = split_measured(change)
     if parent_rest != change_rest or len(parent_values) != len(change_values):
+        if parent[:4] == change[:4] == b"DFM1":
+            return checkpoint_difference(parent_rest, change_rest)
         return json_key_difference(parent, change) or "other content DIFFERS"
     worst_abs = worst_rel = 0.0
     for a, b in zip(parent_values, change_values):
@@ -165,6 +169,21 @@ def describe_difference(parent: bytes, change: bytes) -> str:
             worst_rel = max(worst_rel, gap / max(abs(a), abs(b)))
     return (f"other content identical; {len(parent_values)} values, "
             f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}")
+
+
+def checkpoint_difference(parent_rest: bytes, change_rest: bytes) -> str:
+    """How two DFM1 checkpoints' content outside their values (as
+    ``split_checkpoint`` gives it) differs: the config header's keys, and
+    whether the tensor names and shapes match."""
+    configs, layouts = [], []
+    for rest in (parent_rest, change_rest):
+        (size,) = struct.unpack_from("<I", rest, 4)
+        configs.append(rest[8:8 + size])
+        layouts.append(rest[8 + size:])
+    config = "identical" if configs[0] == configs[1] else \
+        json_key_difference(*configs) or "DIFFERS"
+    tensors = "identical" if layouts[0] == layouts[1] else "DIFFER"
+    return f"config {config}; tensor names and shapes {tensors}"
 
 
 def json_key_difference(parent: bytes, change: bytes) -> str:

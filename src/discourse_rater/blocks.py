@@ -10,7 +10,7 @@ primitives in :mod:`.tensor`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class AttentionParams:
 
     Queries always come from the 768-wide stream; keys/values may come from a
     context of different width (1024 for audio), absorbed by the K/V
-    projections.
+    projections.  The widths are those of ``wq`` and ``wk``'s input rows.
     """
 
     wq: Tensor
@@ -138,8 +138,6 @@ class AttentionParams:
     wo: Tensor
     bo: Tensor
     num_heads: int = 12
-    model_dim: int = 768
-    context_dim: int = 768
 
     @classmethod
     def create(cls, rng: np.random.Generator | None, model_dim: int = 768,
@@ -158,10 +156,7 @@ class AttentionParams:
             bv=zeros_param(model_dim, arena=arena),
             wo=xavier_uniform(rng, model_dim, model_dim, arena),
             bo=zeros_param(model_dim, arena=arena),
-            num_heads=num_heads,
-            model_dim=model_dim,
-            context_dim=context_dim,
-        )
+            num_heads=num_heads)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"wq": self.wq, "bq": self.bq, "wk": self.wk, "bk": self.bk,
@@ -193,21 +188,22 @@ def multi_head_attention(x: Tensor, params: AttentionParams, *,
     projected.
     """
     rows = Rows([x.shape[0]]) if rows is None else rows
-    if x.ndim != 2 or x.shape != (rows.total, params.model_dim):
-        raise ShapeError(f"attention needs packed [{rows.total}, {params.model_dim}] "
+    model_dim, context_dim = params.wq.shape[0], params.wk.shape[0]
+    if x.ndim != 2 or x.shape != (rows.total, model_dim):
+        raise ShapeError(f"attention needs packed [{rows.total}, {model_dim}] "
                          f"query rows, got {x.shape}")
     source, source_rows, lead = x, rows, None
     if context is not None:
         source = context
         source_rows = Rows([context.shape[0]]) if context_rows is None else context_rows
-        if context.ndim != 2 or context.shape != (source_rows.total, params.context_dim):
+        if context.ndim != 2 or context.shape != (source_rows.total, context_dim):
             raise ShapeError(f"context must be packed [{source_rows.total}, "
-                             f"{params.context_dim}] rows, got {context.shape}")
+                             f"{context_dim}] rows, got {context.shape}")
         if len(source_rows) != len(rows):
             raise ShapeError(f"{len(rows)} query sequences against "
                              f"{len(source_rows)} context sequences")
         if context_cls is not None:
-            cls_row = context_cls.reshape((1, params.context_dim))
+            cls_row = context_cls.reshape((1, context_dim))
             lead = (T.matmul(cls_row, params.wk, bias=params.bk),
                     T.matmul(cls_row, params.wv, bias=params.bv))
     keys = T.matmul(source, params.wk, bias=params.bk)
@@ -378,10 +374,9 @@ class LstmCellParams:
 
 @dataclass
 class BiLstmParams:
-    """Stacked bidirectional LSTM; hidden size equals the input width."""
+    """Stacked bidirectional LSTM; the hidden size is each ``wh``'s row count."""
 
-    layers: list[dict[str, LstmCellParams]] = field(default_factory=list)
-    hidden_size: int = 0
+    layers: list[dict[str, LstmCellParams]]
 
     @classmethod
     def create(cls, rng: np.random.Generator | None, input_dim: int,
@@ -399,7 +394,7 @@ class BiLstmParams:
                 )
                 for direction in ("fw", "bw")
             })
-        return cls(layers=layers, hidden_size=h)
+        return cls(layers=layers)
 
     def parameters(self) -> dict[str, Tensor]:
         out = {}
@@ -432,7 +427,7 @@ def bilstm_encode(seq: Tensor, params: BiLstmParams) -> Tensor:
     """Concatenate the last layer's final forward and reverse hidden states."""
     if seq.ndim != 2 or seq.shape[0] < 1:
         raise UsageError(f"bilstm_encode needs a nonempty [L, d] sequence, got {seq.shape}")
-    h_dim = params.hidden_size
+    h_dim = params.layers[0]["fw"].wh.shape[0]
     length = seq.shape[0]
     rows = [seq[t:t + 1] for t in range(length)]
     final_fw = final_bw = None

@@ -13,7 +13,8 @@ when built; this module keeps only its own spellings of their settings.
 Once its inputs are read, ``_create_out`` makes ``--out`` before any work
 starts, and ``_write_outputs`` writes the settings there next to its outputs
 so any run can be reproduced from its artifacts.  ``cv`` and ``ablate``
-take the learning rate, batch size and M only as ``--grid-*`` axes.  The
+take the learning rate, batch size and M only as ``--grid-*`` axes, and
+``--component`` selects single-task mode; no flag is taken by a prefix.  The
 grid, the split-then-train step and the classroom aggregation are
 ``harness``'s and ``data``'s, not restated here.
 Exit codes: 0 success, 1 computation failure, 2 usage error.
@@ -38,7 +39,7 @@ from .data import (JSON_NAMES, OUTCOMES, SIGNAL_STRENGTH, Dataset, DatasetManife
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
 from .harness import AXES, GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
 from .metrics import irr_leave_one_rater_out, pearson_r, significance_stars
-from .model import ENCODERS, LOSSES, TASKS, ModelConfig, save_model
+from .model import ENCODERS, LOSSES, ModelConfig, save_model
 from .objective import COMPONENT_TITLES, COMPONENTS, RATINGS
 from .train import TrainConfig
 
@@ -61,11 +62,11 @@ def main(argv=None) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="discourse-rater",
+        prog="discourse-rater", allow_abbrev=False,
         description="Multimodal ordinal rating of classroom discourse segments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = sub.add_parser("synth", help="generate a synthetic dataset")
+    synth = sub.add_parser("synth", help="generate a synthetic dataset", allow_abbrev=False)
     synth.add_argument("--config", type=Path)
     synth.add_argument("--out", type=Path)
     synth.add_argument("--teachers", type=int)
@@ -87,14 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(handler=cmd_synth)
 
     for name, handler in (("train", cmd_train), ("cv", cmd_cv), ("ablate", cmd_ablate)):
-        cmd = sub.add_parser(name, help=f"run {name}")
+        cmd = sub.add_parser(name, help=f"run {name}", allow_abbrev=False)
         cmd.add_argument("--config", type=Path)
         cmd.add_argument("--data", type=Path, help="dataset root directory")
         cmd.add_argument("--out", type=Path)
         cmd.add_argument("--modalities", help="e.g. T, T+A, T+A+V")
         cmd.add_argument("--encoder", choices=ENCODERS)
-        cmd.add_argument("--task", choices=TASKS)
-        cmd.add_argument("--component", choices=list(COMPONENTS))
+        cmd.add_argument("--component", choices=COMPONENTS, help="single-task mode: rate it alone")
         cmd.add_argument("--loss", choices=LOSSES)
         cmd.add_argument("--no-positional", action="store_true", default=None)
         cmd.add_argument("--dropout", type=float)
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--axes", nargs="+", choices=AXES)
         cmd.set_defaults(handler=handler)
 
-    corr = sub.add_parser("correlate",
+    corr = sub.add_parser("correlate", allow_abbrev=False,
                           help="correlate classroom-level scores with student outcomes")
     corr.add_argument("--config", type=Path)
     corr.add_argument("--data", type=Path)
@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--out", type=Path)
     corr.set_defaults(handler=cmd_correlate)
 
-    grad = sub.add_parser("gradcheck", help="finite-difference audit of all operations")
+    grad = sub.add_parser("gradcheck", allow_abbrev=False,
+                          help="finite-difference audit of all operations")
     grad.add_argument("--tol", type=float, default=1e-5)
     grad.add_argument("--seed", type=int, default=0)
     grad.set_defaults(handler=cmd_gradcheck)
@@ -272,7 +273,7 @@ def cmd_synth(args) -> int:
 # ``positional`` as ``no_positional``.
 _MODEL_DEFAULTS = {"modalities": "T", "no_positional": not ModelConfig().positional,
                    **{key: getattr(ModelConfig(), key) for key in
-                      ("encoder", "fusion_modules", "task", "component", "loss", "dropout")}}
+                      ("encoder", "fusion_modules", "component", "loss", "dropout")}}
 _TRAIN_DEFAULTS = {key: getattr(TrainConfig(), key)
                    for key in ("lr", "batch_size", "max_epochs", "val_fraction", "seed")}
 

@@ -12,7 +12,7 @@ sorted key order, so serial and parallel runs produce identical reports.
 ``make_folds`` builds the fold plan, ``_teachers_outside`` the teachers
 outside a fold, ``default_grid`` the tuning grid, ``GridPoint.job`` a job's
 configs and seeds, ``fit_model`` the split-then-train step that the CLI's
-``train`` shares, and ``_score_fold`` a fold's QWK.
+``train`` shares, and ``_score_fold`` a fold's confusion matrices and QWK.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .data import Dataset, DatasetManifest
 from .errors import DiscourseRaterError, TrainingError, UsageError
-from .metrics import EvaluationReport, confusion_matrix, qwk, summarize_folds
+from .metrics import EvaluationReport, confusion_matrix, qwk_from_confusion, summarize_folds
 from .model import FUSION_MODULE_GRID, FusionModel, ModelConfig, build_model
 from .objective import COMPONENTS, NUM_CLASSES, rating_to_index
 from .train import TrainConfig, TrainHistory, predict, train
@@ -110,8 +110,7 @@ def _greedy_balanced(teachers: list[str], counts: Mapping[str, int], n_folds: in
     return folds
 
 
-def make_folds(manifest: DatasetManifest, n_outer: int = 5, n_inner: int = 3,
-               seed: int = 0) -> FoldPlan:
+def make_folds(manifest: DatasetManifest, n_outer: int, n_inner: int, seed: int) -> FoldPlan:
     """Deterministic teacher-grouped folds, balanced by segment count."""
     counts: dict[str, int] = {}
     for seg in manifest.segments:
@@ -182,17 +181,17 @@ def _init_worker(dataset: Dataset) -> None:
 
 def _score_fold(predictions: Mapping[str, Mapping[str, float]],
                 labels: Mapping[str, Mapping[str, float]], components: Sequence[str]):
-    """Per component, QWK between the true and predicted rating classes of one
-    fold's predicted segments, and those classes in segment order; ``labels``
+    """Per component, the QWK and the confusion matrix of the true against the
+    predicted rating classes of one fold's predicted segments; ``labels``
     holds every segment's true ratings."""
-    scores, classes = {}, {}
+    scores, confusions = {}, {}
     for component in components:
         seg_ids = sorted(predictions)
         t_idx = [rating_to_index(labels[s][component]) for s in seg_ids]
         p_idx = [rating_to_index(predictions[s][component]) for s in seg_ids]
-        scores[component] = qwk(t_idx, p_idx, NUM_CLASSES)
-        classes[component] = (t_idx, p_idx)
-    return scores, classes
+        confusions[component] = confusion_matrix(t_idx, p_idx, NUM_CLASSES)
+        scores[component] = qwk_from_confusion(confusions[component])
+    return scores, confusions
 
 
 def _run_job(job: _TrainEvalJob):
@@ -331,14 +330,14 @@ def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
     labels = {seg.segment_id: seg.labels for seg in dataset.manifest.segments}
     predictions: list[PredictionRow] = []
     per_fold: dict[str, list[float]] = {c: [] for c in components}
-    fold_classes = []
+    confusions = {c: 0 for c in components}
     for fold_idx in range(len(plan.outer)):
         fold_predictions, err = results[(fold_idx,)]
         if err is not None:
             raise TrainingError(f"fold {fold_idx} failed: {err}")
-        scores, classes = _score_fold(fold_predictions, labels, components)
-        fold_classes.append(classes)
+        scores, fold_confusions = _score_fold(fold_predictions, labels, components)
         for component in components:
+            confusions[component] += fold_confusions[component]
             predictions.extend(
                 PredictionRow(seg_id, component, labels[seg_id][component],
                               fold_predictions[seg_id][component], fold_idx)
@@ -346,8 +345,7 @@ def run_nested_cv(dataset: Dataset, model_config: ModelConfig,
             per_fold[component].append(scores[component])
 
     report = summarize_folds(per_fold)
-    report.confusions = {c: sum(confusion_matrix(*fold[c], NUM_CLASSES) for fold in fold_classes)
-                         for c in components}
+    report.confusions = confusions
     return NestedCvResult(plan=plan, best_points=best_points,
                           predictions=predictions, report=report)
 
@@ -399,12 +397,10 @@ def ablation_variants(base: ModelConfig, axes: Sequence[str]) -> list[tuple[str,
             variants.append(("encoder:attention",
                              dataclasses.replace(base, encoder="attention")))
         elif axis == "task":
-            variants.append(("task:multi", dataclasses.replace(base, task="multi",
-                                                               component=None)))
+            variants.append(("task:multi", dataclasses.replace(base, component=None)))
             for component in COMPONENTS:
                 variants.append((f"task:single:{component}",
-                                 dataclasses.replace(base, task="single",
-                                                     component=component)))
+                                 dataclasses.replace(base, component=component)))
         elif axis == "loss":
             for loss in ("l1", "ce", "oll"):
                 variants.append((f"loss:{loss}", dataclasses.replace(base, loss=loss)))
@@ -423,7 +419,7 @@ def run_ablation(dataset: Dataset, axes: Sequence[str], base_config: ModelConfig
         cv = run_nested_cv(dataset, config, train_config, grid=grid,
                            seed=seed, jobs=jobs)
         if name.startswith("task:single:"):
-            single_rows[name.rsplit(":", 1)[1]] = cv
+            single_rows[config.component] = cv
         else:
             result.rows[name] = cv.report
     if single_rows:

@@ -31,7 +31,6 @@ from .tensor import Tensor
 
 MODALITIES = tuple(MODALITY_DIMS)
 ENCODERS = ("attention", "lstm")
-TASKS = ("multi", "single")
 LOSSES = ("oll", "ce", "l1")
 MODEL_DIM = 768
 NUM_HEADS = 12
@@ -64,8 +63,7 @@ class ModelConfig:
     modalities: tuple[str, ...] = ("text",)
     encoder: str = "attention"
     fusion_modules: int = 1
-    task: str = "multi"
-    component: str | None = None
+    component: str | None = None  # None: all three heads; a name: single-task mode
     loss: str = "oll"
     positional: bool = True
     dropout: float = 0.1
@@ -86,13 +84,8 @@ class ModelConfig:
         else:
             if self.modalities != ("text", "audio") or self.fusion_modules != 1:
                 raise ConfigError("the LSTM baseline is defined for the T+A configuration at M=1")
-        if self.task not in TASKS:
-            raise ConfigError(f"unknown task mode {self.task!r}")
-        if self.task == "single":
-            if self.component not in COMPONENTS:
-                raise ConfigError(f"single-task mode needs component from {COMPONENTS}")
-        elif self.component is not None:
-            raise ConfigError("component is only meaningful in single-task mode")
+        if self.component is not None and self.component not in COMPONENTS:
+            raise ConfigError(f"component must be one of {COMPONENTS}, got {self.component!r}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         if not 0.0 <= self.dropout < 1.0:
@@ -106,7 +99,7 @@ class ModelConfig:
 
     @property
     def head_components(self) -> tuple[str, ...]:
-        return COMPONENTS if self.task == "multi" else (self.component,)
+        return COMPONENTS if self.component is None else (self.component,)
 
     @property
     def query(self) -> str:
@@ -417,7 +410,9 @@ def load_model(path: str | Path) -> FusionModel:
             at = config_start + len(config_text[:exc.pos].encode("utf-8"))
             raise reader.error(f"config is not JSON: {exc.msg}", at) from None
         try:
-            config = ModelConfig(**config_doc)
+            fields = dict(**config_doc)
+            fields.pop("task", None)  # older files' single-task switch, which "component" restates
+            config = ModelConfig(**fields)
         except (TypeError, ValueError, ConfigError) as exc:
             raise reader.error(f"bad config: {exc}", config_start) from None
         model = _build_in_arena(config, None)

@@ -160,14 +160,15 @@ def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
     from discourse_rater.tensor import Tensor
 
     rows = Rows([x.shape[0]]) if rows is None else rows
+    model_dim, context_dim = params.wq.shape[0], params.wk.shape[0]
     source, source_rows, lead = x, rows, None
     if context is not None:
         source = context
         source_rows = Rows([context.shape[0]]) if context_rows is None else context_rows
         if context_cls is not None:
-            lead = context_cls.reshape((1, params.context_dim))
+            lead = context_cls.reshape((1, context_dim))
     kv_index, kv_valid = padded_layout(source_rows.lengths, 0 if lead is None else 1)
-    zero = Tensor(np.zeros((1, params.model_dim)))
+    zero = Tensor(np.zeros((1, model_dim)))
 
     def padded(w, b):
         parts = [T.matmul(source, w) + b, zero]
@@ -179,14 +180,14 @@ def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
     batch = len(rows)
     if cls_only:
         queries = (T.matmul(T.take(x, rows.starts), params.wq) + params.bq) \
-            .reshape((batch, 1, params.model_dim))
+            .reshape((batch, 1, model_dim))
     else:
         q_index, q_valid = padded_layout(rows.lengths)
         queries = T.embedding_lookup(T.concat([T.matmul(x, params.wq) + params.bq, zero]),
                                      q_index)
     n_q = queries.shape[1]
     n_heads = params.num_heads
-    head_dim = params.model_dim // n_heads
+    head_dim = model_dim // n_heads
 
     def split_heads(h, axes):
         heads = T.permute(h.reshape((batch, h.shape[1], n_heads, head_dim)), (0, 2) + axes)
@@ -199,7 +200,7 @@ def attention_oracle(x, params, *, rows=None, context=None, context_rows=None,
                                NEG_FILL)
     attn = T.softmax(scores, axis=-1)
     per_head = T.bmm(attn, split_heads(values, (1, 3))).reshape((batch, n_heads, n_q, head_dim))
-    merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch * n_q, params.model_dim))
+    merged = T.permute(per_head, (0, 2, 1, 3)).reshape((batch * n_q, model_dim))
     if not cls_only:
         merged = T.take(merged, np.flatnonzero(q_valid))
     return T.matmul(merged, params.wo) + params.bo

@@ -355,7 +355,7 @@ def numpy_bilstm_oracle(seq: np.ndarray, params: BiLstmParams) -> np.ndarray:
     def sigmoid(x):
         return 1.0 / (1.0 + np.exp(-x))
 
-    h_dim = params.hidden_size
+    h_dim = params.layers[0]["fw"].wh.shape[0]
 
     def run_direction(rows, cell):
         h = np.zeros(h_dim)
@@ -406,6 +406,8 @@ class TestBiLstm:
         params = BiLstmParams.create(rng, input_dim=5, num_layers=2)
         out = bilstm_encode(Tensor(rng.standard_normal((3, 5))), params)
         assert out.shape == (10,)
+        params = BiLstmParams.create(rng, input_dim=5, hidden_size=3, num_layers=2)
+        assert bilstm_encode(Tensor(rng.standard_normal((3, 5))), params).shape == (6,)
 
     def test_empty_sequence_rejected(self, rng):
         params = BiLstmParams.create(rng, input_dim=3, num_layers=1)

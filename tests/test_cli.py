@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import importlib
@@ -124,11 +125,12 @@ class TestConfigFile:
         assert err.startswith("usage error: cannot read ") and "null byte" in err, err
 
     @pytest.mark.parametrize("command,key", [("train", "max_epoch"), ("cv", "lr"),
-                                             ("ablate", "fusion_modules")])
+                                             ("ablate", "fusion_modules"), ("train", "task")])
     def test_key_the_command_lacks_is_usage_error(self, dataset_dir, tmp_path, capsys,
                                                   command, key):
-        # A typo such as "max_epoch", or a setting the tuning grid sets in
-        # cv and ablate, is refused before --out is made.
+        # A typo such as "max_epoch", a setting the tuning grid sets in cv
+        # and ablate, or "task", which "component" replaced, is refused
+        # before --out is made.
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"data": str(dataset_dir), key: 1}))
         assert run_cli(command, "--config", config, "--out", tmp_path / "out") == 2
@@ -183,14 +185,43 @@ class TestGrid:
                          ids=["lr", "batch_size", "m"])
 @pytest.mark.parametrize("command", ["cv", "ablate"])
 def test_grid_set_setting_is_a_train_flag_only(dataset_dir, tmp_path, capsys, command, flag):
-    # In cv and ablate the --grid-* axes set these, so argparse refuses them
-    # ("--m" as an ambiguous prefix of --modalities and --max-epochs).
+    # In cv and ablate the --grid-* axes set these, so argparse refuses each
+    # as an unrecognized argument.
     with pytest.raises(SystemExit) as exit_info:
         run_cli(command, "--data", dataset_dir, "--out", tmp_path / "out", *flag)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "error: " in err and flag[0] in err, err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--max-epochs", "1", "--batch", "16"],
+    ["cv", "--max-epochs", "1", "--grid-lr", "1e-4", "--grid-m", "1", "--grid-b", "16"],
+    ["gradcheck", "--t", "1e-3"]], ids=["train", "cv", "gradcheck"])
+def test_a_prefix_of_a_flag_is_refused(dataset_dir, tmp_path, capsys, argv):
+    # Each flag has one spelling: argparse takes no prefix of a long flag.
+    # The other flags keep the run short were the prefix taken.
+    command, *flags = argv
+    paths = [] if command == "gradcheck" else ["--data", dataset_dir, "--out", tmp_path / "out"]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(command, *paths, *flags)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {' '.join(flags[-2:])}" in captured.err, captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "cv", "ablate", "correlate"])
+def test_every_flag_is_a_setting_that_resolve_reads(command):
+    # ``_resolve`` reads only the keys of ``_SETTINGS[command]``, so a flag
+    # outside them would be parsed and then silently ignored.
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in commands[command]._actions} - {"help", "config"}
+    defaults, required = _SETTINGS[command]
+    assert dests == {*defaults, *required}
 
 
 @pytest.mark.parametrize("command", ["train", "cv", "ablate", "correlate"])

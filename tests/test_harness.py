@@ -52,7 +52,7 @@ class TestMakeFolds:
                     for i, count in enumerate(counts) for j in range(count)]
         teachers = sorted({seg.teacher_id for seg in segments})
         try:
-            plan = make_folds(DatasetManifest(segments=segments), seed=seed)
+            plan = make_folds(DatasetManifest(segments=segments), 5, 3, seed)
         except UsageError:
             assert len(teachers) < 15
             return
@@ -66,20 +66,20 @@ class TestMakeFolds:
 
     def test_same_seed_same_plan(self):
         dataset = tiny_dataset(teachers=8)
-        a = make_folds(dataset.manifest, seed=7)
-        b = make_folds(dataset.manifest, seed=7)
+        a = make_folds(dataset.manifest, 5, 3, seed=7)
+        b = make_folds(dataset.manifest, 5, 3, seed=7)
         assert a == b
 
     def test_different_seed_different_plan(self):
         dataset = tiny_dataset(teachers=10)
-        a = make_folds(dataset.manifest, seed=7)
-        b = make_folds(dataset.manifest, seed=8)
+        a = make_folds(dataset.manifest, 5, 3, seed=7)
+        b = make_folds(dataset.manifest, 5, 3, seed=8)
         assert a.outer != b.outer
 
     def test_fewer_teachers_than_folds_rejected(self):
         dataset = tiny_dataset(teachers=4)
         with pytest.raises(UsageError):
-            make_folds(dataset.manifest, n_outer=5)
+            make_folds(dataset.manifest, n_outer=5, n_inner=3, seed=0)
 
     def test_balanced_by_segment_count(self):
         # Uneven teachers: the greedy largest-first keeps loads within the
@@ -89,7 +89,7 @@ class TestMakeFolds:
         counts = {}
         for seg in manifest.segments:
             counts[seg.teacher_id] = counts.get(seg.teacher_id, 0) + 1
-        plan = make_folds(manifest, n_outer=5, seed=0)
+        plan = make_folds(manifest, n_outer=5, n_inner=3, seed=0)
         loads = [sum(counts[t] for t in fold) for fold in plan.outer]
         assert max(loads) - min(loads) <= max(counts.values())
 
@@ -213,7 +213,7 @@ class TestNestedCv:
 
     def test_single_task_mode(self):
         dataset = tiny_dataset()
-        result = self.run_small(dataset, task="single", component="nature")
+        result = self.run_small(dataset, component="nature")
         assert {row.component for row in result.predictions} == {"nature"}
         assert set(result.report.components) == {"nature"}
 
@@ -298,6 +298,13 @@ class TestAblation:
                                           ["encoder"]))
         assert variants["encoder:lstm"].fusion_modules == 1
         assert variants["encoder:attention"].fusion_modules == 2
+
+    def test_task_axis_sets_only_the_component(self):
+        base = ModelConfig(modalities=("text",), component="nature")
+        variants = dict(ablation_variants(base, ["task"]))
+        assert variants == {"task:multi": dataclasses.replace(base, component=None),
+                            **{f"task:single:{c}": dataclasses.replace(base, component=c)
+                               for c in COMPONENTS}}
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(UsageError):

@@ -52,9 +52,11 @@ class TestModelConfig:
             ModelConfig(encoder="lstm", modalities="T+A", fusion_modules=2)
 
     def test_single_task_needs_component(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(modalities=("text",), task="single")
-        cfg = ModelConfig(modalities=("text",), task="single", component="nature")
+        # A component selects single-task mode; None keeps all three heads.
+        assert ModelConfig(modalities=("text",)).head_components == COMPONENTS
+        with pytest.raises(ConfigError, match="component"):
+            ModelConfig(modalities=("text",), component="warmth")
+        cfg = ModelConfig(modalities=("text",), component="nature")
         assert cfg.head_components == ("nature",)
 
     @pytest.mark.parametrize("config,query,contexts", [
@@ -86,7 +88,7 @@ class TestBuildModel:
     def test_text_audio_m3_block_counts(self):
         model = build_model(ModelConfig(modalities="T+A", fusion_modules=3))
         assert [modality for modality, _ in model.stack] == ["audio", None] * 3
-        assert [block.attention.context_dim for _, block in model.stack] == [1024, 768] * 3
+        assert [block.attention.wk.shape[0] for _, block in model.stack] == [1024, 768] * 3
 
     def test_same_seed_gives_bitwise_identical_parameters(self):
         cfg = ModelConfig(modalities="T+A+V", fusion_modules=2, seed=5)
@@ -127,8 +129,7 @@ class TestForward:
             assert abs(probs.data.sum() - 1.0) < 1e-6
 
     def test_single_task_single_head(self, rng):
-        model = build_model(ModelConfig(modalities=("text",), task="single",
-                                        component="questioning", seed=1))
+        model = build_model(ModelConfig(modalities=("text",), component="questioning", seed=1))
         out = forward(model, [make_segment(rng)])
         assert set(out) == {"questioning"}
 
@@ -197,8 +198,7 @@ class TestForward:
 
     def test_single_task_head_matches_multi_task_head(self, rng):
         multi = build_model(ModelConfig(modalities=("text",), seed=7))
-        single = build_model(ModelConfig(modalities=("text",), task="single",
-                                         component="nature", seed=8))
+        single = build_model(ModelConfig(modalities=("text",), component="nature", seed=8))
         # Align all shared parameters and the one head.
         multi_params = multi.parameters()
         for name, tensor in single.parameters().items():
@@ -489,6 +489,23 @@ class TestCheckpoint:
         after = forward(loaded, [seg])
         for component in before:
             assert np.array_equal(before[component].data, after[component].data)
+
+    @pytest.mark.parametrize("task,component", [("multi", None), ("single", "questioning")])
+    def test_header_with_the_older_task_key_loads(self, rng, tmp_path, task, component):
+        # Files written while ``task`` was a setting hold it beside the
+        # ``component`` that says the same; loading drops it.
+        model = build_model(ModelConfig(modalities="T", component=component, seed=14))
+        config = json.dumps({**dataclasses.asdict(model.config), "task": task},
+                            sort_keys=True).encode("utf-8")
+        tensors = [(name.encode(), p.data) for name, p in model.parameters().items()]
+        (tmp_path / "old.dfm").write_bytes(dfm1_bytes(config, tensors))
+        loaded = load_model(tmp_path / "old.dfm")
+        assert loaded.config == model.config
+        seg = make_segment(rng)
+        before, after = forward(model, [seg]), forward(loaded, [seg])
+        assert list(after) == list(model.config.head_components)
+        for name in before:
+            assert np.array_equal(before[name].data, after[name].data), name
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_roundtrip_restores_values_a_fresh_build_lacks(self, rng, tmp_path, dtype):

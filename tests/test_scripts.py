@@ -1,6 +1,7 @@
 """Tests of the measurement scripts under ``scripts/``."""
 
 import importlib.util
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,28 @@ class TestCompareOutputsDifference:
     def test_other_files_say_only_that_content_differs(self, parent, change):
         assert load_script("compare_outputs").describe_difference(parent, change) == \
             "other content DIFFERS"
+
+    @staticmethod
+    def dfm1(config: bytes, tensors) -> bytes:
+        """A DFM1 file of the given config header and (name, shape, values)."""
+        chunks = [b"DFM1", struct.pack("<I", len(config)), config,
+                  struct.pack("<I", len(tensors))]
+        for name, shape, values in tensors:
+            chunks += [struct.pack("<I", len(name)), name,
+                       struct.pack(f"<I{len(shape)}I", len(shape), *shape),
+                       struct.pack(f"<{len(values)}f", *values)]
+        return b"".join(chunks)
+
+    @pytest.mark.parametrize("change_tensors,layout", [
+        ([(b"w", (2,), (0.5, 2.0))], "identical"),
+        ([(b"w", (1, 2), (0.5, 2.0))], "DIFFER")], ids=["same_tensors", "other_shape"])
+    def test_checkpoints_name_the_config_keys_that_differ(self, change_tensors, layout):
+        parent = self.dfm1(b'{"component": null, "seed": 0, "task": "multi"}',
+                           [(b"w", (2,), (0.25, 2.0))])
+        change = self.dfm1(b'{"component": null, "seed": 1}', change_tensors)
+        assert load_script("compare_outputs").describe_difference(parent, change) == (
+            f"config only in parent: task; values differ: seed; "
+            f"tensor names and shapes {layout}")
 
     def test_measured_values_alone_still_give_their_distance(self):
         line = load_script("compare_outputs").describe_difference(b'{"qwk": 0.25}',

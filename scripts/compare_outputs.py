@@ -10,8 +10,9 @@ Each argument is the root of a checkout.  In each, with its ``src`` first on
 1. ``synth``: 10 teachers of 4 segments, 3 students a teacher, seed 0;
 2. ``train``: T+A, 2 epochs, seed 3; audio only, 1 epoch, seed 3 (the
    one layout whose CLS row is drawn after the audio projection but carved
-   before it); and T+A+V with two fusion modules, 1 epoch, seed 3 (both
-   cross-block kinds, in each of two modules);
+   before it); T+A+V with two fusion modules, 1 epoch, seed 3 (both
+   cross-block kinds, in each of two modules); and the T+A BiLSTM
+   baseline, 1 epoch, seed 3 (the one step that runs the LSTM encoder);
 3. ``cv``: the ROADMAP baseline (T+A+V, lr 1e-4, batch 8, M 1 and 2,
    3 epochs), once with ``--jobs 1`` and once with ``--jobs 2``;
 4. ``ablate --axes loss task``: text only, the same grid, 1 epoch;
@@ -63,6 +64,8 @@ SEQUENCE = [
     ["train", "--data", "ds", "--out", "train_audio", "--modalities", "A",
      "--max-epochs", "1", "--seed", "3"],
     ["train", "--data", "ds", "--out", "train_tav", "--modalities", "T+A+V", "--m", "2",
+     "--max-epochs", "1", "--seed", "3"],
+    ["train", "--data", "ds", "--out", "train_lstm", "--encoder", "lstm", "--modalities", "T+A",
      "--max-epochs", "1", "--seed", "3"],
     ["cv", *BASELINE_CV, "--jobs", "1", "--out", "cv_jobs1"],
     ["cv", *BASELINE_CV, "--jobs", "2", "--out", "cv_jobs2"],

@@ -1,10 +1,10 @@
 """Neural building blocks.
 
-Multi-head attention (self and cross) and pre-norm transformer encoder
-blocks on packed rows, the three-layer MLP rating head, a bidirectional LSTM
-encoder used as a baseline, and the sinusoidal position encodings.  All
-blocks are pure functions of (parameters, input) built from the autodiff
-primitives in :mod:`.tensor`.
+Multi-head attention (self and cross), pre-norm transformer encoder blocks
+and the bidirectional LSTM baseline, all on packed rows; the three-layer MLP
+rating head; and the sinusoidal position encodings.  All blocks are pure
+functions of (parameters, input) built from the autodiff primitives in
+:mod:`.tensor`.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class Rows:
     """Where ``B`` sequences sit in one packed ``[rows, d]`` array.
 
     Sequence ``i`` holds rows ``starts[i] : starts[i] + lengths[i]``, and no
-    row is padding, in any layer: the attention core too runs each
-    sequence on its own rows.
+    row is padding, in any layer: the attention core and the LSTM
+    recurrence too run each sequence on its own rows.
     """
 
     def __init__(self, lengths):
@@ -386,58 +386,54 @@ class BiLstmParams:
         layers = []
         for layer in range(num_layers):
             in_dim = input_dim if layer == 0 else 2 * h
-            layers.append({
-                direction: LstmCellParams(
-                    wx=xavier_uniform(rng, in_dim, 4 * h, arena),
-                    wh=xavier_uniform(rng, h, 4 * h, arena),
-                    b=zeros_param(4 * h, arena=arena),
-                )
-                for direction in ("fw", "bw")
-            })
+            layers.append({direction: LstmCellParams(wx=xavier_uniform(rng, in_dim, 4 * h, arena),
+                                                     wh=xavier_uniform(rng, h, 4 * h, arena),
+                                                     b=zeros_param(4 * h, arena=arena))
+                           for direction in ("fw", "bw")})
         return cls(layers=layers)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for direction, cell in layer.items():
-                out[f"l{i}.{direction}.wx"] = cell.wx
-                out[f"l{i}.{direction}.wh"] = cell.wh
-                out[f"l{i}.{direction}.b"] = cell.b
-        return out
+        return {f"l{i}.{direction}.{name}": getattr(cell, name)
+                for i, layer in enumerate(self.layers) for direction, cell in layer.items()
+                for name in ("wx", "wh", "b")}
 
 
-def _lstm_direction(rows: list[Tensor], cell: LstmCellParams, h_dim: int) -> tuple[list[Tensor], Tensor]:
-    """Run one direction over the given row order; returns per-step h and final h."""
-    h = Tensor(np.zeros((1, h_dim)))
-    c = Tensor(np.zeros((1, h_dim)))
+def bilstm_encode(x: Tensor, rows: Rows, params: BiLstmParams) -> Tensor:
+    """The last layer's final forward and reverse states ``[B, 2h]`` of the
+    sequences that ``rows`` lays out in the packed rows ``x``; an empty one
+    is ``UsageError``.  Each layer and direction projects every row with one
+    GEMM.  Sorted longest first, the sequences still running at step ``t``
+    are a prefix (``pack_padded_sequence``'s layout), so each step runs on
+    that prefix's rows alone, and the reverse one starts at each last row."""
+    if x.ndim != 2 or x.shape[0] != rows.total or not len(rows) or rows.lengths.min() < 1:
+        raise UsageError(f"bilstm_encode needs packed [{rows.total}, d] rows of nonempty "
+                         f"sequences, got {x.shape} in lengths {rows.lengths.tolist()}")
+    order = np.argsort(-rows.lengths, kind="stable")
+    last = rows.starts + rows.lengths - 1
+    running = [order[:np.count_nonzero(rows.lengths > t)] for t in range(rows.lengths.max())]
+    steps = {"fw": [rows.starts[seqs] + t for t, seqs in enumerate(running)],
+             "bw": [last[seqs] - t for t, seqs in enumerate(running)]}
+    for layer in params.layers:
+        out = {direction: _lstm_steps(T.matmul(x, cell.wx, bias=cell.b), cell.wh, steps[direction])
+               for direction, cell in layer.items()}
+        x = T.concat([out["fw"], out["bw"]], axis=1)
+    return T.concat([T.take(out["fw"], last), T.take(out["bw"], rows.starts)], axis=1)
+
+
+def _lstm_steps(z: Tensor, wh: Tensor, steps: list[np.ndarray]) -> Tensor:
+    """One direction's states ``[rows, h]`` in packed order; step ``t`` runs on ``z[steps[t]]``."""
+    h_dim = wh.shape[0]
+    h = c = Tensor(np.zeros((len(steps[0]), h_dim)))
     outputs = []
-    for row in rows:
-        z = T.matmul(row, cell.wx) + T.matmul(h, cell.wh) + cell.b
-        i = T.sigmoid(z[:, 0:h_dim])
-        f = T.sigmoid(z[:, h_dim:2 * h_dim])
-        g = T.tanh(z[:, 2 * h_dim:3 * h_dim])
-        o = T.sigmoid(z[:, 3 * h_dim:4 * h_dim])
+    for index in steps:
+        h, c = (h, c) if len(index) == h.shape[0] else (h[:len(index)], c[:len(index)])
+        gates = T.take(z, index) + T.matmul(h, wh)
+        i, f, o = (T.sigmoid(gates[:, k * h_dim:(k + 1) * h_dim]) for k in (0, 1, 3))
+        g = T.tanh(gates[:, 2 * h_dim:3 * h_dim])
         c = f * c + i * g
         h = o * T.tanh(c)
         outputs.append(h)
-    return outputs, h
-
-
-def bilstm_encode(seq: Tensor, params: BiLstmParams) -> Tensor:
-    """Concatenate the last layer's final forward and reverse hidden states."""
-    if seq.ndim != 2 or seq.shape[0] < 1:
-        raise UsageError(f"bilstm_encode needs a nonempty [L, d] sequence, got {seq.shape}")
-    h_dim = params.layers[0]["fw"].wh.shape[0]
-    length = seq.shape[0]
-    rows = [seq[t:t + 1] for t in range(length)]
-    final_fw = final_bw = None
-    for layer in params.layers:
-        fw_steps, final_fw = _lstm_direction(rows, layer["fw"], h_dim)
-        bw_steps, final_bw = _lstm_direction(rows[::-1], layer["bw"], h_dim)
-        bw_steps = bw_steps[::-1]
-        rows = [T.concat([fw_steps[t], bw_steps[t]], axis=1) for t in range(length)]
-    pooled = T.concat([final_fw, final_bw], axis=1)
-    return pooled.reshape((2 * h_dim,))
+    return T.take(T.concat(outputs), np.argsort(np.concatenate(steps)))
 
 
 # -- position encodings ---------------------------------------------------------

@@ -12,8 +12,8 @@ each composite: attention on one sequence and
 on packed rows of uneven sequences against contexts led by one shared CLS
 row, the self and cross encoder blocks on one sequence, the cross block on
 those packed rows, the CLS-only self block on packed rows, the classify and
-regress head modes on a batch of two rows, the BiLSTM, and the OLL, CE and
-L1 losses.
+regress head modes on a batch of two rows, the BiLSTM on packed rows of
+uneven sequences, and the OLL, CE and L1 losses.
 
 Runs in float64 mode and compares reverse-mode gradients against central
 finite differences.  The catalog backs the ``gradcheck`` CLI command; any
@@ -154,10 +154,9 @@ def _composite_checks(rng: np.random.Generator) -> list[tuple[str, Callable, lis
                    [rx] + list(reg_head.parameters().values())))
 
     lstm = BiLstmParams.create(rng, input_dim=3, hidden_size=2, num_layers=2)
-    seq = _t(rng, 3, 3)
     checks.append(("bilstm",
-                   lambda seq, *_: bilstm_encode(seq, lstm),
-                   [seq] + list(lstm.parameters().values())))
+                   lambda seq, *_: bilstm_encode(seq, Rows([3, 1, 2]), lstm),
+                   [_t(rng, 6, 3)] + list(lstm.parameters().values())))
 
     weights = np.abs(rng.standard_normal(7)) + 0.5
     oll_logits = _t(rng, 3, 7)

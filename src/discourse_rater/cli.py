@@ -10,13 +10,14 @@ built-in defaults, then an optional JSON config file, then explicit flags.
 The defaults and the checks of each value belong to the config classes
 (``SynthConfig``, ``ModelConfig``, ``TrainConfig``), which check themselves
 when built; this module keeps only its own spellings of their settings.
-Once its inputs are read, ``_create_out`` makes ``--out`` before any work
-starts, and ``_write_outputs`` writes the settings there next to its outputs
-so any run can be reproduced from its artifacts.  ``cv`` and ``ablate``
-take the learning rate, batch size and M only as ``--grid-*`` axes, and
-``--component`` selects single-task mode; no flag is taken by a prefix.  The
-grid, the split-then-train step and the classroom aggregation are
-``harness``'s and ``data``'s, not restated here.
+Once its inputs are read and every setting checked (the grid, ``--jobs`` and
+the ablation axes too), ``_create_out`` makes ``--out`` before any work starts,
+and ``_write_outputs`` writes the settings there next to its outputs so any
+run can be reproduced from its artifacts.  ``cv`` and ``ablate`` take the
+learning rate, batch size and M only as ``--grid-*`` axes, and ``--component``
+selects single-task mode; no flag is taken by a prefix.  The grid, the
+split-then-train step and the classroom aggregation are ``harness``'s and
+``data``'s, not restated here.
 Exit codes: 0 success, 1 computation failure, 2 usage error.
 """
 
@@ -37,7 +38,8 @@ from .data import (JSON_NAMES, OUTCOMES, SIGNAL_STRENGTH, Dataset, DatasetManife
                    SynthConfig, classroom_aggregate, fits_json_type, generate_synthetic,
                    json_type, open_file, uniform_signal)
 from .errors import DataError, DiscourseRaterError, FormatError, UsageError
-from .harness import AXES, GridPoint, default_grid, fit_model, run_ablation, run_nested_cv
+from .harness import (AXES, GridPoint, ablation_variants, check_jobs, default_grid, fit_model,
+                      run_ablation, run_nested_cv)
 from .metrics import irr_leave_one_rater_out, pearson_r, significance_stars
 from .model import ENCODERS, LOSSES, ModelConfig, save_model
 from .objective import COMPONENT_TITLES, COMPONENTS, RATINGS
@@ -368,13 +370,13 @@ def cmd_cv(args) -> int:
     (``human_irr``) when the manifest holds rater records."""
     resolved = _resolve(args, *_SETTINGS["cv"])
     model_config, train_config = _model_config(resolved), _train_config(resolved)
+    grid, jobs = _grid(resolved), check_jobs(resolved["jobs"])
     dataset = Dataset.load(resolved["data"])
     human_irr = (_human_irr(dataset.manifest, model_config.head_components)
                  if dataset.manifest.rater_records else None)
     out_dir = _create_out(resolved)
     result = run_nested_cv(dataset, model_config, train_config,
-                           grid=_grid(resolved), seed=resolved["seed"],
-                           jobs=resolved["jobs"])
+                           grid=grid, seed=resolved["seed"], jobs=jobs)
 
     report_doc = result.report.to_dict()
     report_doc["best_grid_points"] = [p.label() for p in result.best_points]
@@ -389,12 +391,13 @@ def cmd_cv(args) -> int:
 
 def cmd_ablate(args) -> int:
     resolved = _resolve(args, *_SETTINGS["ablate"])
-    model_config, train_config = _model_config(resolved), _train_config(resolved)
+    train_config = _train_config(resolved)
+    variants = ablation_variants(_model_config(resolved), resolved["axes"])
+    grid, jobs = _grid(resolved), check_jobs(resolved["jobs"])
     dataset = Dataset.load(resolved["data"])
     _create_out(resolved)
-    result = run_ablation(dataset, resolved["axes"], model_config,
-                          train_config, grid=_grid(resolved),
-                          seed=resolved["seed"], jobs=resolved["jobs"])
+    result = run_ablation(dataset, variants, train_config, grid=grid,
+                          seed=resolved["seed"], jobs=jobs)
 
     table = result.table()
     _write_outputs(resolved, {"ablation.json": result.to_dict(), "ablation.txt": table})

@@ -29,7 +29,7 @@ from .data import Dataset, DatasetManifest
 from .errors import DiscourseRaterError, TrainingError, UsageError
 from .metrics import EvaluationReport, confusion_matrix, qwk_from_confusion, summarize_folds
 from .model import FUSION_MODULE_GRID, FusionModel, ModelConfig, build_model
-from .objective import COMPONENTS, NUM_CLASSES, rating_to_index
+from .objective import COMPONENT_TITLES, COMPONENTS, NUM_CLASSES, rating_to_index
 from .train import TrainConfig, TrainHistory, predict, train
 
 LR_GRID = (1e-4, 1e-5)
@@ -205,12 +205,17 @@ def _run_job(job: _TrainEvalJob):
         return job.key, None, f"{type(exc).__name__}: {exc}"
 
 
+def check_jobs(jobs: int) -> int:
+    """``jobs``, the most worker processes a stage starts, if at least 1."""
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _map_jobs(dataset: Dataset, jobs_list: list[_TrainEvalJob], jobs: int, stage: str):
     """Each job's result by its key; a worker process that dies ends the
     ``stage`` ("inner-CV" or "outer-CV") with ``TrainingError``."""
-    if jobs < 1:
-        raise UsageError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(jobs_list))
+    workers = min(check_jobs(jobs), len(jobs_list))
     if workers <= 1:
         _init_worker(dataset)
         results = [_run_job(job) for job in jobs_list]
@@ -361,8 +366,6 @@ class AblationResult:
     rows: dict[str, EvaluationReport] = field(default_factory=dict)
 
     def table(self) -> str:
-        from .objective import COMPONENT_TITLES
-
         headers = ["Variant"] + [COMPONENT_TITLES[c] for c in COMPONENTS] + ["Average"]
         widths = [max(24, len(headers[0]))] + [max(18, len(h)) for h in headers[1:]]
         lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
@@ -384,6 +387,8 @@ class AblationResult:
 
 def ablation_variants(base: ModelConfig, axes: Sequence[str]) -> list[tuple[str, ModelConfig]]:
     """Expand requested axes, each counted once, into named configuration variants."""
+    if not axes:
+        raise UsageError("ablate needs at least one axis")
     variants: list[tuple[str, ModelConfig]] = []
     for axis in dict.fromkeys(axes):
         if axis == "modality":
@@ -409,22 +414,21 @@ def ablation_variants(base: ModelConfig, axes: Sequence[str]) -> list[tuple[str,
     return variants
 
 
-def run_ablation(dataset: Dataset, axes: Sequence[str], base_config: ModelConfig,
+def run_ablation(dataset: Dataset, variants: Sequence[tuple[str, ModelConfig]],
                  train_config: TrainConfig, grid: Sequence[GridPoint],
                  seed: int = 0, jobs: int = 1) -> AblationResult:
-    """Run nested CV for every variant; one seed gives every variant one fold plan."""
+    """Nested CV once per distinct config of ``variants``, all on the fold plan of ``seed``."""
     result = AblationResult()
-    single_rows: dict[str, NestedCvResult] = {}
-    for name, config in ablation_variants(base_config, axes):
-        cv = run_nested_cv(dataset, config, train_config, grid=grid,
-                           seed=seed, jobs=jobs)
+    reports: dict[ModelConfig, EvaluationReport] = {}
+    single_rows: dict[str, list[float]] = {}
+    for name, config in variants:
+        if config not in reports:
+            reports[config] = run_nested_cv(dataset, config, train_config, grid=grid,
+                                            seed=seed, jobs=jobs).report
         if name.startswith("task:single:"):
-            single_rows[config.component] = cv
+            single_rows[config.component] = reports[config].components[config.component].per_fold
         else:
-            result.rows[name] = cv.report
+            result.rows[name] = reports[config]
     if single_rows:
-        per_fold = {c: single_rows[c].report.components[c].per_fold
-                    for c in single_rows}
-        merged = summarize_folds(per_fold)
-        result.rows["task:single"] = merged
+        result.rows["task:single"] = summarize_folds(single_rows)
     return result

@@ -238,11 +238,11 @@ def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
     Classification heads return ``[B, 7]`` probabilities; the regression
     variant returns ``[B, 1]`` unbounded scores.
 
-    Attention configurations run the batch at once through the fusion stack
-    on packed rows: the rows of every segment, back to back.  Every layer
-    sees only those rows, and the attention core runs each segment on its
-    own.  The LSTM baseline encodes segment by segment and batches only the
-    heads.
+    Both encoders run the batch at once on packed rows: the rows of every
+    segment, back to back.  Every layer sees only those rows, and the
+    attention core and the LSTM recurrence run each segment on its own.
+    The LSTM baseline runs one BiLSTM per modality and joins their final
+    states along features.
     When the stack raises ``NumericsError`` and a segment holds a non-finite
     feature, ``DataError`` names each such segment and modality instead.
     """
@@ -252,7 +252,11 @@ def forward(model: FusionModel, segments: Sequence[SegmentFeatures],
         _check_inputs(model.config, seg)
     try:
         if model.config.encoder == "lstm":
-            pooled = T.concat([_lstm_pooled(model, seg) for seg in segments], axis=0)
+            states = []
+            for modality, lstm in model.lstms.items():
+                features, rows, _ = _packed(segments, modality)
+                states.append(bilstm_encode(Tensor(features), rows, lstm))
+            pooled = T.concat(states, axis=1)
         else:
             pooled = _attention_pooled(model, segments, training, rng)
         outputs = {
@@ -357,13 +361,6 @@ def _attention_pooled(model: FusionModel, segments: Sequence[SegmentFeatures],
                              context_cls=None if modality is None else model.cls[modality],
                              training=training, keep=keep, cls_only=i == len(stack) - 1)
     return text
-
-
-def _lstm_pooled(model: FusionModel, seg: SegmentFeatures) -> Tensor:
-    """One ``[1, 2 * (text + audio width)]`` row of final BiLSTM states."""
-    pooled = T.concat([bilstm_encode(Tensor(seg.modality(modality)), model.lstms[modality])
-                       for modality in model.config.modalities], axis=0)
-    return pooled.reshape((1, pooled.shape[0]))
 
 
 # -- checkpointing ---------------------------------------------------------------

@@ -213,6 +213,40 @@ JSON_VALUES = st.recursive(st.none() | st.booleans() | st.integers() | st.floats
                            max_leaves=6)
 
 
+def numpy_bilstm_oracle(seq: np.ndarray, params) -> np.ndarray:
+    """The final states ``[2h]`` of ``blocks.BiLstmParams`` ``params`` over one
+    sequence ``[L, d]``: the recurrence step by step, written independently
+    with plain numpy."""
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    h_dim = params.layers[0]["fw"].wh.shape[0]
+
+    def run_direction(rows, cell):
+        h = np.zeros(h_dim)
+        c = np.zeros(h_dim)
+        outs = []
+        for row in rows:
+            z = row @ cell.wx.data + h @ cell.wh.data + cell.b.data
+            i = sigmoid(z[0:h_dim])
+            f = sigmoid(z[h_dim:2 * h_dim])
+            g = np.tanh(z[2 * h_dim:3 * h_dim])
+            o = sigmoid(z[3 * h_dim:4 * h_dim])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            outs.append(h)
+        return outs, h
+
+    rows = [seq[t] for t in range(seq.shape[0])]
+    final_fw = final_bw = None
+    for layer in params.layers:
+        fw, final_fw = run_direction(rows, layer["fw"])
+        bw, final_bw = run_direction(rows[::-1], layer["bw"])
+        bw = bw[::-1]
+        rows = [np.concatenate([fw[t], bw[t]]) for t in range(len(rows))]
+    return np.concatenate([final_fw, final_bw])
+
+
 def json_paths(doc, prefix=()):
     """The key path of every value inside a parsed JSON object or array."""
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):

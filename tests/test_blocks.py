@@ -9,7 +9,7 @@ from discourse_rater.blocks import (AttentionParams, BiLstmParams,
                                     multi_head_attention, sinusoid_table)
 from discourse_rater.errors import NumericsError, ShapeError, UsageError
 from discourse_rater.tensor import Tensor
-from helpers import attention_oracle
+from helpers import attention_oracle, numpy_bilstm_oracle
 
 
 def small_attention(rng, model_dim=24, context_dim=32, num_heads=4):
@@ -350,79 +350,67 @@ class TestMlpHead:
         assert report.passed, report
 
 
-def numpy_bilstm_oracle(seq: np.ndarray, params: BiLstmParams) -> np.ndarray:
-    """Step-by-step recurrence written independently with plain numpy."""
-    def sigmoid(x):
-        return 1.0 / (1.0 + np.exp(-x))
-
-    h_dim = params.layers[0]["fw"].wh.shape[0]
-
-    def run_direction(rows, cell):
-        h = np.zeros(h_dim)
-        c = np.zeros(h_dim)
-        outs = []
-        for row in rows:
-            z = row @ cell.wx.data + h @ cell.wh.data + cell.b.data
-            i = sigmoid(z[0:h_dim])
-            f = sigmoid(z[h_dim:2 * h_dim])
-            g = np.tanh(z[2 * h_dim:3 * h_dim])
-            o = sigmoid(z[3 * h_dim:4 * h_dim])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            outs.append(h)
-        return outs, h
-
-    rows = [seq[t] for t in range(seq.shape[0])]
-    final_fw = final_bw = None
-    for layer in params.layers:
-        fw, final_fw = run_direction(rows, layer["fw"])
-        bw, final_bw = run_direction(rows[::-1], layer["bw"])
-        bw = bw[::-1]
-        rows = [np.concatenate([fw[t], bw[t]]) for t in range(len(rows))]
-    return np.concatenate([final_fw, final_bw])
+def packed(*seqs):
+    """The packed rows of ``seqs`` and their layout."""
+    return Tensor(np.concatenate(seqs)), Rows([len(seq) for seq in seqs])
 
 
 class TestBiLstm:
     def test_two_step_sequence_matches_scalar_oracle(self, rng):
         params = BiLstmParams.create(rng, input_dim=2, num_layers=1)
         seq = np.asarray([[0.5, -1.0], [1.5, 0.25]], dtype=np.float32)
-        out = bilstm_encode(Tensor(seq), params)
-        assert np.allclose(out.data, numpy_bilstm_oracle(seq, params), atol=1e-6)
+        out = bilstm_encode(*packed(seq), params)
+        assert np.allclose(out.data[0], numpy_bilstm_oracle(seq, params), atol=1e-6)
 
     def test_stacked_layers_match_oracle(self, rng):
         params = BiLstmParams.create(rng, input_dim=3, num_layers=2)
         seq = rng.standard_normal((4, 3)).astype(np.float32)
-        out = bilstm_encode(Tensor(seq), params)
-        assert out.shape == (6,)
-        assert np.allclose(out.data, numpy_bilstm_oracle(seq, params), atol=1e-5)
+        out = bilstm_encode(*packed(seq), params)
+        assert out.shape == (1, 6)
+        assert np.allclose(out.data[0], numpy_bilstm_oracle(seq, params), atol=1e-5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_uneven_packed_sequences_match_oracle_alone(self, seed):
+        # Unsorted lengths, several of 1: each row of the batch is the
+        # oracle's run over that sequence alone, in batch order.
+        with T.precision("float64"):
+            rng = np.random.default_rng(seed)
+            params = BiLstmParams.create(rng, input_dim=4, hidden_size=3, num_layers=2)
+            seqs = [rng.standard_normal((n, 4)) for n in (3, 1, 5, 2, 1, 7, 4, 1, 6)]
+            out = bilstm_encode(*packed(*seqs), params)
+            assert out.shape == (9, 6)
+            for row, seq in enumerate(seqs):
+                assert np.abs(out.data[row] - numpy_bilstm_oracle(seq, params)).max() < 1e-12
 
     def test_single_step_sequence(self, rng):
         params = BiLstmParams.create(rng, input_dim=3, num_layers=2)
-        out = bilstm_encode(Tensor(rng.standard_normal((1, 3))), params)
-        assert out.shape == (6,)
+        out = bilstm_encode(*packed(rng.standard_normal((1, 3))), params)
+        assert out.shape == (1, 6)
         assert np.abs(out.data).max() > 0
 
     def test_output_width_is_twice_hidden(self, rng):
         params = BiLstmParams.create(rng, input_dim=5, num_layers=2)
-        out = bilstm_encode(Tensor(rng.standard_normal((3, 5))), params)
-        assert out.shape == (10,)
+        out = bilstm_encode(*packed(rng.standard_normal((3, 5))), params)
+        assert out.shape == (1, 10)
         params = BiLstmParams.create(rng, input_dim=5, hidden_size=3, num_layers=2)
-        assert bilstm_encode(Tensor(rng.standard_normal((3, 5))), params).shape == (6,)
+        seqs = rng.standard_normal((3, 5)), rng.standard_normal((2, 5))
+        assert bilstm_encode(*packed(*seqs), params).shape == (2, 6)
 
     def test_empty_sequence_rejected(self, rng):
         params = BiLstmParams.create(rng, input_dim=3, num_layers=1)
-        with pytest.raises(UsageError):
-            bilstm_encode(Tensor(np.zeros((0, 3))), params)
+        for lengths in ([0], [2, 0, 1], []):
+            with pytest.raises(UsageError, match="nonempty"):
+                bilstm_encode(Tensor(np.zeros((sum(lengths), 3))), Rows(lengths), params)
 
     def test_gradients_match_finite_differences(self):
         with T.precision("float64"):
             rng = np.random.default_rng(9)
             params = BiLstmParams.create(rng, input_dim=3, hidden_size=2, num_layers=2)
-            seq = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+            seq = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
             tensors = [seq] + list(params.parameters().values())
 
             def fn(seq, *_):
-                return bilstm_encode(seq, params)
+                return bilstm_encode(seq, Rows([3, 1, 2]), params)
 
             report = T.grad_check(fn, tensors, tol=1e-5, name="bilstm")
         assert report.passed, report

@@ -137,6 +137,18 @@ class TestConfigFile:
         assert f"{command} has no setting {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("axes,message", [(["bogus"], "unknown ablation axis 'bogus'"),
+                                              ([], "ablate needs at least one axis")],
+                             ids=["unknown", "none"])
+    def test_ablation_axes_are_checked_before_out_is_made(self, dataset_dir, tmp_path, capsys,
+                                                          axes, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"axes": axes}))
+        assert run_cli("ablate", "--config", config, "--data", dataset_dir,
+                       "--out", tmp_path / "out", "--max-epochs", 1) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_value_of_the_wrong_json_type_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"teachers": "x"}))
@@ -281,6 +293,9 @@ OUT_OF_RANGE = [
     (["gradcheck", "--tol", 0], "tol"),
     (["cv", "--jobs", 0], "jobs"),
     (["ablate", "--jobs", 0], "jobs"),
+    (["cv", "--grid-lr", "3e-4"], "lr"),
+    (["ablate", "--grid-m", 7], "fusion modules"),
+    (["cv", "--grid-batch", 5], "batch size"),
     (["synth", "--rater-noise-sd", "nan"], "rater_noise_sd"),
     (["synth", "--noise-sd", "nan"], "noise_sd"),
     (["synth", "--outcome-noise-sd", "inf", "--students-per-teacher", 2], "outcome_noise_sd"),
@@ -299,6 +314,7 @@ def test_out_of_range_setting_is_usage_error(dataset_dir, tmp_path, capsys, argv
     assert run_cli(command, *paths, *flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and re.search(rf"\b{setting}\b", err), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "cv", "ablate"])

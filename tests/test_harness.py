@@ -11,10 +11,11 @@ from discourse_rater import cli
 from discourse_rater.data import (DatasetManifest, SegmentRecord, SynthConfig,
                                   generate_synthetic, uniform_signal)
 from discourse_rater.errors import DataError, TrainingError, UsageError
-from discourse_rater.harness import (FoldPlan, GridPoint, _select_best,
+from discourse_rater.harness import (FoldPlan, GridPoint, NestedCvResult, _select_best,
                                      ablation_variants, default_grid,
                                      grid_search, make_folds, run_ablation,
                                      run_nested_cv, split_for_validation)
+from discourse_rater.metrics import summarize_folds
 from discourse_rater.model import ModelConfig
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.train import TrainConfig
@@ -267,7 +268,7 @@ class TestAblation:
         dataset = tiny_dataset()
         base = ModelConfig(modalities=("text",), dropout=0.0)
         grid = [GridPoint(lr=1e-4, batch_size=8, fusion_modules=1)]
-        result = run_ablation(dataset, ["loss"], base, fast_train_config(),
+        result = run_ablation(dataset, ablation_variants(base, ["loss"]), fast_train_config(),
                               grid=grid, seed=2)
         assert set(result.rows) == {"loss:l1", "loss:ce", "loss:oll"}
         # A variant's row is its own nested CV at the ablation's seed, and so
@@ -310,10 +311,40 @@ class TestAblation:
         with pytest.raises(UsageError):
             ablation_variants(ModelConfig(modalities=("text",)), ["flavor"])
 
+    def test_no_axis_rejected(self):
+        with pytest.raises(UsageError, match="at least one axis"):
+            ablation_variants(ModelConfig(modalities=("text",)), [])
+
+    @pytest.mark.parametrize("base,axes,runs", [
+        (ModelConfig(modalities="T+A"), ["modality", "encoder", "task", "loss"], 11),
+        (ModelConfig(modalities="T"), ["loss", "task"], 6),
+    ], ids=["paper_axes_T+A", "loss_task_T"])
+    def test_each_distinct_config_runs_once(self, monkeypatch, base, axes, runs):
+        # modality:T+A, encoder:attention, task:multi and loss:oll are all
+        # the T+A base; each row still reads the report of its own config.
+        harness = importlib.import_module("discourse_rater.harness")
+        ran = []
+
+        def fake_nested_cv(dataset, config, train_config, grid, seed, jobs):
+            ran.append(config)
+            scores = {c: [len(ran) / 100] * 5 for c in config.head_components}
+            return NestedCvResult(None, [], [], summarize_folds(scores))
+
+        monkeypatch.setattr(harness, "run_nested_cv", fake_nested_cv)
+        variants = ablation_variants(base, axes)
+        result = run_ablation(None, variants, fast_train_config(), grid=[], seed=0, jobs=1)
+        assert len(ran) == len(set(ran)) == runs
+        assert len(variants) > runs
+        for name, config in variants:
+            if not name.startswith("task:single:"):
+                expected = (ran.index(config) + 1) / 100
+                assert result.rows[name].overall.mean == pytest.approx(expected)
+
     def test_single_task_rows_merged_per_component(self):
         dataset = tiny_dataset()
-        result = run_ablation(dataset, ["task"],
-                              ModelConfig(modalities=("text",), dropout=0.0),
+        result = run_ablation(dataset,
+                              ablation_variants(ModelConfig(modalities=("text",), dropout=0.0),
+                                                ["task"]),
                               fast_train_config(),
                               grid=[GridPoint(lr=1e-4, batch_size=8,
                                               fusion_modules=1)],

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from discourse_rater import tensor as T
-from discourse_rater.blocks import Rows, bilstm_encode, dropout_keep, mlp_head
+from discourse_rater.blocks import Rows, dropout_keep, mlp_head
 from discourse_rater.errors import (ConfigError, DataError, DiscourseRaterError, FormatError,
                                     NumericsError, UsageError)
 from discourse_rater.model import (MODEL_DIM, FusionModel, ModelConfig, _build,
@@ -19,7 +19,8 @@ from discourse_rater.model import (MODEL_DIM, FusionModel, ModelConfig, _build,
                                    parse_modalities, save_model)
 from discourse_rater.objective import COMPONENTS
 from discourse_rater.train import AdamW, TrainConfig
-from helpers import EDITS, edited, fusion_oracle, longest_query, make_segment
+from helpers import (EDITS, edited, fusion_oracle, longest_query, make_segment,
+                     numpy_bilstm_oracle)
 
 
 class TestModelConfig:
@@ -268,20 +269,20 @@ class TestBatchedForward:
             assert batched_rng.random() == example_rng.random()
 
     def test_uneven_lstm_batch_equals_heads_over_each_segment_alone(self, rng):
-        # The BiLSTM encodes each segment on all of its own rows and nothing
-        # else; the heads then run once over the batch.
-        model = build_model(ModelConfig(modalities="T+A", encoder="lstm", seed=1))
-        segments = uneven_segments(rng, lengths=((2, 4), (4, 2), (3, 3)))
-        out = forward(model, segments)
-
-        def states(seg):
-            row = T.concat([bilstm_encode(T.Tensor(seg.modality(m)), model.lstms[m])
-                            for m in ("text", "audio")])
-            return row.reshape((1, row.shape[0]))
-
-        pooled = T.concat([states(seg) for seg in segments], axis=0)
-        for component, head in model.heads.items():
-            assert np.array_equal(out[component].data, mlp_head(pooled, head).data)
+        # The BiLSTM runs each segment on its own packed rows and nothing
+        # else; the heads then run once over the batch.  Built without an
+        # arena, the float64 model holds no gradient buffer: 575 MB, not 1.15 GB.
+        with T.precision("float64"):
+            model = _build(ModelConfig(modalities="T+A", encoder="lstm", seed=1),
+                           np.random.default_rng(1))
+            segments = uneven_segments(rng, lengths=((2, 4), (4, 2), (1, 3), (3, 1)))
+            out = forward(model, segments)
+            for row, seg in enumerate(segments):
+                states = np.concatenate([numpy_bilstm_oracle(seg.modality(m), model.lstms[m])
+                                         for m in ("text", "audio")])
+                for component, head in model.heads.items():
+                    alone = mlp_head(T.Tensor(states[None, :]), head).data[0]
+                    assert np.abs(out[component].data[row] - alone).max() < 1e-12
 
     @pytest.mark.parametrize("encoder,modalities", [("attention", "T"), ("lstm", "T+A")])
     def test_empty_batch_is_usage_error(self, encoder, modalities):
